@@ -1,5 +1,5 @@
 //! Single-pass multi-configuration cache evaluation: Mattson stack-distance
-//! histograms with Hill–Smith all-associativity simulation.
+//! histograms over per-set truncated LRU stacks.
 //!
 //! The Figure-4/5 experiment replays one workload through 28 L1 D-cache
 //! configurations. Re-running the functional simulator per configuration
@@ -7,22 +7,24 @@
 //! that differ only in cache geometry. This module extracts the workload's
 //! data-reference trace **once** (see [`AddressTrace`]) and computes exact
 //! LRU miss counts for *every* configuration in a single pass per line
-//! size:
+//! size.
 //!
-//! * **Mattson et al. (1970), stack algorithms.** LRU obeys inclusion: at
-//!   any instant, the content of an `A`-way set is the `A` most recently
-//!   used lines mapping to it. An access therefore hits iff its *stack
-//!   distance* — the number of distinct lines that map to the same set and
-//!   were touched since the last access to this line — is `< A`. One
-//!   distance histogram yields the miss count of every associativity at
-//!   once.
-//! * **Hill & Smith (1989), all-associativity simulation.** With
-//!   bit-selection indexing and power-of-two set counts, a cache with `2S`
-//!   sets refines the sets of a cache with `S` sets (one more index bit).
-//!   Walking a single global LRU recency list once per access and counting,
-//!   per set-count level `2^j`, the lines whose low `j` index bits match
-//!   the accessed line's, produces the per-level stack distance for *all*
-//!   `(sets, ways)` geometries simultaneously.
+//! **Mattson et al. (1970), inclusion per set.** Under LRU, the content
+//! of an `A`-way set is the `A` most recently used distinct lines mapping
+//! to it. An access therefore hits iff its *stack distance* — its position
+//! in its set's LRU stack, counting from 0 at the MRU end — is `< A`.
+//! Configurations with the same set count `2^j` share one set mapping (the
+//! low `j` bits of the line address), so one stack per set and one
+//! distance histogram per level serve every associativity at that set
+//! count at once.
+//!
+//! **Truncated stacks.** Distances at or beyond the largest way count any
+//! configuration uses at a level (its *cap*) are misses for all of them,
+//! so each set's stack keeps only its `cap` most recent lines; a line that
+//! falls off re-enters at the MRU end like a cold one. An access costs one
+//! move-to-front pass per level, `O(Σ caps)` in the worst case. Levels
+//! are independent: the engine does not use Hill & Smith's refinement of
+//! `S`-set caches by `2S`-set ones.
 //!
 //! Grouping rule: one pass handles every configuration sharing a line
 //! size (the line size fixes the address→line mapping); configurations
@@ -35,17 +37,12 @@
 //! oracle): the cache model is write-allocate with strict LRU victims, so
 //! hit/miss per access is a pure function of stack distance, and stores
 //! differ from loads only in dirty bookkeeping, which never affects
-//! recency order. Walks are bounded: a per-level saturation counter stops
-//! the recency-list traversal as soon as every level has seen its deepest
-//! distinguishable distance (the maximum ways of any configuration at
-//! that level), so the worst-case walk is `O(max ways)`, not the size of
-//! the touched-line set.
+//! recency order.
 //!
 //! [`Cache`]: crate::cache::Cache
 
 use perfclone_isa::Program;
 use perfclone_sim::Simulator;
-use rustc_hash::FxHashMap;
 
 use crate::cache::CacheConfig;
 use crate::sweep::DcacheSweepPoint;
@@ -126,136 +123,103 @@ impl AddressTrace {
     }
 }
 
-const NIL: u32 = u32::MAX;
+/// One set-count level of a pass: a truncated LRU stack per set plus the
+/// level's stack-distance histogram.
+struct Level {
+    sets: u64,
+    /// Deepest distance any configuration at this level distinguishes
+    /// (its maximum way count), and so each stack's length.
+    cap: usize,
+    /// `stacks[s * cap..][..fill[s]]` holds set `s`'s lines, MRU first.
+    stacks: Vec<u64>,
+    /// Occupied length of each set's stack. Slots past it are empty, so
+    /// no line value doubles as an empty marker.
+    fill: Vec<usize>,
+    /// `hist[d]` counts accesses at stack distance `d < cap`.
+    hist: Vec<u64>,
+}
 
-/// One Hill–Smith pass: a global LRU recency list over touched lines plus
-/// per-set-count-level stack-distance histograms, serving every
-/// configuration of one line-size group.
+impl Level {
+    fn access(&mut self, line: u64) {
+        let set = (line & (self.sets - 1)) as usize;
+        let stack = &mut self.stacks[set * self.cap..][..self.cap];
+        let fill = &mut self.fill[set];
+        // Move to front in one pass: each slot takes the line above it
+        // until the accessed line's old slot is overwritten.
+        let mut carry = line;
+        for (d, slot) in stack[..*fill].iter_mut().enumerate() {
+            carry = std::mem::replace(slot, carry);
+            if carry == line {
+                self.hist[d] += 1;
+                return;
+            }
+        }
+        // Absent (a miss at every way count): the pushed-down LRU line
+        // drops off a full stack.
+        if *fill < self.cap {
+            stack[*fill] = carry;
+            *fill += 1;
+        }
+    }
+}
+
+/// One single-pass evaluation: a [`Level`] per distinct set count among
+/// the configurations of one line-size group.
 struct AllAssocPass {
     line_shift: u32,
-    /// `caps[j]`: deepest distance any configuration with `2^j` sets
-    /// distinguishes (its maximum way count); `0` when no configuration
-    /// uses that set count.
-    caps: Vec<u32>,
-    /// `hists[j][d]` counts accesses at per-level stack distance `d`; the
-    /// final bucket aggregates `d >= caps[j]` (a miss at every tracked
-    /// associativity).
-    hists: Vec<Vec<u64>>,
-    /// line address → recency-list node.
-    map: FxHashMap<u64, u32>,
-    lines: Vec<u64>,
-    prev: Vec<u32>,
-    next: Vec<u32>,
-    head: u32,
-    /// Scratch per-level distance counters, reused across accesses.
-    dists: Vec<u32>,
+    levels: Vec<Level>,
     accesses: u64,
 }
 
 impl AllAssocPass {
     /// `geometries` are the `(sets, ways)` pairs of the group's configs.
     fn new(line_bytes: u32, geometries: &[(u64, u64)]) -> AllAssocPass {
-        let levels = geometries
-            .iter()
-            .map(|&(sets, _)| sets.trailing_zeros() as usize + 1)
-            .max()
-            .unwrap_or(1);
-        let mut caps = vec![0u32; levels];
+        let mut caps: Vec<(u64, usize)> = Vec::new();
         for &(sets, ways) in geometries {
-            let j = sets.trailing_zeros() as usize;
-            caps[j] = caps[j].max(ways as u32);
+            match caps.iter_mut().find(|(s, _)| *s == sets) {
+                Some((_, cap)) => *cap = (*cap).max(ways as usize),
+                None => caps.push((sets, ways as usize)),
+            }
         }
-        let hists =
-            caps.iter().map(|&c| vec![0u64; if c == 0 { 0 } else { c as usize + 1 }]).collect();
-        AllAssocPass {
-            line_shift: line_bytes.trailing_zeros(),
-            caps,
-            hists,
-            map: FxHashMap::default(),
-            lines: Vec::new(),
-            prev: Vec::new(),
-            next: Vec::new(),
-            head: NIL,
-            dists: vec![0u32; levels],
-            accesses: 0,
-        }
+        let levels = caps
+            .into_iter()
+            .map(|(sets, cap)| Level {
+                sets,
+                cap,
+                stacks: vec![0; sets as usize * cap],
+                fill: vec![0; sets as usize],
+                hist: vec![0; cap],
+            })
+            .collect();
+        AllAssocPass { line_shift: line_bytes.trailing_zeros(), levels, accesses: 0 }
     }
 
     fn access(&mut self, addr: u64) {
         self.accesses += 1;
         let line = addr >> self.line_shift;
-        let Some(&node) = self.map.get(&line) else {
-            // Cold: a miss at every geometry — recorded implicitly, since
-            // misses are computed as accesses − histogram hits.
-            let n = self.lines.len() as u32;
-            self.lines.push(line);
-            self.prev.push(NIL);
-            self.next.push(self.head);
-            if self.head != NIL {
-                self.prev[self.head as usize] = n;
-            }
-            self.head = n;
-            self.map.insert(line, n);
-            return;
-        };
-        if node == self.head {
-            // Re-access of the most recent line: distance 0 everywhere.
-            for (j, hist) in self.hists.iter_mut().enumerate() {
-                if self.caps[j] > 0 {
-                    hist[0] += 1;
-                }
-            }
-            return;
+        for level in &mut self.levels {
+            level.access(line);
         }
-        // Walk MRU→LRU counting, per level, predecessors that map to the
-        // same set: the low j index bits of the line address must match,
-        // i.e. trailing_zeros(other ^ line) >= j. Stop at the accessed
-        // node or once every level has reached its cap (deeper counts
-        // cannot change any hit/miss outcome).
-        let levels = self.caps.len();
-        self.dists.fill(0);
-        let mut unsaturated = self.caps.iter().filter(|&&c| c > 0).count();
-        let mut cur = self.head;
-        while cur != node && unsaturated > 0 {
-            let matching_bits = (self.lines[cur as usize] ^ line).trailing_zeros() as usize;
-            for j in 0..=matching_bits.min(levels - 1) {
-                self.dists[j] += 1;
-                if self.caps[j] > 0 && self.dists[j] == self.caps[j] {
-                    unsaturated -= 1;
-                }
-            }
-            cur = self.next[cur as usize];
-        }
-        for (j, hist) in self.hists.iter_mut().enumerate() {
-            let cap = self.caps[j];
-            if cap > 0 {
-                hist[self.dists[j].min(cap) as usize] += 1;
-            }
-        }
-        // Move the accessed node to the front of the recency list.
-        let (p, nx) = (self.prev[node as usize], self.next[node as usize]);
-        self.next[p as usize] = nx;
-        if nx != NIL {
-            self.prev[nx as usize] = p;
-        }
-        self.prev[node as usize] = NIL;
-        self.next[node as usize] = self.head;
-        self.prev[self.head as usize] = node;
-        self.head = node;
     }
 
     /// Exact LRU miss count of a `(sets, ways)` geometry.
     fn misses(&self, sets: u64, ways: u64) -> u64 {
-        let j = sets.trailing_zeros() as usize;
-        let hits: u64 = self.hists[j][..ways as usize].iter().sum();
+        let hits: u64 = self
+            .levels
+            .iter()
+            .find(|l| l.sets == sets)
+            .map_or(0, |l| l.hist[..ways as usize].iter().sum());
         self.accesses - hits
     }
 }
 
+/// A line size and the indices of the configurations that use it.
+type Group = (u32, Vec<usize>);
+
 /// Indices of `configs` grouped by line size, group order by first
 /// appearance.
-fn line_size_groups(configs: &[CacheConfig]) -> Vec<(u32, Vec<usize>)> {
-    let mut groups: Vec<(u32, Vec<usize>)> = Vec::new();
+fn line_size_groups(configs: &[CacheConfig]) -> Vec<Group> {
+    let mut groups: Vec<Group> = Vec::new();
     for (i, c) in configs.iter().enumerate() {
         match groups.iter_mut().find(|(line, _)| *line == c.line_bytes) {
             Some((_, idxs)) => idxs.push(i),
@@ -265,18 +229,20 @@ fn line_size_groups(configs: &[CacheConfig]) -> Vec<(u32, Vec<usize>)> {
     groups
 }
 
+/// Miss counts of one line-size group's configurations, in group order.
 /// `parent` is the enclosing sweep's span id: group passes may run on
-/// rayon workers, whose threads start with no span context, so the sweep
-/// entry points capture [`perfclone_obs::current`] before fanning out and
-/// each group's span nests under it explicitly.
+/// rayon workers, whose threads start with no span context, so each
+/// group's span nests under it explicitly.
 fn run_group(
     trace: &AddressTrace,
-    line_bytes: u32,
-    geometries: &[(u64, u64)],
+    configs: &[CacheConfig],
+    (line_bytes, idxs): &Group,
     parent: Option<perfclone_obs::SpanId>,
 ) -> Vec<u64> {
     let _span = perfclone_obs::Span::child_of(parent, "sweep.group");
-    let mut pass = AllAssocPass::new(line_bytes, geometries);
+    let geometries: Vec<(u64, u64)> =
+        idxs.iter().map(|&i| (configs[i].sets(), configs[i].ways())).collect();
+    let mut pass = AllAssocPass::new(*line_bytes, &geometries);
     for r in trace.refs() {
         pass.access(r.addr);
     }
@@ -284,53 +250,19 @@ fn run_group(
     geometries.iter().map(|&(sets, ways)| pass.misses(sets, ways)).collect()
 }
 
-/// Computes [`DcacheSweepPoint`]s for every configuration from one
-/// pre-extracted trace: one stack-distance pass per line-size group,
-/// results in `configs` order and bit-identical to per-configuration
-/// [`simulate_dcache`](crate::sweep::simulate_dcache) replay.
-pub fn sweep_trace(trace: &AddressTrace, configs: &[CacheConfig]) -> Vec<DcacheSweepPoint> {
+/// The body of both sweep entry points: `each_group` maps a group runner
+/// over the line-size groups (serially or on rayon), and the per-group
+/// miss counts are scattered back into `configs` order.
+fn sweep_groups(
+    trace: &AddressTrace,
+    configs: &[CacheConfig],
+    each_group: impl FnOnce(&[Group], &(dyn Fn(&Group) -> Vec<u64> + Sync)) -> Vec<Vec<u64>>,
+) -> Vec<DcacheSweepPoint> {
     let span = perfclone_obs::span!("sweep.pass");
-    let parent = span.id();
-    perfclone_obs::count!("sweep.configs", configs.len() as u64);
-    let mut out: Vec<DcacheSweepPoint> = configs
-        .iter()
-        .map(|&config| DcacheSweepPoint {
-            config,
-            instrs: trace.instrs(),
-            accesses: trace.accesses(),
-            misses: 0,
-        })
-        .collect();
-    for (line_bytes, idxs) in line_size_groups(configs) {
-        let geometries: Vec<(u64, u64)> =
-            idxs.iter().map(|&i| (configs[i].sets(), configs[i].ways())).collect();
-        for (&i, misses) in idxs.iter().zip(run_group(trace, line_bytes, &geometries, parent)) {
-            out[i].misses = misses;
-        }
-    }
-    out
-}
-
-/// Parallel [`sweep_trace`]: line-size groups fan over the ambient rayon
-/// parallelism. Every group computes exact integer miss counts, so the
-/// result is bit-identical to the serial engine at any thread count (and
-/// to per-configuration replay).
-pub fn sweep_trace_par(trace: &AddressTrace, configs: &[CacheConfig]) -> Vec<DcacheSweepPoint> {
-    use rayon::prelude::*;
-    let span = perfclone_obs::span!("sweep.pass");
-    // Rayon workers are fresh threads with no span context: carry the
-    // sweep's id into each group explicitly.
     let parent = span.id();
     perfclone_obs::count!("sweep.configs", configs.len() as u64);
     let groups = line_size_groups(configs);
-    let per_group: Vec<Vec<u64>> = groups
-        .par_iter()
-        .map(|(line_bytes, idxs)| {
-            let geometries: Vec<(u64, u64)> =
-                idxs.iter().map(|&i| (configs[i].sets(), configs[i].ways())).collect();
-            run_group(trace, *line_bytes, &geometries, parent)
-        })
-        .collect();
+    let per_group = each_group(&groups, &|group| run_group(trace, configs, group, parent));
     let mut out: Vec<DcacheSweepPoint> = configs
         .iter()
         .map(|&config| DcacheSweepPoint {
@@ -346,6 +278,23 @@ pub fn sweep_trace_par(trace: &AddressTrace, configs: &[CacheConfig]) -> Vec<Dca
         }
     }
     out
+}
+
+/// Computes [`DcacheSweepPoint`]s for every configuration from one
+/// pre-extracted trace: one stack-distance pass per line-size group,
+/// results in `configs` order and bit-identical to per-configuration
+/// [`simulate_dcache`](crate::sweep::simulate_dcache) replay.
+pub fn sweep_trace(trace: &AddressTrace, configs: &[CacheConfig]) -> Vec<DcacheSweepPoint> {
+    sweep_groups(trace, configs, |groups, run| groups.iter().map(run).collect())
+}
+
+/// Parallel [`sweep_trace`]: line-size groups fan over the ambient rayon
+/// parallelism. Every group computes exact integer miss counts, so the
+/// result is bit-identical to the serial engine at any thread count (and
+/// to per-configuration replay).
+pub fn sweep_trace_par(trace: &AddressTrace, configs: &[CacheConfig]) -> Vec<DcacheSweepPoint> {
+    use rayon::prelude::*;
+    sweep_groups(trace, configs, |groups, run| groups.par_iter().map(run).collect())
 }
 
 #[cfg(test)]
@@ -425,10 +374,10 @@ mod tests {
     }
 
     #[test]
-    fn saturated_walks_still_reorder_the_recency_list() {
-        // Touch many lines, then re-touch the first: the walk saturates
-        // (every cap reached) long before finding it, yet the engine must
-        // still move it to the front so the *next* access hits.
+    fn line_evicted_from_a_truncated_stack_reenters_at_mru() {
+        // Touch many lines, then re-touch the first: it fell off its
+        // set's truncated stack long ago, yet the engine must push it
+        // back on top so the *next* access hits.
         let mut refs: Vec<DataRef> =
             (0..64u64).map(|i| DataRef { addr: i * 32, is_store: false }).collect();
         refs.push(DataRef { addr: 0, is_store: false });
@@ -436,6 +385,25 @@ mod tests {
         let trace = AddressTrace::from_refs(refs.len() as u64, refs.clone());
         let config = CacheConfig::new(128, Assoc::Ways(2), 32);
         assert_eq!(sweep_trace(&trace, &[config])[0].misses, replay_misses(&refs, config));
+    }
+
+    #[test]
+    fn no_line_value_aliases_an_empty_slot() {
+        // With 1-byte lines every u64 is a line address, including the
+        // all-zero and all-one patterns an empty-slot sentinel would use.
+        let addrs = [u64::MAX, 0, u64::MAX, u64::MAX - 2, 0, 1, u64::MAX, u64::MAX - 1, 0];
+        let refs: Vec<DataRef> =
+            addrs.iter().map(|&addr| DataRef { addr, is_store: false }).collect();
+        let trace = AddressTrace::from_refs(refs.len() as u64, refs.clone());
+        let configs = [
+            CacheConfig::new(4, Assoc::Ways(1), 1),
+            CacheConfig::new(4, Assoc::Ways(2), 1),
+            CacheConfig::new(4, Assoc::Full, 1),
+            CacheConfig::new(2, Assoc::Full, 1),
+        ];
+        for (pt, &config) in sweep_trace(&trace, &configs).iter().zip(&configs) {
+            assert_eq!(pt.misses, replay_misses(&refs, config), "{config}");
+        }
     }
 
     #[test]

@@ -113,7 +113,7 @@ pub fn simulate_hierarchy_trace(
 
 /// Evaluates every configuration with the single-pass stack-distance
 /// engine: the program's data references are extracted once and one
-/// Mattson/Hill–Smith pass per line-size group produces exact LRU miss
+/// Mattson stack-distance pass per line-size group produces exact LRU miss
 /// counts, bit-identical to per-configuration replay (see
 /// [`sweep_dcache_replay`], the correctness oracle, and the
 /// [`stackdist`](crate::stackdist) module docs for why).

@@ -1,5 +1,5 @@
 //! Property tests of the single-pass multi-configuration cache engine:
-//! the Mattson/Hill–Smith stack-distance pass must reproduce direct
+//! the Mattson stack-distance pass must reproduce direct
 //! per-configuration LRU [`Cache`] replay *exactly* — same miss count for
 //! every geometry, every line size, and both associativity kinds
 //! (`Assoc::Ways`, `Assoc::Full`) — and the parallel sweep path must be
@@ -32,6 +32,42 @@ fn config_matrix() -> Vec<CacheConfig> {
     }
     out.push(CacheConfig::new(8 * 64, Assoc::Ways(8), 16));
     out
+}
+
+/// Geometries whose stacks are deep or shallow at their extremes: the
+/// paper's 16 KB FA (one 512-deep stack) and 256 B 4-way (2 sets), and a
+/// deep stack above the one-set level (2 sets × 64 ways).
+fn cap_geometries() -> [CacheConfig; 3] {
+    [
+        CacheConfig::new(16 * 1024, Assoc::Full, 32),
+        CacheConfig::new(256, Assoc::Ways(4), 32),
+        CacheConfig::new(2 * 64 * 32, Assoc::Ways(64), 32),
+    ]
+}
+
+/// Streams of segments, each cycling over `ways + delta + 1` distinct
+/// lines of one set of one [`cap_geometries`] entry, so that every
+/// re-access in the segment has reuse distance `ways + delta` for
+/// `delta` in `-1..=1`: just inside, at, and just past each cap.
+fn cap_straddling_stream() -> impl Strategy<Value = Vec<DataRef>> {
+    let segment = (0usize..3, -1i64..=1, 0u64..2, 1u64..4, any::<bool>());
+    proptest::collection::vec(segment, 1..6).prop_map(|segments| {
+        let geometries = cap_geometries();
+        let mut refs = Vec::new();
+        for (i, (g, delta, set, rounds, is_store)) in segments.into_iter().enumerate() {
+            let config = geometries[g];
+            let sets = config.sets();
+            let distinct = (config.ways() as i64 + delta + 1) as u64;
+            let base = i as u64 * 4096 + set % sets;
+            for _ in 0..rounds {
+                for k in 0..distinct {
+                    let addr = (base + k * sets) * u64::from(config.line_bytes);
+                    refs.push(DataRef { addr, is_store: is_store && k % 2 == 0 });
+                }
+            }
+        }
+        refs
+    })
 }
 
 fn replay_misses(refs: &[DataRef], config: CacheConfig) -> u64 {
@@ -82,9 +118,9 @@ proptest! {
         prop_assert_eq!(sweep_trace_par(&trace, &configs), sweep_trace(&trace, &configs));
     }
 
-    /// Tight clustered streams drive deep stack distances and saturation
-    /// early-exit; the fully-associative configs (per-set stack = global
-    /// stack) must still match replay exactly.
+    /// Tight clustered streams drive deep stack distances and lines
+    /// falling off the truncated stack; the fully-associative configs
+    /// (one set, one stack) must still match replay exactly.
     #[test]
     fn fully_associative_degenerate_case(lines in proptest::collection::vec(0u64..96, 1..400)) {
         let refs: Vec<DataRef> =
@@ -94,6 +130,22 @@ proptest! {
             let config = CacheConfig::new(size_lines * 32, Assoc::Full, 32);
             let sweep = sweep_trace(&trace, &[config]);
             prop_assert_eq!(sweep[0].misses, replay_misses(&refs, config), "{}", config);
+        }
+    }
+
+    /// Reuse distances one below, at, and one above every stack cap,
+    /// evaluated both with the three geometries in one pass (one level
+    /// per set count, caps 512 and 64) and with each alone (caps 512, 4
+    /// and 64).
+    #[test]
+    fn engine_matches_replay_across_stack_caps(refs in cap_straddling_stream()) {
+        let trace = AddressTrace::from_refs(refs.len() as u64, refs.clone());
+        let configs = cap_geometries();
+        let together = sweep_trace(&trace, &configs);
+        for (point, &config) in together.iter().zip(&configs) {
+            let oracle = replay_misses(&refs, config);
+            prop_assert_eq!(point.misses, oracle, "{} in one pass", config);
+            prop_assert_eq!(sweep_trace(&trace, &[config])[0].misses, oracle, "{} alone", config);
         }
     }
 }
