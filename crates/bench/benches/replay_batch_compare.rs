@@ -1,7 +1,7 @@
 //! Headline benchmark for the batched SoA replay front end: a 24-cell
 //! design sweep (2 programs × 12 configurations) evaluated by the
 //! record-at-a-time oracle (`Pipeline::run` pulling `DynInstr`s from
-//! `PackedTrace::replay`) versus the batched decoder (`Pipeline::
+//! `TraceStore::replay`) versus the batched decoder (`Pipeline::
 //! run_batched` draining SoA chunks from `replay_batched` through the
 //! interned `InstrMetaTable`). Every cell's `PipelineReport` and
 //! `PowerReport` are asserted bit-identical between the two paths
@@ -12,7 +12,7 @@ use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use perfclone::{
-    estimate_power, InstrMetaTable, MachineConfig, PackedTrace, Pipeline, TimingResult,
+    estimate_power, InstrMetaTable, MachineConfig, PackedTrace, Pipeline, TimingResult, TraceStore,
 };
 use perfclone_bench::{design_sweep_configs, experiment_params, prepare, scale_from_env};
 use perfclone_isa::Program;
@@ -25,7 +25,7 @@ const KERNEL: &str = "susan";
 /// exactly how the sweep engine amortizes them).
 struct Prepped<'a> {
     program: &'a Program,
-    trace: PackedTrace,
+    trace: TraceStore,
     meta: InstrMetaTable,
 }
 
@@ -67,7 +67,7 @@ fn bench_batched_vs_oracle(c: &mut Criterion) {
         .into_iter()
         .map(|program| Prepped {
             program,
-            trace: PackedTrace::capture(program, u64::MAX),
+            trace: TraceStore::Mem(PackedTrace::capture(program, u64::MAX)),
             meta: InstrMetaTable::new(program),
         })
         .collect();

@@ -3,7 +3,7 @@
 //! re-interpretation (`run_timing`: one functional execution *per cell*,
 //! the pre-trace path and correctness oracle) versus record-once/
 //! replay-many (`PackedTrace::capture` once per program +
-//! `run_timing_replay` per cell). Asserts bit-identical `PipelineReport`
+//! `run_timing_store` per cell). Asserts bit-identical `PipelineReport`
 //! and `PowerReport` values before timing, and prints the wall-clock
 //! speedup replay delivers, plus the stream-regeneration microcosts
 //! (interpret vs replay) that drive it.
@@ -12,7 +12,10 @@ use std::path::Path;
 use std::time::Instant;
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use perfclone::{run_timing, run_timing_replay, MachineConfig, PackedTrace, TimingResult};
+use perfclone::{
+    run_timing, run_timing_store, InstrMetaTable, MachineConfig, PackedTrace, TimingResult,
+    TraceStore,
+};
 use perfclone_bench::{
     design_sweep_configs, experiment_params, prepare, scale_from_env, scale_label,
 };
@@ -35,10 +38,11 @@ fn sweep_replay(programs: &[&Program], configs: &[MachineConfig]) -> Vec<TimingR
     programs
         .iter()
         .flat_map(|p| {
-            let trace = PackedTrace::capture(p, u64::MAX);
+            let trace = TraceStore::Mem(PackedTrace::capture(p, u64::MAX));
+            let meta = InstrMetaTable::new(p);
             configs
                 .iter()
-                .map(|c| run_timing_replay(p, &trace, c).expect("timing"))
+                .map(|c| run_timing_store(p, &trace, &meta, c, None).expect("timing"))
                 .collect::<Vec<_>>()
         })
         .collect()
@@ -75,7 +79,7 @@ fn bench_replay_vs_interpret(c: &mut Criterion) {
     group.bench_function("interpret_stream_only", |b| {
         b.iter(|| perfclone_sim::Simulator::trace(&bench.program, u64::MAX).count())
     });
-    let trace = PackedTrace::capture(&bench.program, u64::MAX);
+    let trace = TraceStore::Mem(PackedTrace::capture(&bench.program, u64::MAX));
     group.bench_function("replay_stream_only", |b| b.iter(|| trace.replay(&bench.program).count()));
     group.finish();
 
@@ -93,7 +97,7 @@ fn bench_replay_vs_interpret(c: &mut Criterion) {
     }
     let supply_interp_s = std::hint::black_box(t0.elapsed().as_secs_f64());
     let t1 = Instant::now();
-    let packed = PackedTrace::capture(&bench.program, u64::MAX);
+    let packed = TraceStore::Mem(PackedTrace::capture(&bench.program, u64::MAX));
     for _ in 0..n {
         sink += packed.replay(&bench.program).count();
     }
@@ -116,8 +120,8 @@ fn bench_replay_vs_interpret(c: &mut Criterion) {
         supply_replay_s * 1e3,
         supply_interp_s / supply_replay_s,
         packed.len(),
-        packed.packed_bytes(),
-        packed.packed_bytes() as f64 / packed.len() as f64
+        packed.stored_bytes(),
+        packed.stored_bytes() as f64 / packed.len() as f64
     );
     println!(
         "{KERNEL}: {n}-config end-to-end sweep  interpret {interp_s:.3}s  replay {replay_s:.3}s  \

@@ -6,9 +6,9 @@ use std::sync::Mutex;
 use perfclone::experiments::{cache_sweep_pair_par, design_change_sweep_par};
 use perfclone::{
     base_config, cache_sweep, env_fault_injector, faultfs, pareto_frontier, parse_fault_injector,
-    run_grid, run_grid_with, run_timing, run_timing_store, run_timing_trace, CellRow, Cloner,
-    Error, Fault, FaultPlan, Gate, GridAxes, GridOutcome, GridPolicy, GridSpec, PairComparison,
-    SynthesisParams, Table, ValidationReport, Verdict, WorkloadCache, WorkloadProfile,
+    run_grid, run_grid_with, run_timing, run_timing_trace, CellRow, Cloner, Error, Fault,
+    FaultPlan, Gate, GridAxes, GridOutcome, GridPolicy, GridSpec, PairComparison, SynthesisParams,
+    Table, ValidationReport, Verdict, WorkloadCache, WorkloadProfile,
 };
 use perfclone_isa::Program;
 use perfclone_obs::{
@@ -97,8 +97,6 @@ ENVIRONMENT:
   PERFCLONE_TRACE_CAP     byte budget for in-memory packed dynamic traces
                           (default 1 GiB); over-cap captures spill to disk
                           and replay via mmap with identical results
-  PERFCLONE_SPILL         set to 0 to disable spilling (over-cap workloads
-                          then fall back to per-config re-interpretation)
   PERFCLONE_SPILL_DIR     directory for spilled traces (default: tmp)
   PERFCLONE_FAULTFS       arm the deterministic I/O chaos shim, e.g.
                           `seed=7,enospc=13,short=19,torn=11,corrupt=17,
@@ -471,27 +469,8 @@ fn validate(parsed: &Parsed) -> Result<(), String> {
         Cloner::with_params(params).clone_program_from(&profile).map_err(|e| e.to_string())?;
     // Fidelity gate first: re-profile the clone and compare the five
     // attribute families before the (microarchitecture-dependent)
-    // side-by-side timing run. The clone's retired stream is captured once
-    // as a packed trace (spilled to disk and mmapped back when over-cap);
-    // the gate re-profiles by replaying it, and — when the capture
-    // completed (halted within budget) — the same trace drives the timing
-    // run below. Only a disabled or failed spill falls back to the direct
-    // interpreter path, with identical results.
-    let gate = Gate::default();
-    let clone_key = format!("{name}.clone");
-    let gate_trace = match cache.packed_trace(&clone_key, &clone, gate.profile_budget) {
-        Ok(store) => Some(store),
-        Err(e) if e.is_trace_fallback() => {
-            eprintln!("perfclone: {e}; gating via direct re-profiling");
-            None
-        }
-        Err(e) => return Err(e.to_string()),
-    };
-    let report = match &gate_trace {
-        Some(store) => gate.report_store(&profile, &clone, store),
-        None => gate.report(&profile, &clone),
-    }
-    .map_err(|e| e.to_string())?;
+    // side-by-side timing run.
+    let report = Gate::default().report(&profile, &clone).map_err(|e| e.to_string())?;
     note_gate(&report);
     say!("{}", report.render());
     if report.verdict() == Verdict::Fail {
@@ -507,16 +486,12 @@ fn validate(parsed: &Parsed) -> Result<(), String> {
             ));
         }
     }
-    // Side-by-side timing: the real program's trace goes through the
-    // shared cache (captured once, replayed for whatever config was
-    // picked); a completed gate trace is replayed directly for the clone.
+    // Side-by-side timing: both traces go through the shared cache
+    // (captured once, replayed for whatever config was picked).
     let real =
         run_timing_trace(&name, &program, &config, u64::MAX, &cache).map_err(|e| e.to_string())?;
-    let synth = match gate_trace.as_ref().filter(|t| t.halted()) {
-        Some(store) => run_timing_store(&clone, store, &config),
-        None => run_timing_trace(&clone_key, &clone, &config, u64::MAX, &cache),
-    }
-    .map_err(|e| e.to_string())?;
+    let synth = run_timing_trace(&format!("{name}.clone"), &clone, &config, u64::MAX, &cache)
+        .map_err(|e| e.to_string())?;
     let cmp = PairComparison { real, synth };
     let fmt_rel = |e: Option<f64>| match e {
         Some(v) => format!("{:.1}%", 100.0 * v),

@@ -3,7 +3,7 @@
 //! A design-space sweep runs the same workload against many machine
 //! configurations. Profiling the workload, synthesizing its clone,
 //! generating its statistical trace, and capturing its packed dynamic
-//! trace (the [`PackedTrace`] record-once/replay-many artifact that
+//! trace (the [`TraceStore`] record-once/replay-many artifact that
 //! `run_timing_trace` replays per configuration) are
 //! configuration-independent, so repeating them per cell wastes most of
 //! the sweep's time. A [`WorkloadCache`] computes each artifact once — on
@@ -28,7 +28,7 @@ use std::path::PathBuf;
 
 use perfclone_isa::{InstrMetaTable, Program};
 use perfclone_profile::{profile_program, WorkloadProfile};
-use perfclone_sim::{DynInstr, PackedRecorder, Simulator, SpillingRecorder, TraceStore};
+use perfclone_sim::{DynInstr, Simulator, SpillingRecorder, TraceStore};
 use perfclone_statsim::{synth_trace, TraceParams};
 use perfclone_synth::{synthesize, MemoryModel, SynthesisParams};
 use perfclone_uarch::AddressTrace;
@@ -64,21 +64,11 @@ static SPILL_BYTES_TOTAL: AtomicU64 = AtomicU64::new(0);
 /// Distinguishes spill stems across captures within one process.
 static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
-/// Where over-cap captures spill, or `None` when spilling is disabled.
-///
-/// `PERFCLONE_SPILL=0` (or `off`/`false`) disables spilling, restoring the
-/// interpreter-fallback behavior of [`Error::TraceCapExceeded`];
-/// `PERFCLONE_SPILL_DIR` overrides the directory (default: the system
-/// temp dir). Parsed once per process.
-pub(crate) fn spill_dir() -> Option<&'static PathBuf> {
-    static DIR: OnceLock<Option<PathBuf>> = OnceLock::new();
+/// Where over-cap captures spill: `PERFCLONE_SPILL_DIR`, or the system
+/// temp dir when unset. Parsed once per process.
+pub(crate) fn spill_dir() -> &'static PathBuf {
+    static DIR: OnceLock<PathBuf> = OnceLock::new();
     DIR.get_or_init(|| {
-        if let Ok(v) = std::env::var("PERFCLONE_SPILL") {
-            let v = v.trim().to_ascii_lowercase();
-            if v == "0" || v == "off" || v == "false" {
-                return None;
-            }
-        }
         let dir = match std::env::var("PERFCLONE_SPILL_DIR") {
             Ok(dir) if !dir.trim().is_empty() => PathBuf::from(dir),
             _ => std::env::temp_dir(),
@@ -94,9 +84,8 @@ pub(crate) fn spill_dir() -> Option<&'static PathBuf> {
                 dir.display()
             );
         }
-        Some(dir)
+        dir
     })
-    .as_ref()
 }
 
 /// A filesystem-safe stem for one capture's spill file, unique within the
@@ -115,82 +104,49 @@ fn spill_stem(program: &Program) -> String {
 ///
 /// An over-cap capture spills to disk and is replayed via mmap
 /// (`trace.spills` counter, `trace.spill.bytes` gauge, plus a stderr
-/// note); when spilling is disabled (`PERFCLONE_SPILL=0`) or the spill
-/// itself fails, the capture is abandoned whole — never truncated — with
-/// the `trace.fallbacks` counter and a stderr note, and callers fall back
-/// to direct interpretation.
+/// note). When the spill itself fails, the capture is abandoned whole —
+/// never truncated — with the `trace.fallbacks` counter and a stderr
+/// note, and the timing path falls back to direct interpretation.
 ///
 /// This is the one capture choke point: the [`WorkloadCache`] memo and the
 /// capture-per-call experiment drivers both route through it.
 ///
 /// # Errors
 ///
-/// Returns [`Error::TraceCapExceeded`] when the encoding outgrows
-/// `cap_bytes` with spilling disabled, or [`Error::Spill`] when the spill
-/// path fails; both satisfy [`Error::is_trace_fallback`].
+/// Returns [`Error::Spill`] when the spill path fails.
 pub(crate) fn capture_packed(
     program: &Program,
     limit: u64,
     cap_bytes: usize,
 ) -> Result<TraceStore, Error> {
     let _span = perfclone_obs::span!("sim.trace.capture");
-    match spill_dir() {
-        Some(dir) => {
-            let stem = spill_stem(program);
-            let mut rec = SpillingRecorder::new(cap_bytes, dir, &stem);
-            let mut trace = Simulator::trace(program, limit);
-            let mut result = Ok(());
-            for d in &mut trace {
-                if let Err(e) = rec.push(&d) {
-                    result = Err(e);
-                    break;
-                }
-            }
-            let store = result.and_then(|()| {
-                let fault = trace.fault().cloned();
-                let halted = trace.into_inner().is_halted();
-                rec.finish(program, halted, fault)
-            });
-            match store {
-                Ok(store) => {
-                    publish_capture(program, &store, cap_bytes);
-                    Ok(store)
-                }
-                Err(e) => {
-                    perfclone_obs::count!("trace.fallbacks", 1);
-                    eprintln!(
-                        "perfclone: spilling over-cap packed trace of '{}' failed ({e}); \
-                         falling back to direct interpretation",
-                        program.name()
-                    );
-                    Err(Error::Spill(e))
-                }
-            }
+    let mut rec = SpillingRecorder::new(cap_bytes, spill_dir(), &spill_stem(program));
+    let mut trace = Simulator::trace(program, limit);
+    let mut result = Ok(());
+    for d in &mut trace {
+        if let Err(e) = rec.push(&d) {
+            result = Err(e);
+            break;
         }
-        None => {
-            // Spilling disabled: the capture aborts at the cap and the
-            // caller re-interprets, the pre-spill contract.
-            let mut rec = PackedRecorder::new();
-            let mut trace = Simulator::trace(program, limit);
-            for d in &mut trace {
-                rec.push(&d);
-                if rec.packed_bytes() > cap_bytes {
-                    perfclone_obs::count!("trace.fallbacks", 1);
-                    eprintln!(
-                        "perfclone: packed trace of '{}' exceeded PERFCLONE_TRACE_CAP \
-                         ({cap_bytes} B) after {} instructions; falling back to direct \
-                         interpretation (spill disabled)",
-                        program.name(),
-                        rec.len()
-                    );
-                    return Err(Error::TraceCapExceeded { cap: cap_bytes, at_instrs: rec.len() });
-                }
-            }
-            let fault = trace.fault().cloned();
-            let halted = trace.into_inner().is_halted();
-            let store = TraceStore::Mem(rec.finish(program, halted, fault));
+    }
+    let store = result.and_then(|()| {
+        let fault = trace.fault().cloned();
+        let halted = trace.into_inner().is_halted();
+        rec.finish(program, halted, fault)
+    });
+    match store {
+        Ok(store) => {
             publish_capture(program, &store, cap_bytes);
             Ok(store)
+        }
+        Err(e) => {
+            perfclone_obs::count!("trace.fallbacks", 1);
+            eprintln!(
+                "perfclone: spilling over-cap packed trace of '{}' failed ({e}); \
+                 falling back to direct interpretation",
+                program.name()
+            );
+            Err(Error::Spill(e))
         }
     }
 }
@@ -383,9 +339,8 @@ pub struct WorkloadCacheStats {
     pub addr_trace_computes: u64,
     /// Packed dynamic-trace (timing-replay input) lookups served.
     pub packed_trace_lookups: u64,
-    /// Packed dynamic traces actually captured (cap-exceeded attempts
-    /// count too: the outcome — including the fallback signal — is
-    /// memoized).
+    /// Packed dynamic traces actually captured (failed spills count too:
+    /// the outcome — including the fallback signal — is memoized).
     pub packed_trace_computes: u64,
     /// Interned per-pc instruction-metadata table lookups served.
     pub meta_lookups: u64,
@@ -526,8 +481,7 @@ impl WorkloadCache {
     ///
     /// # Errors
     ///
-    /// Returns [`Error::TraceCapExceeded`] (cap hit with spilling
-    /// disabled) or [`Error::Spill`] (spill I/O failed); the outcome is
+    /// Returns [`Error::Spill`] when spill I/O fails; the outcome is
     /// memoized either way, so an unstorable workload is probed exactly
     /// once and every later requester immediately falls back to direct
     /// interpretation.

@@ -46,15 +46,6 @@ pub enum Error {
         /// instances, per stage).
         budget: u64,
     },
-    /// A packed-trace capture would exceed the `PERFCLONE_TRACE_CAP` byte
-    /// budget. Callers (the timing drivers) treat this as a signal to fall
-    /// back to direct interpretation; it never silently truncates a trace.
-    TraceCapExceeded {
-        /// The byte budget that would have been exceeded.
-        cap: usize,
-        /// Instructions recorded when the capture was abandoned.
-        at_instrs: u64,
-    },
     /// A suite operation needs at least one member.
     EmptySuite {
         /// The suite's name.
@@ -68,8 +59,8 @@ pub enum Error {
         weight: f64,
     },
     /// Spilling an over-cap packed trace to disk (or reading it back)
-    /// failed. Like [`Error::TraceCapExceeded`], the timing drivers treat
-    /// this as a signal to fall back to direct interpretation.
+    /// failed. The timing drivers answer this, and only this, by falling
+    /// back to direct interpretation.
     Spill(SpillError),
     /// A sweep journal could not be opened, read, or appended to.
     Journal(JournalError),
@@ -118,13 +109,6 @@ pub enum ErrorClass {
 }
 
 impl Error {
-    /// `true` for the errors the timing drivers answer by falling back to
-    /// direct interpretation: the packed capture was abandoned at its cap
-    /// with spill disabled, or the spill path itself failed.
-    pub fn is_trace_fallback(&self) -> bool {
-        matches!(self, Error::TraceCapExceeded { .. } | Error::Spill(_))
-    }
-
     /// Classifies the error for the retry supervisor (see [`ErrorClass`]).
     ///
     /// Only operating-system I/O failures — which depend on the machine's
@@ -161,7 +145,6 @@ impl Error {
             Error::Trace(_) => "trace",
             Error::Validate(_) => "validate",
             Error::BudgetExhausted { .. } => "budget-exhausted",
-            Error::TraceCapExceeded { .. } => "trace-cap",
             Error::EmptySuite { .. } => "empty-suite",
             Error::NonPositiveWeight { .. } => "non-positive-weight",
             Error::Spill(_) => "spill",
@@ -183,13 +166,6 @@ impl fmt::Display for Error {
             Error::Validate(e) => write!(f, "validation failed: {e}"),
             Error::BudgetExhausted { stage, budget } => {
                 write!(f, "{stage} stage did not terminate within its budget of {budget}")
-            }
-            Error::TraceCapExceeded { cap, at_instrs } => {
-                write!(
-                    f,
-                    "packed trace would exceed the {cap}-byte cap \
-                     (abandoned after {at_instrs} instructions)"
-                )
             }
             Error::EmptySuite { name } => write!(f, "suite '{name}' has no members"),
             Error::NonPositiveWeight { name, weight } => {

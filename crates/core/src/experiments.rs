@@ -8,35 +8,33 @@
 //! input order, so the parallel drivers return values bit-identical to
 //! their serial twins at any thread count.
 
-use perfclone_isa::Program;
+use perfclone_isa::{InstrMetaTable, Program};
 use perfclone_metrics::{pearson, rank, relative_error};
 use perfclone_sim::TraceStore;
 use perfclone_uarch::{design_changes, sweep_trace, AddressTrace, CacheConfig, MachineConfig};
 use rayon::prelude::*;
 
 use crate::cache::{capture_packed, trace_cap};
-use crate::{run_timing, run_timing_store, Error, TimingResult};
+use crate::{time_capture, Error, TimingResult};
 
-/// Captures a packed trace for a sweep-local replay — possibly spilled to
-/// disk when over-cap — or `None` when the capture fell back (already
-/// logged and counted by the capture choke point) and the sweep must
-/// re-interpret per cell.
-fn packed_or_fallback(program: &Program, limit: u64) -> Option<TraceStore> {
-    capture_packed(program, limit, trace_cap()).ok()
+/// One program's sweep-local replay material: its capture — possibly
+/// spilled to disk, or a failed spill that makes every cell re-interpret —
+/// and its interned metadata table, both built once per sweep.
+struct Captured<'a> {
+    program: &'a Program,
+    capture: Result<TraceStore, Error>,
+    meta: InstrMetaTable,
 }
 
-/// One timing cell: replay the shared capture when there is one, fall
-/// back to the direct interpreter path otherwise. Both produce
-/// bit-identical results.
-fn timed(
-    program: &Program,
-    trace: Option<&TraceStore>,
-    config: &MachineConfig,
-    limit: u64,
-) -> Result<TimingResult, Error> {
-    match trace {
-        Some(t) => run_timing_store(program, t, config),
-        None => run_timing(program, config, limit),
+impl<'a> Captured<'a> {
+    fn new(program: &'a Program, limit: u64) -> Captured<'a> {
+        let capture = capture_packed(program, limit, trace_cap());
+        Captured { program, capture, meta: InstrMetaTable::new(program) }
+    }
+
+    /// One timing cell; replay and live fallback are bit-identical.
+    fn time(&self, config: &MachineConfig, limit: u64) -> Result<TimingResult, Error> {
+        time_capture(self.program, self.capture.as_ref(), &self.meta, config, limit, None)
     }
 }
 
@@ -177,11 +175,11 @@ impl DesignChangeSweep {
 /// Runs the full Table-3 sweep for one (real, clone) pair: base plus the
 /// five design changes.
 ///
-/// Each program's dynamic trace is captured once ([`PackedTrace`]) and
+/// Each program's dynamic trace is captured once ([`TraceStore`]) and
 /// replayed through every configuration — two functional executions total
-/// instead of 2 × (1 + 5) — falling back to per-cell interpretation when
-/// a capture exceeds `PERFCLONE_TRACE_CAP`. Either path yields
-/// bit-identical results.
+/// instead of 2 × (1 + 5) — spilling to disk when a capture exceeds
+/// `PERFCLONE_TRACE_CAP`, and falling back to per-cell interpretation only
+/// when that spill fails. Every path yields bit-identical results.
 ///
 /// # Errors
 ///
@@ -192,16 +190,16 @@ pub fn design_change_sweep(
     base: &MachineConfig,
     limit: u64,
 ) -> Result<DesignChangeSweep, Error> {
-    let real_trace = packed_or_fallback(real, limit);
-    let synth_trace = packed_or_fallback(clone, limit);
-    let base_real = timed(real, real_trace.as_ref(), base, limit)?;
-    let base_synth = timed(clone, synth_trace.as_ref(), base, limit)?;
+    let real = Captured::new(real, limit);
+    let synth = Captured::new(clone, limit);
+    let base_real = real.time(base, limit)?;
+    let base_synth = synth.time(base, limit)?;
     let mut changes = Vec::new();
     for config in design_changes() {
         changes.push(DesignChangeResult {
             config,
-            real: timed(real, real_trace.as_ref(), &config, limit)?,
-            synth: timed(clone, synth_trace.as_ref(), &config, limit)?,
+            real: real.time(&config, limit)?,
+            synth: synth.time(&config, limit)?,
         });
     }
     Ok(DesignChangeSweep { base_real, base_synth, changes })
@@ -211,7 +209,7 @@ pub fn design_change_sweep(
 /// 2 × (1 + 5) (program × configuration) timing cells fan over the
 /// ambient thread pool. Every cell constructs its own
 /// [`Pipeline`](crate::Pipeline) — caches, predictor, window state and
-/// all — and replays its program's shared immutable [`PackedTrace`], so
+/// all — and replays its program's shared immutable [`TraceStore`], so
 /// cells share nothing mutable, and the reassembled sweep is
 /// bit-identical to the serial driver's.
 ///
@@ -231,18 +229,16 @@ pub fn design_change_sweep_par(
     let programs = [real, clone];
     // Two captures fan over the pool first, then every (program × config)
     // cell replays its program's shared capture — the workers share the
-    // immutable packed traces by reference, nothing else.
-    let traces: Vec<Option<TraceStore>> =
-        programs.par_iter().map(|p| packed_or_fallback(p, limit)).collect();
+    // immutable captures and metadata tables by reference, nothing else.
+    let captured: Vec<Captured<'_>> =
+        programs.par_iter().map(|p| Captured::new(p, limit)).collect();
     let cells: Vec<(usize, usize)> = configs
         .iter()
         .enumerate()
         .flat_map(|(ci, _)| (0..programs.len()).map(move |p| (ci, p)))
         .collect();
-    let results: Vec<Result<TimingResult, Error>> = cells
-        .par_iter()
-        .map(|&(ci, p)| timed(programs[p], traces[p].as_ref(), &configs[ci], limit))
-        .collect();
+    let results: Vec<Result<TimingResult, Error>> =
+        cells.par_iter().map(|&(ci, p)| captured[p].time(&configs[ci], limit)).collect();
     let results: Vec<TimingResult> = results.into_iter().collect::<Result<_, _>>()?;
     // Cells were laid out [base×real, base×clone, change1×real, ...] and
     // collect preserves cell order, so results.len() == 2 × configs.len()

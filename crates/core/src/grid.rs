@@ -56,10 +56,7 @@ use serde::{Deserialize, Serialize};
 use crate::cache::WorkloadCache;
 use crate::error::ErrorClass;
 use crate::journal::{Journal, JournalError, QuarantineRecord};
-use crate::{
-    run_timing, run_timing_budgeted, run_timing_store_interned, run_timing_store_interned_budgeted,
-    Error, TimingResult,
-};
+use crate::{time_capture, Error, TimingResult};
 
 /// One design-space sweep: a workload, an instruction limit, the grid
 /// axes, and the sharding geometry.
@@ -398,33 +395,15 @@ fn shard_delay() -> Option<Duration> {
     })
 }
 
-/// Times one cell, honouring the policy's per-cell deadline. The trace
-/// path replays batched through the sweep-wide interned `meta` table, so
-/// every cell skips per-record static resolution.
-fn time_cell(
-    program: &Program,
-    trace: Option<(&TraceStore, &InstrMetaTable)>,
-    config: &MachineConfig,
-    limit: u64,
-    deadline: Option<u64>,
-) -> Result<TimingResult, Error> {
-    match (trace, deadline) {
-        (Some((store, meta)), Some(cycles)) => {
-            run_timing_store_interned_budgeted(program, store, meta, config, cycles)
-        }
-        (Some((store, meta)), None) => run_timing_store_interned(program, store, meta, config),
-        (None, Some(cycles)) => run_timing_budgeted(program, config, limit, cycles),
-        (None, None) => run_timing(program, config, limit),
-    }
-}
-
 /// Executes one cell under supervision: transient failures (see
 /// [`Error::classify`]) are retried with seeded backoff up to the
 /// policy's budget. Returns the timing plus the retries spent, or the
 /// final error plus the attempts made (≥ 1).
+#[allow(clippy::too_many_arguments)]
 fn supervise_cell(
     program: &Program,
-    trace: Option<(&TraceStore, &InstrMetaTable)>,
+    capture: Result<&TraceStore, &Error>,
+    meta: &InstrMetaTable,
     spec: &GridSpec,
     policy: &GridPolicy,
     injector: Option<&FaultInjector>,
@@ -435,7 +414,7 @@ fn supervise_cell(
     loop {
         let outcome = match injector.and_then(|inject| inject(cell, attempt)) {
             Some(err) => Err(err),
-            None => time_cell(program, trace, config, spec.limit, policy.cell_deadline),
+            None => time_capture(program, capture, meta, config, spec.limit, policy.cell_deadline),
         };
         match outcome {
             Ok(timing) => return Ok((timing, u64::from(attempt))),
@@ -527,8 +506,8 @@ pub fn run_grid(
 /// `policy.keep_going` is off, plus everything the timing path returns
 /// ([`Error::Sim`] for faulting cells, [`Error::BudgetExhausted`] for
 /// cells over the deadline) unless `keep_going` quarantines it.
-/// Trace-capture fallbacks ([`Error::is_trace_fallback`]) are handled
-/// internally by re-interpreting per cell.
+/// A failed trace spill ([`Error::Spill`]) is handled internally by
+/// re-interpreting per cell.
 pub fn run_grid_with(
     program: &Program,
     spec: &GridSpec,
@@ -544,14 +523,10 @@ pub fn run_grid_with(
     }
     perfclone_obs::gauge!("grid.cells", spec.cells());
 
-    // One capture for the whole sweep; a fallback (cap hit with spill
-    // disabled, or spill failure) re-interprets per cell instead.
-    let trace = match cache.packed_trace(&spec.workload, program, spec.limit) {
-        Ok(store) => Some(store),
-        Err(e) if e.is_trace_fallback() => None,
-        Err(e) => return Err(e),
-    };
-    let spilled_trace = trace.as_deref().is_some_and(|t| t.is_spilled());
+    // One capture for the whole sweep; if its spill fails, every cell
+    // re-interprets instead.
+    let capture = cache.packed_trace(&spec.workload, program, spec.limit);
+    let spilled_trace = capture.as_deref().is_ok_and(TraceStore::is_spilled);
     // One interned static-resolution table for the whole sweep: every
     // cell's batched replay indexes it instead of re-resolving per record.
     let meta = cache.instr_meta(&spec.workload, program);
@@ -616,7 +591,8 @@ pub fn run_grid_with(
                 perfclone_obs::instant!("grid.cell.start");
                 match supervise_cell(
                     program,
-                    trace.as_deref().map(|t| (t, &*meta)),
+                    capture.as_deref(),
+                    &meta,
                     spec,
                     policy,
                     injector,

@@ -177,7 +177,7 @@ pub struct TimingResult {
 }
 
 /// Runs `program` (up to `limit` instructions) through the timing pipeline
-/// under `config` and estimates power.
+/// under `config` and estimates power, interpreting it live.
 ///
 /// # Errors
 ///
@@ -190,194 +190,102 @@ pub fn run_timing(
     config: &MachineConfig,
     limit: u64,
 ) -> Result<TimingResult, Error> {
-    let _span = perfclone_obs::span!("uarch.pipeline.run");
-    let mut trace = Simulator::trace(program, limit);
-    let report = Pipeline::new(*config).run(&mut trace);
-    if let Some(f) = trace.fault() {
-        return Err(Error::Sim(f.clone()));
-    }
-    perfclone_obs::count!("uarch.pipeline.runs", 1);
-    perfclone_obs::count!("uarch.pipeline.instrs", report.instrs);
-    let power = estimate_power(config, &report);
-    Ok(TimingResult { report, power })
+    run_timing_budgeted(program, config, limit, None)
 }
 
-/// [`run_timing`] with a pipeline cycle budget — the per-cell deadline of
-/// supervised sweeps ([`GridPolicy`](grid::GridPolicy)`::cell_deadline`).
-///
-/// # Errors
-///
-/// As [`run_timing`], plus [`Error::BudgetExhausted`] (stage
-/// `"pipeline"`) when the trace has not drained within `max_cycles` — a
-/// permanent failure under the supervisor's
-/// [classification](Error::classify), since re-running the same cell
-/// re-derives the same cycle count.
-pub fn run_timing_budgeted(
+/// [`run_timing`] with an optional pipeline cycle budget — the live
+/// fallback of a grid cell that has a deadline.
+pub(crate) fn run_timing_budgeted(
     program: &Program,
     config: &MachineConfig,
     limit: u64,
-    max_cycles: u64,
+    deadline: Option<u64>,
 ) -> Result<TimingResult, Error> {
     let _span = perfclone_obs::span!("uarch.pipeline.run");
     let mut trace = Simulator::trace(program, limit);
-    let report = Pipeline::new(*config).run_budgeted(&mut trace, max_cycles)?;
-    if let Some(f) = trace.fault() {
-        return Err(Error::Sim(f.clone()));
-    }
-    perfclone_obs::count!("uarch.pipeline.runs", 1);
-    perfclone_obs::count!("uarch.pipeline.instrs", report.instrs);
-    let power = estimate_power(config, &report);
-    Ok(TimingResult { report, power })
+    let report = Pipeline::new(*config).run_budgeted(&mut trace, deadline.unwrap_or(u64::MAX))?;
+    timing_result(config, report, trace.fault())
 }
 
-/// Runs a previously captured [`TraceStore`] — in-memory or spilled to
-/// disk and mmapped back — through the timing pipeline under `config`.
-/// Both storage classes decode through the same replay machinery, so the
-/// result is bit-identical to [`run_timing_replay`] on the in-memory
-/// trace (and to [`run_timing`] at the capture limit).
+/// Runs a captured [`TraceStore`] — in memory, or spilled to disk and
+/// mmapped back — through the timing pipeline under `config`: the replay
+/// half of record-once/replay-many. The batched decoder resolves per-pc
+/// static questions from `meta`, which a sweep builds once per program
+/// (e.g. via [`WorkloadCache::instr_meta`]) and shares across every
+/// configuration. The result is bit-identical to [`run_timing`] at the
+/// capture limit, for both storage classes.
 ///
-/// # Errors
-///
-/// Returns [`Error::Sim`] carrying the fault recorded at capture time,
-/// if any.
-///
-/// # Panics
-///
-/// Panics if `program` is not the program the trace was captured from
-/// (see [`PackedTrace::replay`]).
-pub fn run_timing_store(
-    program: &Program,
-    store: &TraceStore,
-    config: &MachineConfig,
-) -> Result<TimingResult, Error> {
-    let meta = InstrMetaTable::new(program);
-    run_timing_store_interned(program, store, &meta, config)
-}
-
-/// [`run_timing_store`] with a caller-supplied interned metadata table —
-/// the amortized entry point for sweeps, where the same `meta` (built
-/// once per program, e.g. via [`WorkloadCache::instr_meta`]) serves every
-/// configuration instead of being rebuilt per replay. Drives the batched
-/// SoA decode path ([`TraceStore::replay_batched`] →
-/// [`Pipeline::run_batched`]), which is property-tested bit-identical to
-/// the record-at-a-time oracle.
-///
-/// # Errors
-///
-/// As [`run_timing_store`].
-///
-/// # Panics
-///
-/// Panics if `program` is not the captured program or `meta` was built
-/// from a different program (see [`PackedTrace::replay_batched`]).
-pub fn run_timing_store_interned(
-    program: &Program,
-    store: &TraceStore,
-    meta: &InstrMetaTable,
-    config: &MachineConfig,
-) -> Result<TimingResult, Error> {
-    let _span = perfclone_obs::span!("uarch.pipeline.run");
-    let replay = store.replay_batched(program, meta);
-    let report = Pipeline::new(*config).run_batched(replay);
-    if let Some(f) = store.fault() {
-        return Err(Error::Sim(f.clone()));
-    }
-    perfclone_obs::count!("uarch.pipeline.runs", 1);
-    perfclone_obs::count!("uarch.pipeline.instrs", report.instrs);
-    perfclone_obs::count!("trace.replays", 1);
-    perfclone_obs::count!("replay.batch.runs", 1);
-    let power = estimate_power(config, &report);
-    Ok(TimingResult { report, power })
-}
-
-/// [`run_timing_store`] with a pipeline cycle budget — the per-cell
-/// deadline of supervised sweeps
-/// ([`GridPolicy`](grid::GridPolicy)`::cell_deadline`).
-///
-/// # Errors
-///
-/// As [`run_timing_store`], plus [`Error::BudgetExhausted`] (stage
-/// `"pipeline"`) when the replay has not drained within `max_cycles`.
-///
-/// # Panics
-///
-/// Panics if `program` is not the program the trace was captured from
-/// (see [`PackedTrace::replay`]).
-pub fn run_timing_store_budgeted(
-    program: &Program,
-    store: &TraceStore,
-    config: &MachineConfig,
-    max_cycles: u64,
-) -> Result<TimingResult, Error> {
-    let meta = InstrMetaTable::new(program);
-    run_timing_store_interned_budgeted(program, store, &meta, config, max_cycles)
-}
-
-/// [`run_timing_store_interned`] with a pipeline cycle budget — the
-/// amortized form of [`run_timing_store_budgeted`].
-///
-/// # Errors
-///
-/// As [`run_timing_store_budgeted`].
-///
-/// # Panics
-///
-/// As [`run_timing_store_interned`].
-pub fn run_timing_store_interned_budgeted(
-    program: &Program,
-    store: &TraceStore,
-    meta: &InstrMetaTable,
-    config: &MachineConfig,
-    max_cycles: u64,
-) -> Result<TimingResult, Error> {
-    let _span = perfclone_obs::span!("uarch.pipeline.run");
-    let replay = store.replay_batched(program, meta);
-    let report = Pipeline::new(*config).run_batched_budgeted(replay, max_cycles)?;
-    if let Some(f) = store.fault() {
-        return Err(Error::Sim(f.clone()));
-    }
-    perfclone_obs::count!("uarch.pipeline.runs", 1);
-    perfclone_obs::count!("uarch.pipeline.instrs", report.instrs);
-    perfclone_obs::count!("trace.replays", 1);
-    perfclone_obs::count!("replay.batch.runs", 1);
-    let power = estimate_power(config, &report);
-    Ok(TimingResult { report, power })
-}
-
-/// Runs a previously captured [`PackedTrace`] through the timing pipeline
-/// under `config` — the replay half of record-once/replay-many. The
-/// pipeline consumes the reconstructed [`DynInstr`](perfclone_sim::DynInstr)
-/// stream exactly as it would the live interpreter's, so the result is
-/// bit-identical to [`run_timing`] at the trace's capture limit.
+/// `deadline` is a pipeline cycle budget, the per-cell deadline of
+/// supervised sweeps ([`GridPolicy`](grid::GridPolicy)`::cell_deadline`);
+/// `None` runs to completion.
 ///
 /// # Errors
 ///
 /// Returns [`Error::Sim`] carrying the fault recorded at capture time, if
 /// any — a fault replays as the same typed error the interpreter path
-/// surfaces.
+/// surfaces — and [`Error::BudgetExhausted`] (stage `"pipeline"`) when the
+/// replay has not drained within `deadline` cycles, a permanent failure
+/// under the supervisor's [classification](Error::classify), since
+/// re-running the same cell re-derives the same cycle count.
 ///
 /// # Panics
 ///
-/// Panics if `program` is not the program the trace was captured from
-/// (see [`PackedTrace::replay`]).
-pub fn run_timing_replay(
+/// Panics if `program` is not the program the trace was captured from, or
+/// `meta` was built from a different program (see
+/// [`TraceStore::replay_batched`]).
+pub fn run_timing_store(
     program: &Program,
-    trace: &PackedTrace,
+    store: &TraceStore,
+    meta: &InstrMetaTable,
     config: &MachineConfig,
+    deadline: Option<u64>,
 ) -> Result<TimingResult, Error> {
     let _span = perfclone_obs::span!("uarch.pipeline.run");
-    let meta = InstrMetaTable::new(program);
-    let replay = trace.replay_batched(program, &meta);
-    let report = Pipeline::new(*config).run_batched(replay);
-    if let Some(f) = trace.fault() {
+    let replay = store.replay_batched(program, meta);
+    let report =
+        Pipeline::new(*config).run_batched_budgeted(replay, deadline.unwrap_or(u64::MAX))?;
+    let timing = timing_result(config, report, store.fault())?;
+    perfclone_obs::count!("trace.replays", 1);
+    perfclone_obs::count!("replay.batch.runs", 1);
+    Ok(timing)
+}
+
+/// The tail every timing run shares: a fault that cut the stream short
+/// wins over the report; otherwise the run is counted and its power
+/// estimated.
+fn timing_result(
+    config: &MachineConfig,
+    report: PipelineReport,
+    fault: Option<&SimError>,
+) -> Result<TimingResult, Error> {
+    if let Some(f) = fault {
         return Err(Error::Sim(f.clone()));
     }
     perfclone_obs::count!("uarch.pipeline.runs", 1);
     perfclone_obs::count!("uarch.pipeline.instrs", report.instrs);
-    perfclone_obs::count!("trace.replays", 1);
-    perfclone_obs::count!("replay.batch.runs", 1);
     let power = estimate_power(config, &report);
     Ok(TimingResult { report, power })
+}
+
+/// Times one cell over a workload's capture: replays the captured trace,
+/// or — when spilling the capture failed ([`Error::Spill`]) — interprets
+/// `program` live up to `limit`. Both paths return bit-identical results.
+/// This is the only place a failed capture turns into live
+/// interpretation; the failure itself was already logged and counted
+/// (`trace.fallbacks`) where the capture was attempted.
+pub(crate) fn time_capture(
+    program: &Program,
+    capture: Result<&TraceStore, &Error>,
+    meta: &InstrMetaTable,
+    config: &MachineConfig,
+    limit: u64,
+    deadline: Option<u64>,
+) -> Result<TimingResult, Error> {
+    match capture {
+        Ok(store) => run_timing_store(program, store, meta, config, deadline),
+        Err(Error::Spill(_)) => run_timing_budgeted(program, config, limit, deadline),
+        Err(e) => Err(e.clone()),
+    }
 }
 
 /// [`run_timing`] through the shared [`WorkloadCache`]: the workload's
@@ -385,10 +293,9 @@ pub fn run_timing_replay(
 /// this and every subsequent configuration, so an N-configuration sweep
 /// pays one functional execution instead of N. A capture that outgrows
 /// `PERFCLONE_TRACE_CAP` (see [`trace_cap`]) spills to disk and replays
-/// via mmap; only when spilling is disabled (`PERFCLONE_SPILL=0`) or the
-/// spill itself fails does this fall back to the direct interpreter path
-/// — logged and counted, never silently truncated — and either way it
-/// returns the identical result.
+/// via mmap; only when the spill itself fails does this fall back to the
+/// direct interpreter path — logged and counted, never silently truncated
+/// — and either way it returns the identical result.
 ///
 /// # Errors
 ///
@@ -401,14 +308,9 @@ pub fn run_timing_trace(
     limit: u64,
     cache: &WorkloadCache,
 ) -> Result<TimingResult, Error> {
-    match cache.packed_trace(workload, program, limit) {
-        Ok(store) => {
-            let meta = cache.instr_meta(workload, program);
-            run_timing_store_interned(program, &store, &meta, config)
-        }
-        Err(e) if e.is_trace_fallback() => run_timing(program, config, limit),
-        Err(e) => Err(e),
-    }
+    let capture = cache.packed_trace(workload, program, limit);
+    let meta = cache.instr_meta(workload, program);
+    time_capture(program, capture.as_deref(), &meta, config, limit, None)
 }
 
 /// Side-by-side comparison of a real program and its clone on one machine.

@@ -4,9 +4,10 @@
 //! through many timing configurations, yet [`Simulator::trace`] regenerates
 //! it with a full functional execution per run. [`PackedTrace`] records the
 //! stream once, in a compact structure-of-arrays encoding, and
-//! [`PackedTrace::replay`] reconstructs it as [`DynInstr`] records with a
-//! zero-allocation iterator — the record-once/replay-many discipline of
-//! trace-driven simulators (SimpleScalar's `sim-outorder` trace mode).
+//! [`TraceStore::replay`](crate::TraceStore::replay) reconstructs it as
+//! [`DynInstr`] records with a zero-allocation iterator — the
+//! record-once/replay-many discipline of trace-driven simulators
+//! (SimpleScalar's `sim-outorder` trace mode).
 //!
 //! # Encoding
 //!
@@ -86,24 +87,6 @@ impl PackedTrace {
         rec.finish(program, halted, fault)
     }
 
-    /// Like [`capture`](PackedTrace::capture), but aborts — returning
-    /// `None`, never a silently truncated trace — as soon as the packed
-    /// encoding would exceed `cap_bytes`. Callers fall back to direct
-    /// interpretation when capped out.
-    pub fn capture_capped(program: &Program, limit: u64, cap_bytes: usize) -> Option<PackedTrace> {
-        let mut rec = PackedRecorder::new();
-        let mut trace = Simulator::trace(program, limit);
-        for d in &mut trace {
-            rec.push(&d);
-            if rec.packed_bytes() > cap_bytes {
-                return None;
-            }
-        }
-        let fault = trace.fault().cloned();
-        let halted = trace.into_inner().is_halted();
-        Some(rec.finish(program, halted, fault))
-    }
-
     /// Number of retired instructions recorded.
     pub fn len(&self) -> u64 {
         self.len
@@ -143,55 +126,9 @@ impl PackedTrace {
             + self.mem_sizes.len()
     }
 
-    /// A zero-allocation iterator reconstructing the recorded
-    /// [`DynInstr`] stream, resolving each static [`Instr`] from
-    /// `program`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `program` is not the program the trace was captured from
-    /// (checked by name and text length) — replaying against different
-    /// code would silently decode garbage.
-    pub fn replay<'a>(&'a self, program: &'a Program) -> PackedReplay<'a> {
-        replay_parts(self.parts(), program, None)
-    }
-
-    /// Like [`replay`](PackedTrace::replay), but resolves per-record static
-    /// questions (does this pc carry a memory access?) from an interned
-    /// [`InstrMetaTable`] instead of re-matching the instruction enum per
-    /// record. Decoded stream is identical; only the per-record cost drops.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `program` does not match the capture, or if `meta` was not
-    /// built for `program` (checked by length).
-    pub fn replay_interned<'a>(
-        &'a self,
-        program: &'a Program,
-        meta: &'a InstrMetaTable,
-    ) -> PackedReplay<'a> {
-        assert_meta_matches(meta, program);
-        replay_parts(self.parts(), program, Some(meta.as_slice()))
-    }
-
-    /// A batched decoder over this trace: [`BatchReplay::fill`] decodes up
-    /// to [`CHUNK_LEN`] records at a time into a reusable [`ReplayChunk`]
-    /// using word-at-a-time scans of the redirect/taken bitsets. Yields the
-    /// exact record stream of [`replay`](PackedTrace::replay) (the
-    /// property-tested oracle), chunked.
-    ///
-    /// # Panics
-    ///
-    /// Same identity checks as [`replay_interned`](PackedTrace::replay_interned).
-    pub fn replay_batched<'a>(
-        &'a self,
-        program: &'a Program,
-        meta: &'a InstrMetaTable,
-    ) -> BatchReplay<'a> {
-        batch_replay_parts(self.parts(), program, meta)
-    }
-
-    fn parts(&self) -> TraceParts<'_> {
+    /// Borrowed view of the raw encoding, which [`TraceStore`](crate::TraceStore)
+    /// hands to the decoders.
+    pub(crate) fn parts(&self) -> TraceParts<'_> {
         TraceParts {
             program_name: &self.program_name,
             program_len: self.program_len,
@@ -209,7 +146,8 @@ impl PackedTrace {
 
 /// Borrowed view of a packed trace's raw encoding — the common currency
 /// between an in-memory [`PackedTrace`] and a memory-mapped spill file
-/// (see [`crate::spill`]); both replay through the same iterator.
+/// (see [`crate::spill`]); [`TraceStore`](crate::TraceStore) builds both
+/// decoders from it, so the two backings decode identically.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TraceParts<'a> {
     pub program_name: &'a str,
@@ -224,77 +162,65 @@ pub(crate) struct TraceParts<'a> {
     pub fault: Option<&'a SimError>,
 }
 
-/// Asserts the program identity (name and text length) matches the capture.
-fn assert_program_matches(parts: &TraceParts<'_>, program: &Program) {
-    assert!(
-        program.name() == parts.program_name && program.len() == parts.program_len,
-        "packed trace of {:?} ({} instrs) replayed against {:?} ({} instrs)",
-        parts.program_name,
-        parts.program_len,
-        program.name(),
-        program.len(),
-    );
-}
-
-/// Asserts an interned metadata table was built for `program`.
-fn assert_meta_matches(meta: &InstrMetaTable, program: &Program) {
-    assert!(
-        meta.len() == program.len(),
-        "interned metadata of {} instrs replayed against {:?} ({} instrs)",
-        meta.len(),
-        program.name(),
-        program.len(),
-    );
-}
-
-/// Builds the replay iterator for a raw trace encoding, asserting the
-/// program identity (name and text length) matches the capture. With
-/// `meta`, per-record static questions come from the interned table.
-pub(crate) fn replay_parts<'a>(
-    parts: TraceParts<'a>,
-    program: &'a Program,
-    meta: Option<&'a [InstrMeta]>,
-) -> PackedReplay<'a> {
-    assert_program_matches(&parts, program);
-    PackedReplay {
-        len: parts.len,
-        redirect_bits: parts.redirect_bits,
-        taken_bits: parts.taken_bits,
-        targets: parts.targets,
-        mem_addrs: parts.mem_addrs,
-        mem_sizes: parts.mem_sizes,
-        fault: parts.fault,
-        code: program.instrs(),
-        meta,
-        idx: 0,
-        pc: parts.start_pc,
-        target_cursor: 0,
-        mem_cursor: 0,
+impl<'a> TraceParts<'a> {
+    /// Asserts the program identity (name and text length) matches the
+    /// capture — replaying against different code would silently decode
+    /// garbage.
+    fn assert_program_matches(&self, program: &Program) {
+        assert!(
+            program.name() == self.program_name && program.len() == self.program_len,
+            "packed trace of {:?} ({} instrs) replayed against {:?} ({} instrs)",
+            self.program_name,
+            self.program_len,
+            program.name(),
+            program.len(),
+        );
     }
-}
 
-/// Builds the batched decoder for a raw trace encoding, asserting both the
-/// program identity and that `meta` was interned for that program.
-pub(crate) fn batch_replay_parts<'a>(
-    parts: TraceParts<'a>,
-    program: &'a Program,
-    meta: &'a InstrMetaTable,
-) -> BatchReplay<'a> {
-    assert_program_matches(&parts, program);
-    assert_meta_matches(meta, program);
-    BatchReplay {
-        len: parts.len,
-        redirect_bits: parts.redirect_bits,
-        taken_bits: parts.taken_bits,
-        targets: parts.targets,
-        mem_addrs: parts.mem_addrs,
-        mem_sizes: parts.mem_sizes,
-        fault: parts.fault,
-        meta: meta.as_slice(),
-        idx: 0,
-        pc: parts.start_pc,
-        target_cursor: 0,
-        mem_cursor: 0,
+    /// The record-at-a-time decoder.
+    pub(crate) fn replay(self, program: &'a Program) -> PackedReplay<'a> {
+        self.assert_program_matches(program);
+        PackedReplay {
+            len: self.len,
+            redirect_bits: self.redirect_bits,
+            taken_bits: self.taken_bits,
+            targets: self.targets,
+            mem_addrs: self.mem_addrs,
+            mem_sizes: self.mem_sizes,
+            fault: self.fault,
+            code: program.instrs(),
+            idx: 0,
+            pc: self.start_pc,
+            target_cursor: 0,
+            mem_cursor: 0,
+        }
+    }
+
+    /// The batched decoder, also asserting that `meta` was interned for
+    /// `program` (checked by length).
+    pub(crate) fn batched(self, program: &'a Program, meta: &'a InstrMetaTable) -> BatchReplay<'a> {
+        self.assert_program_matches(program);
+        assert!(
+            meta.len() == program.len(),
+            "interned metadata of {} instrs replayed against {:?} ({} instrs)",
+            meta.len(),
+            program.name(),
+            program.len(),
+        );
+        BatchReplay {
+            len: self.len,
+            redirect_bits: self.redirect_bits,
+            taken_bits: self.taken_bits,
+            targets: self.targets,
+            mem_addrs: self.mem_addrs,
+            mem_sizes: self.mem_sizes,
+            fault: self.fault,
+            meta: meta.as_slice(),
+            idx: 0,
+            pc: self.start_pc,
+            target_cursor: 0,
+            mem_cursor: 0,
+        }
     }
 }
 
@@ -404,11 +330,13 @@ impl Observer for PackedRecorder {
 }
 
 /// Iterator over a packed trace's encoding, yielding the recorded
-/// [`DynInstr`] stream without allocating. Created by
-/// [`PackedTrace::replay`] (in-memory) or
-/// [`SpilledTrace::replay`](crate::SpilledTrace::replay) (memory-mapped);
-/// both feed it the same raw slices, so the two backings decode
-/// identically by construction.
+/// [`DynInstr`] stream without allocating — the record-at-a-time oracle
+/// the batched decoder is tested against. Created by
+/// [`TraceStore::replay`](crate::TraceStore::replay), which feeds it the
+/// same raw slices for in-memory and memory-mapped traces, so the two
+/// backings decode identically by construction. It resolves every
+/// record from the program text and shares nothing with the batched
+/// path's interned [`InstrMetaTable`].
 #[derive(Clone, Debug)]
 pub struct PackedReplay<'a> {
     len: u64,
@@ -419,9 +347,6 @@ pub struct PackedReplay<'a> {
     mem_sizes: &'a [u8],
     fault: Option<&'a SimError>,
     code: &'a [Instr],
-    /// Interned per-pc metadata (from [`PackedTrace::replay_interned`]);
-    /// `None` falls back to per-record enum inspection.
-    meta: Option<&'a [InstrMeta]>,
     idx: u64,
     pc: u32,
     target_cursor: usize,
@@ -458,11 +383,7 @@ impl Iterator for PackedReplay<'_> {
         };
         // The program decides whether this record carries a memory access;
         // the SoA arrays only hold the dynamic half (address, size, store).
-        let has_mem = match self.meta {
-            Some(metas) => metas[pc as usize].has_mem,
-            None => instr.mem_ref().is_some(),
-        };
-        let mem = if has_mem {
+        let mem = if instr.mem_ref().is_some() {
             let addr = self.mem_addrs[self.mem_cursor];
             let sz = self.mem_sizes[self.mem_cursor];
             self.mem_cursor += 1;
@@ -781,7 +702,7 @@ mod tests {
     fn assert_replay_equals_trace(p: &perfclone_isa::Program, limit: u64) {
         let direct: Vec<DynInstr> = Simulator::trace(p, limit).collect();
         let packed = PackedTrace::capture(p, limit);
-        let replayed: Vec<DynInstr> = packed.replay(p).collect();
+        let replayed: Vec<DynInstr> = packed.parts().replay(p).collect();
         assert_eq!(direct, replayed);
         let mut direct_trace = Simulator::trace(p, limit);
         let n = direct_trace.by_ref().count();
@@ -844,19 +765,9 @@ mod tests {
         let out = sim.run_with(u64::MAX, &mut rec).unwrap();
         let packed = rec.finish(&p, out.halted, None);
         let direct: Vec<DynInstr> = Simulator::trace(&p, u64::MAX).collect();
-        let replayed: Vec<DynInstr> = packed.replay(&p).collect();
+        let replayed: Vec<DynInstr> = packed.parts().replay(&p).collect();
         assert_eq!(direct, replayed);
         assert!(packed.halted());
-    }
-
-    #[test]
-    fn cap_aborts_instead_of_truncating() {
-        let p = busy_program();
-        let full = PackedTrace::capture(&p, u64::MAX);
-        assert!(PackedTrace::capture_capped(&p, u64::MAX, full.packed_bytes()).is_some());
-        assert_eq!(PackedTrace::capture_capped(&p, u64::MAX, 64), None);
-        let generous = PackedTrace::capture_capped(&p, u64::MAX, usize::MAX);
-        assert_eq!(generous.as_ref(), Some(&full));
     }
 
     #[test]
@@ -895,19 +806,17 @@ mod tests {
         let mut b = ProgramBuilder::new("other");
         b.halt();
         let other = b.build();
-        let _ = packed.replay(&other).count();
+        let _ = packed.parts().replay(&other).count();
     }
 
     /// Drains `packed` through the batched decoder, reassembling
     /// [`DynInstr`]s, and checks the stream (and fault) against the
-    /// record-at-a-time oracle — both plain and interned.
+    /// record-at-a-time oracle.
     fn assert_batched_equals_oracle(p: &perfclone_isa::Program, limit: u64) {
         let packed = PackedTrace::capture(p, limit);
         let meta = InstrMetaTable::new(p);
-        let oracle: Vec<DynInstr> = packed.replay(p).collect();
-        let interned: Vec<DynInstr> = packed.replay_interned(p, &meta).collect();
-        assert_eq!(oracle, interned, "interned oracle diverged at limit {limit}");
-        let mut batched = packed.replay_batched(p, &meta);
+        let oracle: Vec<DynInstr> = packed.parts().replay(p).collect();
+        let mut batched = packed.parts().batched(p, &meta);
         let mut chunk = ReplayChunk::new();
         let mut out = Vec::new();
         while batched.fill(&mut chunk) > 0 {
@@ -952,7 +861,7 @@ mod tests {
         b.halt();
         let other = b.build();
         let meta = InstrMetaTable::new(&other);
-        let _ = packed.replay_batched(&other, &meta);
+        let _ = packed.parts().batched(&other, &meta);
     }
 
     #[test]
@@ -964,7 +873,7 @@ mod tests {
         b.halt();
         let other = b.build();
         let wrong_meta = InstrMetaTable::new(&other);
-        let _ = packed.replay_batched(&p, &wrong_meta);
+        let _ = packed.parts().batched(&p, &wrong_meta);
     }
 
     #[test]
@@ -974,6 +883,6 @@ mod tests {
         assert!(packed.is_empty());
         assert!(!packed.halted());
         assert!(packed.fault().is_none());
-        assert_eq!(packed.replay(&p).count(), 0);
+        assert_eq!(packed.parts().replay(&p).count(), 0);
     }
 }

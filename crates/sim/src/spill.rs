@@ -5,10 +5,10 @@
 //! (`PERFCLONE_TRACE_CAP`), the recorder streams the encoding's completed
 //! prefix to per-section segment files instead of abandoning the capture,
 //! then seals everything into a single spill file that
-//! [`SpilledTrace::open`] memory-maps back for replay. A spilled trace
-//! replays through the *same* [`PackedReplay`] iterator as an in-memory
-//! [`PackedTrace`] — the two backings hand the decoder identical raw
-//! slices, so replay equivalence holds by construction.
+//! [`SpilledTrace::open`] memory-maps back for replay. [`TraceStore`]
+//! replays a spilled trace through the *same* decoders as an in-memory
+//! [`PackedTrace`] — the two backings hand them identical raw slices, so
+//! replay equivalence holds by construction.
 //!
 //! # File format (`PCSPILL1`, little-endian throughout)
 //!
@@ -57,10 +57,7 @@ use perfclone_isa::{InstrMetaTable, Program};
 
 use crate::exec::SimError;
 use crate::faultfs;
-use crate::packed::{
-    batch_replay_parts, replay_parts, BatchReplay, PackedRecorder, PackedReplay, PackedTrace,
-    TraceParts,
-};
+use crate::packed::{BatchReplay, PackedRecorder, PackedReplay, PackedTrace, TraceParts};
 use crate::trace::DynInstr;
 
 /// Magic bytes opening every spill file.
@@ -805,48 +802,8 @@ impl SpilledTrace {
         self.delete_on_drop = yes;
     }
 
-    /// Replays the spilled stream through the same decoder as
-    /// [`PackedTrace::replay`], reading sections straight from the mapping.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `program` is not the program the trace was captured from
-    /// (checked by name and text length), exactly like
-    /// [`PackedTrace::replay`].
-    pub fn replay<'a>(&'a self, program: &'a Program) -> PackedReplay<'a> {
-        replay_parts(self.parts(), program, None)
-    }
-
-    /// Like [`replay`](SpilledTrace::replay), but resolving per-record
-    /// static questions from an interned [`InstrMetaTable`] — the spilled
-    /// analogue of [`PackedTrace::replay_interned`].
-    pub fn replay_interned<'a>(
-        &'a self,
-        program: &'a Program,
-        meta: &'a InstrMetaTable,
-    ) -> PackedReplay<'a> {
-        assert!(
-            meta.len() == program.len(),
-            "interned metadata of {} instrs replayed against {:?} ({} instrs)",
-            meta.len(),
-            program.name(),
-            program.len(),
-        );
-        replay_parts(self.parts(), program, Some(meta.as_slice()))
-    }
-
-    /// Batched decoder over the memory-mapped encoding — the spilled
-    /// analogue of [`PackedTrace::replay_batched`]. Both backings feed the
-    /// same raw slices to the same decoder, so batched replay of a spilled
-    /// trace is equivalent by construction.
-    pub fn replay_batched<'a>(
-        &'a self,
-        program: &'a Program,
-        meta: &'a InstrMetaTable,
-    ) -> BatchReplay<'a> {
-        batch_replay_parts(self.parts(), program, meta)
-    }
-
+    /// Borrowed view of the mapped encoding, which [`TraceStore`] hands to
+    /// the decoders.
     fn parts(&self) -> TraceParts<'_> {
         TraceParts {
             program_name: &self.program_name,
@@ -942,45 +899,41 @@ impl TraceStore {
         }
     }
 
-    /// Replays the recorded stream — dispatches to
-    /// [`PackedTrace::replay`] or [`SpilledTrace::replay`].
+    /// Replays the recorded stream record at a time — the oracle the
+    /// fidelity gate and the equivalence tests use. Both backings decode
+    /// through the same iterator.
     ///
     /// # Panics
     ///
-    /// Panics if `program` is not the program the trace was captured from,
-    /// exactly like [`PackedTrace::replay`].
+    /// Panics if `program` is not the program the trace was captured from
+    /// (checked by name and text length) — replaying against different
+    /// code would silently decode garbage.
     pub fn replay<'a>(&'a self, program: &'a Program) -> PackedReplay<'a> {
-        match self {
-            TraceStore::Mem(t) => t.replay(program),
-            TraceStore::Spilled(t) => t.replay(program),
-        }
+        self.parts().replay(program)
     }
 
-    /// Record-at-a-time replay with interned per-pc metadata — dispatches
-    /// to [`PackedTrace::replay_interned`] or
-    /// [`SpilledTrace::replay_interned`].
-    pub fn replay_interned<'a>(
-        &'a self,
-        program: &'a Program,
-        meta: &'a InstrMetaTable,
-    ) -> PackedReplay<'a> {
-        match self {
-            TraceStore::Mem(t) => t.replay_interned(program, meta),
-            TraceStore::Spilled(t) => t.replay_interned(program, meta),
-        }
-    }
-
-    /// Batched decoder over the recorded stream — dispatches to
-    /// [`PackedTrace::replay_batched`] or [`SpilledTrace::replay_batched`],
-    /// so in-memory and spilled traces batch-decode identically.
+    /// A batched decoder over the recorded stream: [`BatchReplay::fill`]
+    /// decodes up to [`CHUNK_LEN`](crate::CHUNK_LEN) records at a time into
+    /// a reusable [`ReplayChunk`](crate::ReplayChunk), resolving per-pc
+    /// static questions from the interned `meta`. Yields the exact record
+    /// stream of [`replay`](TraceStore::replay), chunked, for both backings.
+    ///
+    /// # Panics
+    ///
+    /// As [`replay`](TraceStore::replay), and also if `meta` was not built
+    /// for `program` (checked by length).
     pub fn replay_batched<'a>(
         &'a self,
         program: &'a Program,
         meta: &'a InstrMetaTable,
     ) -> BatchReplay<'a> {
+        self.parts().batched(program, meta)
+    }
+
+    fn parts(&self) -> TraceParts<'_> {
         match self {
-            TraceStore::Mem(t) => t.replay_batched(program, meta),
-            TraceStore::Spilled(t) => t.replay_batched(program, meta),
+            TraceStore::Mem(t) => t.parts(),
+            TraceStore::Spilled(t) => t.parts(),
         }
     }
 }
@@ -1350,10 +1303,11 @@ mod tests {
         assert_eq!(spilled.len(), packed.len());
         assert_eq!(spilled.halted(), packed.halted());
         assert_eq!(spilled.fault(), packed.fault());
-        let direct: Vec<DynInstr> = packed.replay(&p).collect();
+        assert!(spilled.is_mapped(), "unix CI should serve spills via mmap");
+        let direct: Vec<DynInstr> = packed.parts().replay(&p).collect();
+        let spilled = TraceStore::Spilled(spilled);
         let mapped: Vec<DynInstr> = spilled.replay(&p).collect();
         assert_eq!(direct, mapped);
-        assert!(spilled.is_mapped(), "unix CI should serve spills via mmap");
         drop(spilled);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1366,10 +1320,8 @@ mod tests {
         let dir = tmp_dir("batched");
         let path = dir.join("busy.spill");
         packed.spill_to(&path).unwrap();
-        let spilled = SpilledTrace::open(&path).unwrap();
-        let oracle: Vec<DynInstr> = packed.replay(&p).collect();
-        let interned: Vec<DynInstr> = spilled.replay_interned(&p, &meta).collect();
-        assert_eq!(oracle, interned);
+        let spilled = TraceStore::Spilled(SpilledTrace::open(&path).unwrap());
+        let oracle: Vec<DynInstr> = packed.parts().replay(&p).collect();
         let mut batched = spilled.replay_batched(&p, &meta);
         let mut chunk = crate::ReplayChunk::new();
         let mut out = Vec::new();
@@ -1416,7 +1368,7 @@ mod tests {
         let halted = trace.into_inner().is_halted();
         let store = rec.finish(&p, halted, fault).unwrap();
         assert!(store.is_spilled());
-        let direct: Vec<DynInstr> = PackedTrace::capture(&p, u64::MAX).replay(&p).collect();
+        let direct: Vec<DynInstr> = PackedTrace::capture(&p, u64::MAX).parts().replay(&p).collect();
         let replayed: Vec<DynInstr> = store.replay(&p).collect();
         assert_eq!(direct, replayed);
         // Only the final spill file remains — segments are gone.
@@ -1444,8 +1396,8 @@ mod tests {
         let spilled = SpilledTrace::open(&path).unwrap();
         assert_eq!(spilled.fault(), packed.fault());
         assert!(!spilled.halted());
-        let a: Vec<DynInstr> = packed.replay(&p).collect();
-        let b2: Vec<DynInstr> = spilled.replay(&p).collect();
+        let a: Vec<DynInstr> = packed.parts().replay(&p).collect();
+        let b2: Vec<DynInstr> = spilled.parts().replay(&p).collect();
         assert_eq!(a, b2);
         drop(spilled);
         fs::remove_dir_all(&dir).unwrap();

@@ -1342,9 +1342,9 @@ mod tests {
     #[test]
     fn batched_run_is_bit_identical_to_iterator_run() {
         use perfclone_isa::InstrMetaTable;
-        use perfclone_sim::PackedTrace;
+        use perfclone_sim::{PackedTrace, TraceStore};
         let p = mixed_program();
-        let packed = PackedTrace::capture(&p, u64::MAX);
+        let packed = TraceStore::Mem(PackedTrace::capture(&p, u64::MAX));
         let meta = InstrMetaTable::new(&p);
         let mut configs = vec![base_config()];
         configs.extend(crate::config::design_changes());
@@ -1358,9 +1358,9 @@ mod tests {
     #[test]
     fn batched_budgeted_matches_iterator_budgeted() {
         use perfclone_isa::InstrMetaTable;
-        use perfclone_sim::PackedTrace;
+        use perfclone_sim::{PackedTrace, TraceStore};
         let p = mixed_program();
-        let packed = PackedTrace::capture(&p, u64::MAX);
+        let packed = TraceStore::Mem(PackedTrace::capture(&p, u64::MAX));
         let meta = InstrMetaTable::new(&p);
         // Ample budget: both succeed with identical reports.
         let full = Pipeline::new(base_config()).run_budgeted(packed.replay(&p), u64::MAX).unwrap();

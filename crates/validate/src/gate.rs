@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 
 use perfclone_isa::{InstrClass, Program};
 use perfclone_profile::{DepHistogram, Profiler, WorkloadProfile};
-use perfclone_sim::{Observer as _, PackedReplay, PackedTrace, SimError, Simulator, TraceStore};
+use perfclone_sim::{Observer as _, SimError, Simulator, TraceStore};
 
 use crate::error::ValidateError;
 
@@ -289,13 +289,14 @@ impl Gate {
     }
 
     /// Like [`report`](Gate::report), but re-profiles the clone from a
-    /// previously captured [`PackedTrace`] instead of re-interpreting it —
-    /// the record-once/replay-many path. The trace must belong to `clone`
-    /// (checked by [`PackedTrace::replay`]) and must have been captured
-    /// with a limit of at least
-    /// [`profile_budget`](Gate::profile_budget); the trace's carried fault
-    /// and halt status then reproduce exactly the verdicts and errors of
-    /// the direct path.
+    /// previously captured [`TraceStore`] — in memory, or spilled to disk
+    /// and mmapped back — instead of re-interpreting it: the
+    /// record-once/replay-many path. The trace must belong to `clone`
+    /// (checked by [`TraceStore::replay`]) and must have been captured
+    /// with a limit of at least [`profile_budget`](Gate::profile_budget);
+    /// the trace's carried fault and halt status then reproduce exactly
+    /// the verdicts and errors of the direct path, for both storage
+    /// classes.
     ///
     /// # Errors
     ///
@@ -308,116 +309,37 @@ impl Gate {
     ///   with a limit below the profile budget — ends before either
     ///   halting or covering the budget, which a correctly captured trace
     ///   never does.
-    pub fn report_replay(
-        &self,
-        source: &WorkloadProfile,
-        clone: &Program,
-        trace: &PackedTrace,
-    ) -> Result<ValidationReport, ValidateError> {
-        self.report_replayed(
-            source,
-            clone,
-            trace.len(),
-            trace.halted(),
-            trace.fault(),
-            trace.replay(clone),
-        )
-    }
-
-    /// [`report_replay`](Gate::report_replay) over either storage class
-    /// of a capture — in-memory or spilled to disk and mmapped back. Both
-    /// decode through the same replay machinery, so the verdicts are
-    /// identical to the in-memory path's.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`report_replay`](Gate::report_replay).
     pub fn report_store(
         &self,
         source: &WorkloadProfile,
         clone: &Program,
         store: &TraceStore,
     ) -> Result<ValidationReport, ValidateError> {
-        self.report_replayed(
-            source,
-            clone,
-            store.len(),
-            store.halted(),
-            store.fault(),
-            store.replay(clone),
-        )
-    }
-
-    /// Shared tail of [`report_replay`](Gate::report_replay) and
-    /// [`report_store`](Gate::report_store): judge a capture by its
-    /// carried length/halt/fault, then re-profile from the replay stream.
-    fn report_replayed(
-        &self,
-        source: &WorkloadProfile,
-        clone: &Program,
-        len: u64,
-        halted: bool,
-        fault: Option<&SimError>,
-        replay: PackedReplay<'_>,
-    ) -> Result<ValidationReport, ValidateError> {
         let _gate_span = perfclone_obs::span!("validate.gate");
         source.check().map_err(ValidateError::Source)?;
-        if len > self.profile_budget || (len == self.profile_budget && !halted) {
+        let len = store.len();
+        if len > self.profile_budget || (len == self.profile_budget && !store.halted()) {
             // The direct path stops at the budget before reaching any
             // fault beyond it, so exhaustion wins over a carried fault.
             return Err(ValidateError::BudgetExhausted { budget: self.profile_budget });
         }
         if len < self.profile_budget {
-            if let Some(f) = fault {
+            if let Some(f) = store.fault() {
                 return Err(ValidateError::CloneFaulted(f.clone()));
             }
-            if !halted {
+            if !store.halted() {
                 return Err(ValidateError::BudgetExhausted { budget: len });
             }
         }
         let mut profiler = Profiler::new(clone.name());
         {
             let _s = perfclone_obs::span!("validate.reprofile");
-            for d in replay {
+            for d in store.replay(clone) {
                 profiler.on_retire(&d);
             }
         }
         let cp = profiler.finish();
         Ok(self.judge_profiles(source, &cp, len))
-    }
-
-    /// Like [`accept`](Gate::accept) over a captured trace: everything
-    /// [`report_replay`](Gate::report_replay) returns, with a failing
-    /// report converted to [`ValidateError::GateFailed`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`report_replay`](Gate::report_replay) returns, plus
-    /// [`ValidateError::GateFailed`] carrying the report.
-    pub fn accept_replay(
-        &self,
-        source: &WorkloadProfile,
-        clone: &Program,
-        trace: &PackedTrace,
-    ) -> Result<ValidationReport, ValidateError> {
-        self.report_replay(source, clone, trace)?.into_result()
-    }
-
-    /// Like [`accept`](Gate::accept) over a [`TraceStore`]: everything
-    /// [`report_store`](Gate::report_store) returns, with a failing
-    /// report converted to [`ValidateError::GateFailed`].
-    ///
-    /// # Errors
-    ///
-    /// Everything [`report_store`](Gate::report_store) returns, plus
-    /// [`ValidateError::GateFailed`] carrying the report.
-    pub fn accept_store(
-        &self,
-        source: &WorkloadProfile,
-        clone: &Program,
-        store: &TraceStore,
-    ) -> Result<ValidationReport, ValidateError> {
-        self.report_store(source, clone, store)?.into_result()
     }
 
     /// Judges the five attribute families of a re-profiled clone against

@@ -77,7 +77,7 @@ proptest! {
         limit in prop_oneof![Just(u64::MAX), 1u64..400],
     ) {
         let p = random_program(&ops, halt);
-        let packed = PackedTrace::capture(&p, limit);
+        let packed = TraceStore::Mem(PackedTrace::capture(&p, limit));
         let mut itrace = Simulator::trace(&p, limit);
         let mut replay = packed.replay(&p);
         loop {
@@ -92,9 +92,9 @@ proptest! {
         prop_assert_eq!(replay.fault(), packed.fault());
     }
 
-    /// The batched SoA decoder and the interned record-at-a-time replay
-    /// both reproduce the plain record-at-a-time oracle record for record
-    /// — every `DynInstr` field — and carry the same fault, for random
+    /// The batched SoA decoder reproduces the record-at-a-time oracle
+    /// record for record — every `DynInstr` field — and carries the same
+    /// fault, for random
     /// programs (halting and faulting) across capture limits straddling
     /// the word (64) and chunk (256) boundaries.
     #[test]
@@ -108,10 +108,9 @@ proptest! {
         ],
     ) {
         let p = random_program(&ops, halt);
-        let packed = PackedTrace::capture(&p, limit);
+        let packed = TraceStore::Mem(PackedTrace::capture(&p, limit));
         let meta = InstrMetaTable::new(&p);
         let mut oracle = packed.replay(&p);
-        let mut interned = packed.replay_interned(&p, &meta);
         let mut batched = packed.replay_batched(&p, &meta);
         let mut chunk = ReplayChunk::new();
         loop {
@@ -121,11 +120,9 @@ proptest! {
             }
             for rec in chunk.records(p.instrs()) {
                 prop_assert_eq!(oracle.next(), Some(rec));
-                prop_assert_eq!(interned.next(), Some(rec));
             }
         }
         prop_assert_eq!(oracle.next(), None, "batched decode must not end early");
-        prop_assert_eq!(interned.next(), None);
         prop_assert_eq!(batched.fault(), packed.fault());
     }
 }
@@ -146,7 +143,7 @@ fn chunk_boundary_halt_and_fault_match_oracle() {
                 b.halt();
             }
             let p = b.build();
-            let packed = PackedTrace::capture(&p, u64::MAX);
+            let packed = TraceStore::Mem(PackedTrace::capture(&p, u64::MAX));
             let meta = InstrMetaTable::new(&p);
             let mut oracle = packed.replay(&p);
             let mut batched = packed.replay_batched(&p, &meta);
@@ -180,7 +177,7 @@ fn spilled_batched_decode_matches_in_memory_oracle() {
         .expect("a 1 KiB cap must force a spill, not fail");
     assert!(store.is_spilled(), "batched decode must be exercised over the mmap");
     let meta = InstrMetaTable::new(&program);
-    let packed = PackedTrace::capture(&program, limit);
+    let packed = TraceStore::Mem(PackedTrace::capture(&program, limit));
     let mut oracle = packed.replay(&program);
     let mut batched = store.replay_batched(&program, &meta);
     let mut chunk = ReplayChunk::new();
@@ -277,10 +274,10 @@ fn faulting_program_replays_as_the_same_error() {
 
 /// An over-cap workload is captured exactly once: the capture spills to
 /// disk (it never truncates) and the spilled store is memoized, so every
-/// later requester shares the same on-disk trace. (With spilling
-/// disabled — `PERFCLONE_SPILL=0`, exercised by the sim unit tests and
-/// the CI fallback smoke — the outcome is instead a memoized typed
-/// `TraceCapExceeded`.)
+/// later requester shares the same on-disk trace. (When the spill itself
+/// fails, the memoized outcome is a typed `Error::Spill` and timing falls
+/// back to live interpretation; `crates/cli/tests/spill_fallback.rs`
+/// covers that path.)
 #[test]
 fn capped_capture_is_memoized_as_spill() {
     let program = susan_tiny();
@@ -338,9 +335,9 @@ fn gate_replay_matches_direct_path() {
     let gate = Gate::default();
     let (outcome, direct) =
         Cloner::new().clone_validated(&program, u64::MAX, &gate).expect("clone validates");
-    let trace = PackedTrace::capture(&outcome.clone, gate.profile_budget);
+    let trace = TraceStore::Mem(PackedTrace::capture(&outcome.clone, gate.profile_budget));
     let replayed =
-        gate.report_replay(&outcome.profile, &outcome.clone, &trace).expect("replay gate");
+        gate.report_store(&outcome.profile, &outcome.clone, &trace).expect("replay gate");
     assert_eq!(direct, replayed, "gate replay must reproduce the direct report");
 
     // Non-halting clone: both paths exhaust the budget.
@@ -351,8 +348,8 @@ fn gate_replay_matches_direct_path() {
     b.j(top);
     let spin = b.build();
     let direct_err = tight.report(&outcome.profile, &spin).expect_err("spins");
-    let spin_trace = PackedTrace::capture(&spin, tight.profile_budget);
-    let replay_err = tight.report_replay(&outcome.profile, &spin, &spin_trace).expect_err("spins");
+    let spin_trace = TraceStore::Mem(PackedTrace::capture(&spin, tight.profile_budget));
+    let replay_err = tight.report_store(&outcome.profile, &spin, &spin_trace).expect_err("spins");
     assert!(matches!(direct_err, ValidateError::BudgetExhausted { budget: 1_000 }));
     assert!(matches!(replay_err, ValidateError::BudgetExhausted { budget: 1_000 }));
 
@@ -361,8 +358,8 @@ fn gate_replay_matches_direct_path() {
     b.nop();
     let fall = b.build();
     let direct_err = tight.report(&outcome.profile, &fall).expect_err("faults");
-    let fall_trace = PackedTrace::capture(&fall, tight.profile_budget);
-    let replay_err = tight.report_replay(&outcome.profile, &fall, &fall_trace).expect_err("faults");
+    let fall_trace = TraceStore::Mem(PackedTrace::capture(&fall, tight.profile_budget));
+    let replay_err = tight.report_store(&outcome.profile, &fall, &fall_trace).expect_err("faults");
     let (ValidateError::CloneFaulted(a), ValidateError::CloneFaulted(b)) = (direct_err, replay_err)
     else {
         panic!("both paths must report CloneFaulted");

@@ -9,7 +9,7 @@
 use std::path::PathBuf;
 
 use perfclone::{base_config, run_timing, run_timing_store, Error, WorkloadCache};
-use perfclone_isa::{MemWidth, Program, ProgramBuilder, Reg, StreamDesc};
+use perfclone_isa::{InstrMetaTable, MemWidth, Program, ProgramBuilder, Reg, StreamDesc};
 use perfclone_kernels::{by_name, Scale};
 use perfclone_sim::{PackedTrace, SpilledTrace, TraceError, TraceStore};
 use proptest::prelude::*;
@@ -88,6 +88,7 @@ proptest! {
         prop_assert_eq!(spilled.fault(), packed.fault());
         prop_assert_eq!(spilled.program_name(), packed.program_name());
 
+        let (packed, spilled) = (TraceStore::Mem(packed), TraceStore::Spilled(spilled));
         let mut mem = packed.replay(&p);
         let mut disk = spilled.replay(&p);
         loop {
@@ -212,9 +213,12 @@ fn capped_capture_spills_and_times_bit_identically() {
     assert_eq!(spilled.len(), mem.len());
     assert_eq!(spilled.halted(), mem.halted());
 
+    let meta = InstrMetaTable::new(&program);
     let direct = run_timing(&program, &config, limit).expect("direct timing");
-    let via_mem = run_timing_store(&program, &mem, &config).expect("in-memory replay timing");
-    let via_disk = run_timing_store(&program, &spilled, &config).expect("spilled replay timing");
+    let via_mem =
+        run_timing_store(&program, &mem, &meta, &config, None).expect("in-memory replay timing");
+    let via_disk =
+        run_timing_store(&program, &spilled, &meta, &config, None).expect("spilled replay timing");
     assert_eq!(direct.report, via_mem.report);
     assert_eq!(direct.report, via_disk.report, "spilled replay must be bit-identical");
     assert_eq!(direct.power, via_mem.power);
@@ -237,8 +241,9 @@ fn faulted_trace_carries_through_spill() {
     assert_eq!(spilled.fault(), packed.fault());
 
     let config = base_config();
-    let mem_err = run_timing_store(&p, &TraceStore::Mem(packed), &config);
-    let disk_err = run_timing_store(&p, &TraceStore::Spilled(spilled), &config);
+    let meta = InstrMetaTable::new(&p);
+    let mem_err = run_timing_store(&p, &TraceStore::Mem(packed), &meta, &config, None);
+    let disk_err = run_timing_store(&p, &TraceStore::Spilled(spilled), &meta, &config, None);
     match (mem_err, disk_err) {
         (Err(Error::Sim(a)), Err(Error::Sim(b))) => assert_eq!(a, b),
         other => panic!("both stores must surface the fault, got {other:?}"),
