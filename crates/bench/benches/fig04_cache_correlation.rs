@@ -3,7 +3,7 @@
 //! configurations (256 B–16 KB × {DM, 2-way, 4-way, FA}, 32 B lines, LRU).
 //! The paper reports an average of 0.93 with a 0.80 worst case.
 
-use perfclone::experiments::cache_sweep_pair_par;
+use perfclone::experiments::cache_sweep_pair;
 use perfclone::{cache_sweep, Table};
 use perfclone_bench::{init_parallelism, mean, prepare_all_par};
 
@@ -19,7 +19,7 @@ fn main() {
     let mut rs = Vec::new();
     let mut maes = Vec::new();
     for bench in prepare_all_par() {
-        let sweep = cache_sweep_pair_par(&bench.program, &bench.clone, &configs, u64::MAX);
+        let sweep = cache_sweep_pair(&bench.program, &bench.clone, &configs, u64::MAX);
         // A benchmark whose real MPI barely varies over the sweep (pure
         // streaming working sets) makes Pearson numerically meaningless;
         // mark those rows "flat" and judge them by the mean absolute MPI

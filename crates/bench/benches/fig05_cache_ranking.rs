@@ -3,7 +3,7 @@
 //! assigned by the real benchmarks vs by their synthetic clones. Perfect
 //! relative accuracy puts every point on the 45° line.
 
-use perfclone::experiments::cache_sweep_pair_par;
+use perfclone::experiments::cache_sweep_pair;
 use perfclone::{cache_sweep, rank, spearman, Table};
 use perfclone_bench::{init_parallelism, prepare_all_par};
 
@@ -15,7 +15,7 @@ fn main() {
     let mut synth_rank_sum = vec![0.0f64; n];
     let mut benchmarks = 0usize;
     for bench in prepare_all_par() {
-        let sweep = cache_sweep_pair_par(&bench.program, &bench.clone, &configs, u64::MAX);
+        let sweep = cache_sweep_pair(&bench.program, &bench.clone, &configs, u64::MAX);
         let (rr, rs) = sweep.rankings();
         for i in 0..n {
             real_rank_sum[i] += rr[i];

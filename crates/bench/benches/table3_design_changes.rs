@@ -7,7 +7,7 @@
 //! for IPC and 3.41/0.39/4.59/1.80/1.22 % for power, averaging 4.49 % IPC
 //! and 2.28 % power.
 
-use perfclone::experiments::design_change_sweep_par;
+use perfclone::experiments::design_change_sweep;
 use perfclone::{base_config, Table};
 use perfclone_bench::{init_parallelism, mean, prepare_all_par};
 
@@ -21,7 +21,7 @@ fn main() {
     for bench in &benches {
         eprintln!("  sweeping {} ...", bench.kernel.name());
         let sweep =
-            design_change_sweep_par(&bench.program, &bench.clone, &base, u64::MAX).expect("timing");
+            design_change_sweep(&bench.program, &bench.clone, &base, u64::MAX).expect("timing");
         for i in 0..5 {
             ipc_errs[i].push(sweep.ipc_relative_error(i));
             pow_errs[i].push(sweep.power_relative_error(i));

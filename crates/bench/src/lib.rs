@@ -183,9 +183,9 @@ pub fn prepare_all_par() -> Vec<PreparedBench> {
 /// fans over the ambient thread pool and results reassemble in benchmark
 /// order, bit-identical at any thread count. Each program's retired
 /// stream is captured once as a packed trace through a shared
-/// [`WorkloadCache`] and replayed by both configurations' cells
-/// (re-interpreting instead when a capture would exceed
-/// `PERFCLONE_TRACE_CAP` — same results either way).
+/// [`WorkloadCache`] and replayed by both configurations' cells (an
+/// over-`PERFCLONE_TRACE_CAP` capture spills to disk and replays via
+/// mmap; only a failed spill re-interprets — same results either way).
 pub fn grid_timing_par(
     benches: &[PreparedBench],
     base: &MachineConfig,

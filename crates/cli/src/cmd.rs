@@ -3,7 +3,7 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
-use perfclone::experiments::{cache_sweep_pair_par, design_change_sweep_par};
+use perfclone::experiments::{cache_sweep_pair, design_change_sweep};
 use perfclone::{
     base_config, cache_sweep, env_fault_injector, faultfs, pareto_frontier, parse_fault_injector,
     run_grid, run_grid_with, run_timing, run_timing_trace, CellRow, Cloner, Error, Fault,
@@ -546,7 +546,7 @@ fn sweep(parsed: &Parsed) -> Result<(), String> {
     // come back in configuration order regardless of the thread count.
     let sweep_span = perfclone_obs::span!("cli.sweep");
     let start = std::time::Instant::now();
-    let cmp = cache_sweep_pair_par(&program, &clone, &cache_sweep(), u64::MAX);
+    let cmp = cache_sweep_pair(&program, &clone, &cache_sweep(), u64::MAX);
     let wall_ns = start.elapsed().as_nanos() as u64;
     drop(sweep_span);
     let configs = cmp.configs.len() as u64;
@@ -566,10 +566,11 @@ fn sweep(parsed: &Parsed) -> Result<(), String> {
 /// `perfclone dsweep <kernel>`: the Table-3 design-change timing sweep —
 /// real program vs clone on the base machine and every single-parameter
 /// design change. Both retired streams are captured once as packed traces
-/// and replayed per configuration over the `--jobs` pool; when a capture
-/// exceeds `PERFCLONE_TRACE_CAP` the engine re-interprets per config with
-/// bit-identical results (the CI fallback smoke runs this command under a
-/// deliberately tiny cap).
+/// and replayed per configuration over the `--jobs` pool; a capture over
+/// `PERFCLONE_TRACE_CAP` spills to disk and replays via mmap, and only a
+/// failed spill makes the engine re-interpret per config, with
+/// bit-identical results either way (CI runs this command under a tiny
+/// cap and under a forced spill failure).
 fn dsweep(parsed: &Parsed) -> Result<(), String> {
     let (name, program) = kernel_program(parsed, 0)?;
     let profile = perfclone::profile_program(&program, u64::MAX).map_err(|e| e.to_string())?;
@@ -579,7 +580,7 @@ fn dsweep(parsed: &Parsed) -> Result<(), String> {
         Cloner::with_params(params).clone_program_from(&profile).map_err(|e| e.to_string())?;
     let sweep_span = perfclone_obs::span!("cli.dsweep");
     let start = std::time::Instant::now();
-    let sweep = design_change_sweep_par(&program, &clone, &base_config(), u64::MAX)
+    let sweep = design_change_sweep(&program, &clone, &base_config(), u64::MAX)
         .map_err(|e| e.to_string())?;
     let wall_ns = start.elapsed().as_nanos() as u64;
     drop(sweep_span);

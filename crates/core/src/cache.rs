@@ -40,9 +40,10 @@ use crate::Error;
 /// multi-hundred-million-instruction captures.
 pub const DEFAULT_TRACE_CAP: usize = 1 << 30;
 
-/// The process-wide packed-trace byte budget: `PERFCLONE_TRACE_CAP` parsed
-/// once (unset or unparsable falls back to [`DEFAULT_TRACE_CAP`]; `0`
-/// disables packing, forcing every timing run onto the interpreter path).
+/// The process-wide resident packed-trace byte budget:
+/// `PERFCLONE_TRACE_CAP` parsed once (unset or unparsable falls back to
+/// [`DEFAULT_TRACE_CAP`]). A capture over the budget spills to disk, so
+/// `0` spills every non-empty capture.
 pub fn trace_cap() -> usize {
     static CAP: OnceLock<usize> = OnceLock::new();
     *CAP.get_or_init(|| {

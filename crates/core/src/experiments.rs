@@ -2,11 +2,11 @@
 //! cache sweep (Figures 4 and 5), base-configuration comparison (Figures 6
 //! and 7), and the five design changes (Table 3, Figures 8 and 9).
 //!
-//! Every driver has a `_par` twin that fans its (program × configuration)
-//! cells over the ambient rayon parallelism. Each cell builds its own
-//! pipeline, caches, and predictor state, and results are collected in
-//! input order, so the parallel drivers return values bit-identical to
-//! their serial twins at any thread count.
+//! Each sweep fans its cells over the ambient rayon pool, whose width
+//! the caller sets (`--jobs` on the CLI); width 1 is the serial run. Each
+//! cell builds its own pipeline, caches, and predictor state, and results
+//! are collected in input order, so every width returns bit-identical
+//! values.
 
 use perfclone_isa::{InstrMetaTable, Program};
 use perfclone_metrics::{pearson, rank, relative_error};
@@ -75,24 +75,10 @@ fn sweep_mpi(trace: &AddressTrace, configs: &[CacheConfig]) -> Vec<f64> {
 /// Each program's data-reference trace is extracted once and evaluated
 /// for all configurations by the single-pass stack-distance engine
 /// ([`sweep_trace`]) — two functional simulations total instead of
-/// 2 × `configs.len()`.
+/// 2 × `configs.len()`. The two extractions (the dominant cost) fan over
+/// the ambient pool; miss counts are exact integers, so the result is
+/// bit-identical at any width.
 pub fn cache_sweep_pair(
-    real: &Program,
-    clone: &Program,
-    configs: &[CacheConfig],
-    limit: u64,
-) -> CacheSweepComparison {
-    let real_mpi = sweep_mpi(&AddressTrace::extract(real, limit), configs);
-    let synth_mpi = sweep_mpi(&AddressTrace::extract(clone, limit), configs);
-    CacheSweepComparison { configs: configs.to_vec(), real_mpi, synth_mpi }
-}
-
-/// Parallel [`cache_sweep_pair`]: the two trace extractions (the dominant
-/// cost) fan over the ambient thread pool, and each trace then runs
-/// through the stack-distance engine. Miss counts are exact integers, so
-/// the result is bit-identical to the serial driver's at any thread
-/// count.
-pub fn cache_sweep_pair_par(
     real: &Program,
     clone: &Program,
     configs: &[CacheConfig],
@@ -179,46 +165,20 @@ impl DesignChangeSweep {
 /// replayed through every configuration — two functional executions total
 /// instead of 2 × (1 + 5) — spilling to disk when a capture exceeds
 /// `PERFCLONE_TRACE_CAP`, and falling back to per-cell interpretation only
-/// when that spill fails. Every path yields bit-identical results.
+/// when that spill fails. The two captures and then the 2 × (1 + 5)
+/// (program × configuration) timing cells fan over the ambient pool.
+/// Every cell constructs its own [`Pipeline`](crate::Pipeline) — caches,
+/// predictor, window state and all — and replays its program's shared
+/// immutable [`TraceStore`], so every path and every width yields
+/// bit-identical results.
 ///
 /// # Errors
 ///
-/// Returns [`Error::Sim`] if either program faults on any configuration.
+/// Returns [`Error::Sim`] if either program faults on any configuration;
+/// when several cells fault, the reported error is the first in cell
+/// order (base before the design changes, real before clone), at any
+/// width.
 pub fn design_change_sweep(
-    real: &Program,
-    clone: &Program,
-    base: &MachineConfig,
-    limit: u64,
-) -> Result<DesignChangeSweep, Error> {
-    let real = Captured::new(real, limit);
-    let synth = Captured::new(clone, limit);
-    let base_real = real.time(base, limit)?;
-    let base_synth = synth.time(base, limit)?;
-    let mut changes = Vec::new();
-    for config in design_changes() {
-        changes.push(DesignChangeResult {
-            config,
-            real: real.time(&config, limit)?,
-            synth: synth.time(&config, limit)?,
-        });
-    }
-    Ok(DesignChangeSweep { base_real, base_synth, changes })
-}
-
-/// Parallel [`design_change_sweep`]: the two trace captures and then the
-/// 2 × (1 + 5) (program × configuration) timing cells fan over the
-/// ambient thread pool. Every cell constructs its own
-/// [`Pipeline`](crate::Pipeline) — caches, predictor, window state and
-/// all — and replays its program's shared immutable [`TraceStore`], so
-/// cells share nothing mutable, and the reassembled sweep is
-/// bit-identical to the serial driver's.
-///
-/// # Errors
-///
-/// Same as [`design_change_sweep`]; when several cells fault, the
-/// reported error is the first in cell order (independent of thread
-/// schedule).
-pub fn design_change_sweep_par(
     real: &Program,
     clone: &Program,
     base: &MachineConfig,
@@ -232,29 +192,23 @@ pub fn design_change_sweep_par(
     // immutable captures and metadata tables by reference, nothing else.
     let captured: Vec<Captured<'_>> =
         programs.par_iter().map(|p| Captured::new(p, limit)).collect();
-    let cells: Vec<(usize, usize)> = configs
-        .iter()
-        .enumerate()
-        .flat_map(|(ci, _)| (0..programs.len()).map(move |p| (ci, p)))
-        .collect();
+    let cells: Vec<(&MachineConfig, &Captured<'_>)> =
+        configs.iter().flat_map(|config| captured.iter().map(move |c| (config, c))).collect();
     let results: Vec<Result<TimingResult, Error>> =
-        cells.par_iter().map(|&(ci, p)| captured[p].time(&configs[ci], limit)).collect();
-    let results: Vec<TimingResult> = results.into_iter().collect::<Result<_, _>>()?;
-    // Cells were laid out [base×real, base×clone, change1×real, ...] and
-    // collect preserves cell order, so results.len() == 2 × configs.len()
-    // and index arithmetic recovers the layout.
-    let changes = configs[1..]
+        cells.par_iter().map(|&(config, c)| c.time(config, limit)).collect();
+    // Collect preserves cell order, so the first error is the first
+    // failing cell's, and consecutive results pair up into one row per
+    // config.
+    let mut results = results.into_iter().collect::<Result<Vec<_>, _>>()?.into_iter();
+    let pairs = std::iter::from_fn(|| Some((results.next()?, results.next()?)));
+    let mut changes: Vec<DesignChangeResult> = configs
         .iter()
-        .enumerate()
-        .map(|(i, config)| DesignChangeResult {
-            config: *config,
-            real: results[2 + 2 * i].clone(),
-            synth: results[3 + 2 * i].clone(),
-        })
+        .zip(pairs)
+        .map(|(&config, (real, synth))| DesignChangeResult { config, real, synth })
         .collect();
-    let base_real = results[0].clone();
-    let base_synth = results[1].clone();
-    Ok(DesignChangeSweep { base_real, base_synth, changes })
+    // configs[0] is the base, so the first row always exists.
+    let base_row = changes.remove(0);
+    Ok(DesignChangeSweep { base_real: base_row.real, base_synth: base_row.synth, changes })
 }
 
 #[cfg(test)]
@@ -298,43 +252,6 @@ mod tests {
             let synth = simulate_dcache(&clone, *config, u64::MAX);
             assert_eq!(sweep.real_mpi[i].to_bits(), real.mpi().to_bits(), "{config}");
             assert_eq!(sweep.synth_mpi[i].to_bits(), synth.mpi().to_bits(), "{config}");
-        }
-    }
-
-    #[test]
-    fn parallel_cache_sweep_is_bit_identical_to_serial() {
-        let (app, clone) = small_pair();
-        let configs = cache_sweep();
-        let serial = cache_sweep_pair(&app, &clone, &configs, u64::MAX);
-        for jobs in [1usize, 4] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("pool");
-            let par = pool.install(|| cache_sweep_pair_par(&app, &clone, &configs, u64::MAX));
-            assert_eq!(serial.real_mpi, par.real_mpi, "jobs = {jobs}");
-            assert_eq!(serial.synth_mpi, par.synth_mpi, "jobs = {jobs}");
-            assert_eq!(serial.configs, par.configs, "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn parallel_design_change_sweep_is_bit_identical_to_serial() {
-        let (app, clone) = small_pair();
-        let serial = design_change_sweep(&app, &clone, &base_config(), 150_000).unwrap();
-        let par = design_change_sweep_par(&app, &clone, &base_config(), 150_000).unwrap();
-        assert_eq!(serial.base_real.report.cycles, par.base_real.report.cycles);
-        assert_eq!(
-            serial.base_synth.power.average_power.to_bits(),
-            par.base_synth.power.average_power.to_bits()
-        );
-        assert_eq!(serial.changes.len(), par.changes.len());
-        for (s, p) in serial.changes.iter().zip(&par.changes) {
-            assert_eq!(s.config.name, p.config.name);
-            assert_eq!(s.real.report.cycles, p.real.report.cycles);
-            assert_eq!(s.synth.report.cycles, p.synth.report.cycles);
-            assert_eq!(s.real.report.ipc().to_bits(), p.real.report.ipc().to_bits());
-            assert_eq!(
-                s.synth.power.average_power.to_bits(),
-                p.synth.power.average_power.to_bits()
-            );
         }
     }
 

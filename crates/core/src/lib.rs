@@ -386,30 +386,6 @@ pub fn validate_pair(
     })
 }
 
-/// [`validate_pair`] through the shared [`WorkloadCache`]: both programs'
-/// dynamic traces are captured once per `(workload, limit)` and replayed
-/// here and by every other configuration that validates the same pair.
-/// `real_key`/`clone_key` are the cache's workload names — callers must
-/// keep them distinct per program, as with every cache entry.
-///
-/// # Errors
-///
-/// Same as [`validate_pair`].
-pub fn validate_pair_trace(
-    real_key: &str,
-    clone_key: &str,
-    real: &Program,
-    clone: &Program,
-    config: &MachineConfig,
-    limit: u64,
-    cache: &WorkloadCache,
-) -> Result<PairComparison, Error> {
-    Ok(PairComparison {
-        real: run_timing_trace(real_key, real, config, limit, cache)?,
-        synth: run_timing_trace(clone_key, clone, config, limit, cache)?,
-    })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

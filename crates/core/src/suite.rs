@@ -13,7 +13,7 @@ use perfclone_uarch::MachineConfig;
 use perfclone_validate::Gate;
 use rayon::prelude::*;
 
-use crate::{derive_cell_seed, run_timing, Cloner, Error, SynthesisParams};
+use crate::{run_timing, Cloner, Error};
 
 /// A named, weighted collection of programs.
 #[derive(Debug)]
@@ -64,66 +64,26 @@ impl Suite {
     }
 
     /// Builds the suite of clones: every member profiled and synthesized
-    /// with `cloner`, weights preserved. Each clone must pass the default
-    /// fidelity [`Gate`] before it is admitted to the cloned suite.
+    /// with `cloner`'s params, weights preserved. Members fan over the
+    /// ambient pool; each clone depends only on its member and the params,
+    /// so the cloned suite is identical at any width. Each clone must pass
+    /// `gate` before it is admitted to the cloned suite.
     ///
     /// # Errors
     ///
     /// Everything [`Cloner::clone_program`] returns, plus
     /// [`Error::Validate`] when a member's clone fails the gate (the
-    /// wrapped report names every violated attribute).
-    pub fn clone_suite(&self, cloner: &Cloner) -> Result<Suite, Error> {
-        self.clone_suite_with(cloner, &Gate::default())
-    }
-
-    /// [`clone_suite`](Suite::clone_suite) under an explicit fidelity
-    /// gate (e.g. loosened tolerances for deliberately degraded clones).
-    pub fn clone_suite_with(&self, cloner: &Cloner, gate: &Gate) -> Result<Suite, Error> {
-        let mut out = Suite::new(format!("{}-clone", self.name));
-        for (program, weight) in self.entries() {
-            let (outcome, _report) = cloner.clone_validated(program, u64::MAX, gate)?;
-            out.push(outcome.clone, weight)?;
-        }
-        Ok(out)
-    }
-
-    /// Parallel suite cloning: members fan over the ambient thread pool,
-    /// each synthesized with a per-member seed derived from `root_seed`
-    /// and the member's (name, index) cell via
-    /// [`derive_cell_seed`]. Because the seed depends only on the cell —
-    /// never on which thread ran it — the cloned suite is identical at
-    /// any thread count, and two runs with the same root seed produce the
-    /// same clones. Every clone must pass `gate`.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`clone_suite`](Suite::clone_suite); when several members
-    /// fail, the reported error is the first in member order (independent
-    /// of thread schedule).
-    pub fn clone_suite_par(
-        &self,
-        cloner: &Cloner,
-        root_seed: u64,
-        gate: &Gate,
-    ) -> Result<Suite, Error> {
-        let cells: Vec<(usize, &Program, f64)> =
-            self.entries.iter().enumerate().map(|(i, (p, w))| (i, p, *w)).collect();
-        let cloned: Vec<Result<(Program, f64), Error>> = cells
+    /// wrapped report names every violated attribute). When several
+    /// members fail, the error is the first in member order, at any width.
+    pub fn clone_suite(&self, cloner: &Cloner, gate: &Gate) -> Result<Suite, Error> {
+        let cloned: Vec<Result<Program, Error>> = self
+            .entries
             .par_iter()
-            .map(|&(i, program, weight)| {
-                let params = SynthesisParams {
-                    seed: derive_cell_seed(root_seed, program.name(), i as u64),
-                    ..*cloner.params()
-                };
-                let (outcome, _report) =
-                    Cloner::with_params(params).clone_validated(program, u64::MAX, gate)?;
-                Ok((outcome.clone, weight))
-            })
+            .map(|(program, _)| Ok(cloner.clone_validated(program, u64::MAX, gate)?.0.clone))
             .collect();
         let mut out = Suite::new(format!("{}-clone", self.name));
-        for entry in cloned {
-            let (program, weight) = entry?;
-            out.push(program, weight)?;
+        for (clone, (_, weight)) in cloned.into_iter().zip(&self.entries) {
+            out.push(clone?, *weight)?;
         }
         Ok(out)
     }
@@ -139,48 +99,23 @@ pub struct SuiteMark {
     pub power_mark: f64,
 }
 
-/// Computes the suite mark of `suite` on `config`.
+/// Computes the suite mark of `suite` on `config`. Per-member timing
+/// runs fan over the ambient pool; the weighted reduction runs in member
+/// order, so the mark is bit-identical at any width.
 ///
 /// # Errors
 ///
 /// Returns [`Error::EmptySuite`] for an empty suite and [`Error::Sim`] if
-/// a member faults during its timing run.
+/// a member faults during its timing run; when several members fault, the
+/// error is the first in member order, at any width.
 pub fn suite_mark(suite: &Suite, config: &MachineConfig, limit: u64) -> Result<SuiteMark, Error> {
     if suite.is_empty() {
         return Err(Error::EmptySuite { name: suite.name().to_string() });
     }
-    let mut log_sum = 0.0;
-    let mut weight_sum = 0.0;
-    let mut power_sum = 0.0;
-    for (program, weight) in suite.entries() {
-        let t = run_timing(program, config, limit)?;
-        log_sum += weight * t.report.ipc().ln();
-        power_sum += weight * t.power.average_power;
-        weight_sum += weight;
-    }
-    Ok(SuiteMark { ipc_mark: (log_sum / weight_sum).exp(), power_mark: power_sum / weight_sum })
-}
-
-/// Parallel [`suite_mark`]: per-member timing runs fan over the ambient
-/// thread pool; the weighted reduction happens serially in member order,
-/// so the mark is bit-identical to the serial one at any thread count.
-///
-/// # Errors
-///
-/// Same as [`suite_mark`]; when several members fault, the reported error
-/// is the first in member order (independent of thread schedule).
-pub fn suite_mark_par(
-    suite: &Suite,
-    config: &MachineConfig,
-    limit: u64,
-) -> Result<SuiteMark, Error> {
-    if suite.is_empty() {
-        return Err(Error::EmptySuite { name: suite.name().to_string() });
-    }
-    let cells: Vec<(&Program, f64)> = suite.entries().collect();
-    let timed: Vec<Result<(f64, f64), Error>> = cells
+    let timed: Vec<Result<(f64, f64), Error>> = suite
+        .entries
         .par_iter()
-        .map(|&(program, weight)| {
+        .map(|(program, weight)| {
             let t = run_timing(program, config, limit)?;
             Ok((weight * t.report.ipc().ln(), weight * t.power.average_power))
         })
@@ -188,7 +123,7 @@ pub fn suite_mark_par(
     let mut log_sum = 0.0;
     let mut power_sum = 0.0;
     let mut weight_sum = 0.0;
-    for (cell, (_, weight)) in timed.into_iter().zip(&cells) {
+    for (cell, (_, weight)) in timed.into_iter().zip(&suite.entries) {
         let (log_w, power_w) = cell?;
         log_sum += log_w;
         power_sum += power_w;
@@ -226,54 +161,13 @@ mod tests {
             target_dynamic: 60_000,
             ..SynthesisParams::default()
         });
-        let clones = s.clone_suite(&cloner).unwrap();
+        let clones = s.clone_suite(&cloner, &Gate::default()).unwrap();
         assert_eq!(clones.len(), s.len());
         assert_eq!(clones.name(), "telecom-clone");
         let real = suite_mark(&s, &base_config(), u64::MAX).unwrap();
         let synth = suite_mark(&clones, &base_config(), u64::MAX).unwrap();
         let err = ((synth.ipc_mark - real.ipc_mark) / real.ipc_mark).abs();
         assert!(err < 0.3, "suite mark error {err:.3}");
-    }
-
-    #[test]
-    fn parallel_mark_is_bit_identical_to_serial() {
-        let mut s = Suite::new("auto");
-        s.push(program("bitcount"), 1.0).unwrap();
-        s.push(program("qsort"), 2.5).unwrap();
-        s.push(program("crc32"), 0.5).unwrap();
-        let serial = suite_mark(&s, &base_config(), 60_000).unwrap();
-        for jobs in [1usize, 4] {
-            let pool = rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("pool");
-            let par = pool.install(|| suite_mark_par(&s, &base_config(), 60_000)).unwrap();
-            assert_eq!(serial.ipc_mark.to_bits(), par.ipc_mark.to_bits(), "jobs = {jobs}");
-            assert_eq!(serial.power_mark.to_bits(), par.power_mark.to_bits(), "jobs = {jobs}");
-        }
-    }
-
-    #[test]
-    fn parallel_cloning_is_deterministic_across_thread_counts() {
-        let mut s = Suite::new("telecom");
-        s.push(program("crc32"), 2.0).unwrap();
-        s.push(program("adpcm_enc"), 1.0).unwrap();
-        let cloner = Cloner::with_params(SynthesisParams {
-            target_dynamic: 40_000,
-            ..SynthesisParams::default()
-        });
-        let gate = Gate::default();
-        let root = 0xFEED_F00D;
-        let render = |suite: &Suite| -> Vec<String> {
-            suite.entries().map(|(p, w)| format!("{w} {p:?}")).collect()
-        };
-        let narrow = rayon::ThreadPoolBuilder::new().num_threads(1).build().expect("pool");
-        let wide = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
-        let a = narrow.install(|| s.clone_suite_par(&cloner, root, &gate)).unwrap();
-        let b = wide.install(|| s.clone_suite_par(&cloner, root, &gate)).unwrap();
-        let c = wide.install(|| s.clone_suite_par(&cloner, root, &gate)).unwrap();
-        assert_eq!(render(&a), render(&b), "1 thread vs 4 threads");
-        assert_eq!(render(&b), render(&c), "same root seed, two runs");
-        // A different root seed must produce different clones.
-        let d = wide.install(|| s.clone_suite_par(&cloner, root + 1, &gate)).unwrap();
-        assert_ne!(render(&a), render(&d));
     }
 
     #[test]
@@ -293,6 +187,5 @@ mod tests {
         let s = Suite::new("none");
         let err = suite_mark(&s, &base_config(), 1000).unwrap_err();
         assert!(matches!(err, Error::EmptySuite { ref name } if name == "none"));
-        assert!(suite_mark_par(&s, &base_config(), 1000).is_err());
     }
 }

@@ -293,8 +293,8 @@ pub struct RunReport {
     /// [`RunReport::caches`]), `trace.captures` / `trace.replays` (packed
     /// captures and zero-allocation replays), `trace.spills` (over-cap
     /// captures spilled to disk and replayed via mmap), `trace.fallbacks`
-    /// (captures abandoned — spill disabled or failed — each
-    /// re-interpreted instead, never silently truncated),
+    /// (captures whose spill failed, each re-interpreted instead, never
+    /// silently truncated),
     /// `trace.spill.reaped` (stray spill files of dead processes removed
     /// on startup), `grid.shards.executed` / `grid.shards.skipped`
     /// (sharded-sweep progress: fresh work vs. journal resume),

@@ -48,8 +48,8 @@ pub use config::{base_config, cache_sweep, design_changes, IssuePolicy, MachineC
 pub use grid::GridAxes;
 pub use pipeline::{Activity, Pipeline, PipelineError, PipelineReport};
 pub use predictor::{BranchPredictor, PredictorKind, PredictorStats};
-pub use stackdist::{sweep_trace, sweep_trace_par, AddressTrace, DataRef};
+pub use stackdist::{sweep_trace, AddressTrace, DataRef};
 pub use sweep::{
-    run_par, simulate_dcache, simulate_hierarchy, simulate_hierarchy_trace, sweep_dcache,
-    sweep_dcache_par, sweep_dcache_replay, DcacheSweepPoint, HierarchyPoint,
+    simulate_dcache, simulate_hierarchy, simulate_hierarchy_trace, sweep_dcache,
+    sweep_dcache_replay, DcacheSweepPoint, HierarchyPoint,
 };

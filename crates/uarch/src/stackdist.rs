@@ -230,19 +230,16 @@ fn line_size_groups(configs: &[CacheConfig]) -> Vec<Group> {
 }
 
 /// Miss counts of one line-size group's configurations, in group order.
-/// `parent` is the enclosing sweep's span id: group passes may run on
-/// rayon workers, whose threads start with no span context, so each
-/// group's span nests under it explicitly.
 fn run_group(
     trace: &AddressTrace,
     configs: &[CacheConfig],
-    (line_bytes, idxs): &Group,
-    parent: Option<perfclone_obs::SpanId>,
+    line_bytes: u32,
+    idxs: &[usize],
 ) -> Vec<u64> {
-    let _span = perfclone_obs::Span::child_of(parent, "sweep.group");
+    let _span = perfclone_obs::span!("sweep.group");
     let geometries: Vec<(u64, u64)> =
         idxs.iter().map(|&i| (configs[i].sets(), configs[i].ways())).collect();
-    let mut pass = AllAssocPass::new(*line_bytes, &geometries);
+    let mut pass = AllAssocPass::new(line_bytes, &geometries);
     for r in trace.refs() {
         pass.access(r.addr);
     }
@@ -250,19 +247,13 @@ fn run_group(
     geometries.iter().map(|&(sets, ways)| pass.misses(sets, ways)).collect()
 }
 
-/// The body of both sweep entry points: `each_group` maps a group runner
-/// over the line-size groups (serially or on rayon), and the per-group
-/// miss counts are scattered back into `configs` order.
-fn sweep_groups(
-    trace: &AddressTrace,
-    configs: &[CacheConfig],
-    each_group: impl FnOnce(&[Group], &(dyn Fn(&Group) -> Vec<u64> + Sync)) -> Vec<Vec<u64>>,
-) -> Vec<DcacheSweepPoint> {
-    let span = perfclone_obs::span!("sweep.pass");
-    let parent = span.id();
+/// Computes [`DcacheSweepPoint`]s for every configuration from one
+/// pre-extracted trace: one stack-distance pass per line-size group,
+/// results in `configs` order and bit-identical to per-configuration
+/// [`simulate_dcache`](crate::sweep::simulate_dcache) replay.
+pub fn sweep_trace(trace: &AddressTrace, configs: &[CacheConfig]) -> Vec<DcacheSweepPoint> {
+    let _span = perfclone_obs::span!("sweep.pass");
     perfclone_obs::count!("sweep.configs", configs.len() as u64);
-    let groups = line_size_groups(configs);
-    let per_group = each_group(&groups, &|group| run_group(trace, configs, group, parent));
     let mut out: Vec<DcacheSweepPoint> = configs
         .iter()
         .map(|&config| DcacheSweepPoint {
@@ -272,29 +263,12 @@ fn sweep_groups(
             misses: 0,
         })
         .collect();
-    for ((_, idxs), misses) in groups.iter().zip(per_group) {
-        for (&i, m) in idxs.iter().zip(misses) {
-            out[i].misses = m;
+    for (line_bytes, idxs) in line_size_groups(configs) {
+        for (&i, misses) in idxs.iter().zip(run_group(trace, configs, line_bytes, &idxs)) {
+            out[i].misses = misses;
         }
     }
     out
-}
-
-/// Computes [`DcacheSweepPoint`]s for every configuration from one
-/// pre-extracted trace: one stack-distance pass per line-size group,
-/// results in `configs` order and bit-identical to per-configuration
-/// [`simulate_dcache`](crate::sweep::simulate_dcache) replay.
-pub fn sweep_trace(trace: &AddressTrace, configs: &[CacheConfig]) -> Vec<DcacheSweepPoint> {
-    sweep_groups(trace, configs, |groups, run| groups.iter().map(run).collect())
-}
-
-/// Parallel [`sweep_trace`]: line-size groups fan over the ambient rayon
-/// parallelism. Every group computes exact integer miss counts, so the
-/// result is bit-identical to the serial engine at any thread count (and
-/// to per-configuration replay).
-pub fn sweep_trace_par(trace: &AddressTrace, configs: &[CacheConfig]) -> Vec<DcacheSweepPoint> {
-    use rayon::prelude::*;
-    sweep_groups(trace, configs, |groups, run| groups.par_iter().map(run).collect())
 }
 
 #[cfg(test)]
@@ -355,7 +329,6 @@ mod tests {
             assert_eq!(pt.misses, replay_misses(&refs, config), "{config}");
             assert_eq!(pt.accesses, 4_000);
         }
-        assert_eq!(sweep_trace_par(&trace, &configs), engine);
     }
 
     #[test]

@@ -4,7 +4,7 @@ use perfclone_isa::Program;
 use perfclone_sim::Simulator;
 
 use crate::cache::{Cache, CacheConfig};
-use crate::stackdist::{sweep_trace, sweep_trace_par, AddressTrace};
+use crate::stackdist::{sweep_trace, AddressTrace};
 
 /// Result of replaying a program's data references through one cache.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -137,38 +137,6 @@ pub fn sweep_dcache_replay(
     configs.iter().map(|c| simulate_dcache(program, *c, limit)).collect()
 }
 
-/// Parallel [`sweep_dcache`]: the trace is extracted once and the
-/// stack-distance passes (one per line-size group) fan over the ambient
-/// rayon parallelism. Counts are exact integers computed per group, so
-/// results come back in `configs` order and are bit-identical to
-/// [`sweep_dcache`]'s regardless of the thread count.
-pub fn sweep_dcache_par(
-    program: &Program,
-    configs: &[CacheConfig],
-    limit: u64,
-) -> Vec<DcacheSweepPoint> {
-    sweep_trace_par(&AddressTrace::extract(program, limit), configs)
-}
-
-/// Runs the parallel sweep on a dedicated pool of `jobs` worker threads
-/// (`0` means the machine's available parallelism). This is the explicit
-/// entry point for callers that plumb a `--jobs` setting through; library
-/// code already inside an installed pool should call [`sweep_dcache_par`]
-/// directly.
-pub fn run_par(
-    program: &Program,
-    configs: &[CacheConfig],
-    limit: u64,
-    jobs: usize,
-) -> Vec<DcacheSweepPoint> {
-    match rayon::ThreadPoolBuilder::new().num_threads(jobs).build() {
-        Ok(pool) => pool.install(|| sweep_dcache_par(program, configs, limit)),
-        // Pool construction failing (thread-spawn exhaustion) degrades to
-        // the ambient pool rather than aborting the sweep.
-        Err(_) => sweep_dcache_par(program, configs, limit),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -214,17 +182,6 @@ mod tests {
         // A 128 KB working set fits L2 after warmup but thrashes 1 KB L1.
         assert!(point.l1_stats.miss_rate() > 0.4);
         assert!(point.l2_stats.miss_rate() < point.l1_stats.miss_rate());
-    }
-
-    #[test]
-    fn parallel_sweep_matches_serial_at_any_width() {
-        let p = streaming_program(16, 128, 1_000);
-        let configs = crate::config::cache_sweep();
-        let serial = sweep_dcache(&p, &configs, u64::MAX);
-        for jobs in [1, 2, 7] {
-            let par = run_par(&p, &configs, u64::MAX, jobs);
-            assert_eq!(serial, par, "jobs = {jobs}");
-        }
     }
 
     #[test]

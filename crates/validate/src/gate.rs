@@ -13,7 +13,7 @@ use std::fmt::Write as _;
 
 use perfclone_isa::{InstrClass, Program};
 use perfclone_profile::{DepHistogram, Profiler, WorkloadProfile};
-use perfclone_sim::{Observer as _, SimError, Simulator, TraceStore};
+use perfclone_sim::{SimError, Simulator};
 
 use crate::error::ValidateError;
 
@@ -284,72 +284,7 @@ impl Gate {
                 Err(e) => return Err(ValidateError::CloneFaulted(e)),
             }
         };
-        let cp = profiler.finish();
-        Ok(self.judge_profiles(source, &cp, outcome.retired))
-    }
-
-    /// Like [`report`](Gate::report), but re-profiles the clone from a
-    /// previously captured [`TraceStore`] — in memory, or spilled to disk
-    /// and mmapped back — instead of re-interpreting it: the
-    /// record-once/replay-many path. The trace must belong to `clone`
-    /// (checked by [`TraceStore::replay`]) and must have been captured
-    /// with a limit of at least [`profile_budget`](Gate::profile_budget);
-    /// the trace's carried fault and halt status then reproduce exactly
-    /// the verdicts and errors of the direct path, for both storage
-    /// classes.
-    ///
-    /// # Errors
-    ///
-    /// * [`ValidateError::Source`] — `source` is structurally invalid;
-    /// * [`ValidateError::CloneFaulted`] — the trace carries a fault that
-    ///   the direct path would have hit within budget;
-    /// * [`ValidateError::BudgetExhausted`] — the trace shows the clone
-    ///   not halting within the budget. Also returned (with the trace
-    ///   length as the reported budget) when a truncated trace — captured
-    ///   with a limit below the profile budget — ends before either
-    ///   halting or covering the budget, which a correctly captured trace
-    ///   never does.
-    pub fn report_store(
-        &self,
-        source: &WorkloadProfile,
-        clone: &Program,
-        store: &TraceStore,
-    ) -> Result<ValidationReport, ValidateError> {
-        let _gate_span = perfclone_obs::span!("validate.gate");
-        source.check().map_err(ValidateError::Source)?;
-        let len = store.len();
-        if len > self.profile_budget || (len == self.profile_budget && !store.halted()) {
-            // The direct path stops at the budget before reaching any
-            // fault beyond it, so exhaustion wins over a carried fault.
-            return Err(ValidateError::BudgetExhausted { budget: self.profile_budget });
-        }
-        if len < self.profile_budget {
-            if let Some(f) = store.fault() {
-                return Err(ValidateError::CloneFaulted(f.clone()));
-            }
-            if !store.halted() {
-                return Err(ValidateError::BudgetExhausted { budget: len });
-            }
-        }
-        let mut profiler = Profiler::new(clone.name());
-        {
-            let _s = perfclone_obs::span!("validate.reprofile");
-            for d in store.replay(clone) {
-                profiler.on_retire(&d);
-            }
-        }
-        let cp = profiler.finish();
-        Ok(self.judge_profiles(source, &cp, len))
-    }
-
-    /// Judges the five attribute families of a re-profiled clone against
-    /// the source profile — shared tail of the interpret and replay paths.
-    fn judge_profiles(
-        &self,
-        source: &WorkloadProfile,
-        cp: &WorkloadProfile,
-        retired: u64,
-    ) -> ValidationReport {
+        let cp = &profiler.finish();
         let t = &self.tolerances;
         // Each family judged under its own span, so reports break out
         // per-attribute judge time next to the verdict counters.
@@ -372,7 +307,11 @@ impl Gate {
             Verdict::Warn => perfclone_obs::count!("validate.verdict.warn", 1),
             Verdict::Fail => perfclone_obs::count!("validate.verdict.fail", 1),
         }
-        ValidationReport { name: source.name.clone(), clone_instrs: retired, attributes }
+        Ok(ValidationReport {
+            name: source.name.clone(),
+            clone_instrs: outcome.retired,
+            attributes,
+        })
     }
 
     /// Like [`report`](Gate::report), but additionally rejects a failing

@@ -23,7 +23,8 @@ fn main() {
     }
 
     println!("cloning the {}-member suite ...", real.len());
-    let clones = real.clone_suite(&Cloner::new()).expect("clones pass the fidelity gate");
+    let clones =
+        real.clone_suite(&Cloner::new(), &Gate::default()).expect("clones pass the fidelity gate");
 
     let mut configs = vec![base_config()];
     configs.extend(design_changes());

@@ -6,10 +6,13 @@
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use perfclone::{cache_sweep, Gate, SynthesisParams, WorkloadCache};
+use perfclone::experiments::cache_sweep_pair;
+use perfclone::{
+    cache_sweep, run_grid, sweep_trace, AddressTrace, Gate, GridAxes, GridSpec, SynthesisParams,
+    WorkloadCache,
+};
 use perfclone_kernels::{by_name, Scale};
 use perfclone_obs::{RunReport, TelemetrySnapshot};
-use perfclone_uarch::sweep_trace_par;
 use proptest::prelude::*;
 
 /// The registry is process-global and these tests reset it, so they
@@ -22,9 +25,9 @@ fn registry_lock() -> MutexGuard<'static, ()> {
     }
 }
 
-/// Runs the full pipeline — profile, synthesize, gate, 28-config parallel
-/// cache sweep — on a `jobs`-thread pool and returns the
-/// schedule-independent telemetry view.
+/// Runs the full pipeline — profile, synthesize, gate, 28-config cache
+/// sweep of the program and its clone — on a `jobs`-thread pool and
+/// returns the schedule-independent telemetry view.
 fn pipeline_snapshot(jobs: usize, seed: u64, target_dynamic: u64) -> TelemetrySnapshot {
     perfclone_obs::reset();
     let pool = rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("pool");
@@ -35,8 +38,7 @@ fn pipeline_snapshot(jobs: usize, seed: u64, target_dynamic: u64) -> TelemetrySn
         let params = SynthesisParams { seed, target_dynamic, ..SynthesisParams::default() };
         let clone = cache.clone_program("crc32", &program, 200_000, &params).expect("clone");
         let _report = Gate::default().report(&profile, &clone).expect("gate");
-        let trace = cache.address_trace("crc32", &program, 200_000);
-        let _sweep = sweep_trace_par(&trace, &cache_sweep());
+        let _sweep = cache_sweep_pair(&program, &clone, &cache_sweep(), 200_000);
     });
     perfclone_obs::snapshot().deterministic()
 }
@@ -63,25 +65,44 @@ proptest! {
     }
 }
 
-/// Sweep-group spans opened on rayon workers carry the driving
-/// `sweep.pass` span as their explicit parent even though the workers'
-/// thread-locals start empty.
+/// Grid shard spans, opened on rayon workers whose thread-locals start
+/// empty, carry the driving `grid.sweep` span as their explicit parent;
+/// the cache engine's `sweep.group` spans, opened on the calling thread,
+/// nest under their `sweep.pass` on their own.
 #[test]
 fn sweep_spans_nest_across_the_pool() {
     let _g = registry_lock();
     perfclone_obs::reset();
     let program = by_name("crc32").expect("kernel").build(Scale::Tiny).program;
-    let trace = perfclone::AddressTrace::extract(&program, 100_000);
+    let spec = GridSpec {
+        workload: "crc32".into(),
+        scale: "tiny".into(),
+        limit: 20_000,
+        axes: GridAxes::small(),
+        max_cells: 4,
+        shard_size: 1,
+    };
+    let journal =
+        std::env::temp_dir().join(format!("perfclone-observability-{}-spans", std::process::id()));
+    let _ = std::fs::remove_dir_all(&journal);
     let pool = rayon::ThreadPoolBuilder::new().num_threads(4).build().expect("pool");
-    pool.install(|| {
-        let _ = sweep_trace_par(&trace, &cache_sweep());
-    });
+    pool.install(|| run_grid(&program, &spec, &journal, &WorkloadCache::new(), |_| {}))
+        .expect("grid");
+    let _ = std::fs::remove_dir_all(&journal);
+    let trace = AddressTrace::extract(&program, 100_000);
+    let _ = sweep_trace(&trace, &cache_sweep());
+
     let snap = perfclone_obs::snapshot();
-    let pass = snap.spans.iter().find(|s| s.name == "sweep.pass").expect("sweep.pass span");
-    let groups: Vec<_> = snap.spans.iter().filter(|s| s.name == "sweep.group").collect();
-    assert!(!groups.is_empty(), "spans: {:?}", snap.spans);
-    for g in &groups {
-        assert_eq!(g.parent, pass.id, "group span not parented to the pass");
+    let named = |name: &'static str| snap.spans.iter().filter(move |s| s.name == name);
+    let grid = named("grid.sweep").next().expect("grid.sweep span");
+    assert_eq!(named("grid.shard").count(), 4, "spans: {:?}", snap.spans);
+    for shard in named("grid.shard") {
+        assert_eq!(shard.parent, grid.id, "shard span not parented to the grid sweep");
+    }
+    let pass = named("sweep.pass").next().expect("sweep.pass span");
+    assert!(named("sweep.group").next().is_some(), "spans: {:?}", snap.spans);
+    for group in named("sweep.group") {
+        assert_eq!(group.parent, pass.id, "group span not parented to the pass");
     }
 }
 

@@ -2,13 +2,12 @@
 //! the Mattson stack-distance pass must reproduce direct
 //! per-configuration LRU [`Cache`] replay *exactly* — same miss count for
 //! every geometry, every line size, and both associativity kinds
-//! (`Assoc::Ways`, `Assoc::Full`) — and the parallel sweep path must be
-//! bit-identical at every thread count.
+//! (`Assoc::Ways`, `Assoc::Full`).
 
 use perfclone_kernels::{by_name, Scale};
 use perfclone_uarch::{
-    cache_sweep, run_par, sweep_dcache, sweep_dcache_replay, sweep_trace, sweep_trace_par,
-    AddressTrace, Assoc, Cache, CacheConfig, DataRef,
+    cache_sweep, sweep_dcache, sweep_dcache_replay, sweep_trace, AddressTrace, Assoc, Cache,
+    CacheConfig, DataRef,
 };
 use proptest::prelude::*;
 
@@ -109,15 +108,6 @@ proptest! {
         }
     }
 
-    /// The parallel engine (groups over threads) is bit-identical to the
-    /// serial engine on the same trace.
-    #[test]
-    fn parallel_engine_is_bit_identical(refs in ref_stream()) {
-        let trace = AddressTrace::from_refs(refs.len() as u64, refs);
-        let configs = config_matrix();
-        prop_assert_eq!(sweep_trace_par(&trace, &configs), sweep_trace(&trace, &configs));
-    }
-
     /// Tight clustered streams drive deep stack distances and lines
     /// falling off the truncated stack; the fully-associative configs
     /// (one set, one stack) must still match replay exactly.
@@ -152,17 +142,13 @@ proptest! {
 
 /// Acceptance-criterion check on a real kernel: the engine-backed
 /// [`sweep_dcache`] equals per-configuration [`sweep_dcache_replay`] for
-/// every configuration of the paper's Figure-4/5 sweep set, and the
-/// parallel path reproduces both at every thread count.
+/// every configuration of the paper's Figure-4/5 sweep set.
 #[test]
-fn engine_matches_replay_on_fig04_sweep_and_all_thread_counts() {
+fn engine_matches_replay_on_fig04_sweep() {
     let program = by_name("crc32").expect("kernel exists").build(Scale::Tiny).program;
     let configs = cache_sweep();
     assert_eq!(configs.len(), 28);
     let engine = sweep_dcache(&program, &configs, u64::MAX);
     let oracle = sweep_dcache_replay(&program, &configs, u64::MAX);
     assert_eq!(engine, oracle, "single-pass engine diverged from per-config replay");
-    for jobs in [1usize, 2, 3, 8] {
-        assert_eq!(run_par(&program, &configs, u64::MAX, jobs), engine, "jobs={jobs}");
-    }
 }

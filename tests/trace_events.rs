@@ -1,16 +1,16 @@
 //! Well-formedness of the Chrome Trace Format export under real parallel
-//! work: the same cache sweep that drives the telemetry tests runs on
-//! 1/4/8-thread rayon pools with tracing on, and the exported JSON must
-//! be valid, balanced (`B`/`E` pairs match per tid), and per-thread
-//! monotonic — the properties Perfetto's importer needs to render spans
-//! instead of rejecting the file. A separate test checks that ring wrap
-//! reports an exact dropped-event count rather than silently truncating.
+//! work: a sharded grid sweep runs on 1/4/8-thread rayon pools with
+//! tracing on, followed by a cache sweep on the calling thread, and the
+//! exported JSON must be valid, balanced (`B`/`E` pairs match per tid),
+//! and per-thread monotonic — the properties Perfetto's importer needs to
+//! render spans instead of rejecting the file — with parent edges intact
+//! across the pool hop. A separate test checks that ring wrap reports an
+//! exact dropped-event count rather than silently truncating.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
-use perfclone::cache_sweep;
+use perfclone::{cache_sweep, run_grid, sweep_trace, GridAxes, GridSpec, WorkloadCache};
 use perfclone_kernels::{by_name, Scale};
-use perfclone_uarch::sweep_trace_par;
 use proptest::prelude::*;
 use serde::Value;
 
@@ -48,17 +48,30 @@ fn num_field(v: &Value, key: &str) -> Option<f64> {
     }
 }
 
-/// Runs the 28-config cache sweep on a `jobs`-thread pool with tracing on
-/// and returns the exported Chrome trace.
+/// Runs a 4-shard grid sweep on a `jobs`-thread pool and then the
+/// 28-config cache sweep on the calling thread, with tracing on, and
+/// returns the exported Chrome trace.
 fn traced_sweep(jobs: usize) -> String {
     perfclone_obs::reset();
     perfclone_obs::set_trace_enabled(true);
     let program = by_name("crc32").expect("kernel").build(Scale::Tiny).program;
-    let trace = perfclone::AddressTrace::extract(&program, 60_000);
+    let spec = GridSpec {
+        workload: "crc32".into(),
+        scale: "tiny".into(),
+        limit: 20_000,
+        axes: GridAxes::small(),
+        max_cells: 4,
+        shard_size: 1,
+    };
+    let journal =
+        std::env::temp_dir().join(format!("perfclone-trace-events-{}-{jobs}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&journal);
     let pool = rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("pool");
-    pool.install(|| {
-        let _ = sweep_trace_par(&trace, &cache_sweep());
-    });
+    pool.install(|| run_grid(&program, &spec, &journal, &WorkloadCache::new(), |_| {}))
+        .expect("grid");
+    let _ = std::fs::remove_dir_all(&journal);
+    let trace = perfclone::AddressTrace::extract(&program, 60_000);
+    let _ = sweep_trace(&trace, &cache_sweep());
     perfclone_obs::set_trace_enabled(false);
     perfclone_obs::chrome_trace()
 }
@@ -79,7 +92,9 @@ proptest! {
     /// are balanced (every `E` has a preceding `B`, every `B` is closed)
     /// and per-tid timestamps never run backwards. The non-meta event
     /// count also reconciles exactly with [`perfclone_obs::trace_stats`]
-    /// when nothing wrapped.
+    /// when nothing wrapped. Every `grid.shard` span names `grid.sweep` as
+    /// its parent, and at width ≥ 2 at least one runs on another thread,
+    /// so the parent edge is checked across a real pool hop.
     #[test]
     fn export_is_balanced_and_monotonic_at_any_pool_width(
         jobs in prop_oneof![Just(1usize), Just(4), Just(8)],
@@ -92,8 +107,10 @@ proptest! {
         let mut depth: std::collections::HashMap<u64, i64> = std::collections::HashMap::new();
         let mut last_ts: std::collections::HashMap<u64, f64> = std::collections::HashMap::new();
         let mut recorded = 0u64;
-        let mut pass_id = None;
-        let mut group_parents = Vec::new();
+        // (id, tid) of each B event named here, and (parent, tid) of the
+        // spans expected to nest under them.
+        let (mut grid, mut pass) = (None, None);
+        let (mut shards, mut groups) = (Vec::new(), Vec::new());
         for ev in &events {
             let ph = str_field(ev, "ph").expect("event has ph");
             if ph == "M" {
@@ -111,12 +128,13 @@ proptest! {
             match ph {
                 "B" => {
                     *depth.entry(tid).or_insert(0) += 1;
-                    if str_field(ev, "name") == Some("sweep.pass") {
-                        pass_id = field(ev, "args").and_then(|a| num_field(a, "id"));
-                    }
-                    if str_field(ev, "name") == Some("sweep.group") {
-                        group_parents
-                            .push(field(ev, "args").and_then(|a| num_field(a, "parent")));
+                    let arg = |key| field(ev, "args").and_then(|a| num_field(a, key));
+                    match str_field(ev, "name") {
+                        Some("grid.sweep") => grid = Some((arg("id"), tid)),
+                        Some("grid.shard") => shards.push((arg("parent"), tid)),
+                        Some("sweep.pass") => pass = Some((arg("id"), tid)),
+                        Some("sweep.group") => groups.push((arg("parent"), tid)),
+                        _ => {}
                     }
                 }
                 "E" => {
@@ -132,12 +150,23 @@ proptest! {
             prop_assert_eq!(*d, 0, "tid {} left {} span(s) open in the export", tid, d);
         }
 
-        // Parent edges survive the pool hop: every sweep.group B names the
-        // driving sweep.pass span as its parent.
-        let pass_id = pass_id.expect("sweep.pass span in trace");
-        prop_assert!(!group_parents.is_empty(), "sweep.group spans in trace");
-        for parent in &group_parents {
-            prop_assert_eq!(*parent, Some(pass_id));
+        // Parent edges survive the pool hop: every grid.shard B names the
+        // driving grid.sweep span as its parent, and at width >= 2 some
+        // shard ran on a worker thread rather than the sweep's own.
+        let (grid_id, grid_tid) = grid.expect("grid.sweep span in trace");
+        prop_assert_eq!(shards.len(), 4, "grid.shard spans in trace");
+        for (parent, _) in &shards {
+            prop_assert_eq!(*parent, grid_id);
+        }
+        if jobs > 1 {
+            prop_assert!(shards.iter().any(|&(_, tid)| tid != grid_tid), "no shard left the sweep's thread");
+        }
+        // Same-thread nesting: sweep.group spans sit under sweep.pass.
+        let (pass_id, pass_tid) = pass.expect("sweep.pass span in trace");
+        prop_assert!(!groups.is_empty(), "sweep.group spans in trace");
+        for &(parent, tid) in &groups {
+            prop_assert_eq!(parent, pass_id);
+            prop_assert_eq!(tid, pass_tid);
         }
 
         // Nothing wrapped at the default ring size, so the export holds

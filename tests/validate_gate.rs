@@ -111,6 +111,23 @@ fn runaway_programs_exhaust_budgets_with_typed_errors() {
     ));
 }
 
+/// A clone that runs off the end of its text while the gate re-profiles
+/// it is rejected as `CloneFaulted`, carrying the simulator's own fault,
+/// rather than judged or reported as budget exhaustion.
+#[test]
+fn clone_running_off_its_text_is_rejected_as_faulted() {
+    let profile = profile_program(&small_program(50, 8), u64::MAX).expect("profile");
+    let mut b = ProgramBuilder::new("fall");
+    b.nop(); // no halt: execution falls off the end of the text section
+    let fall = b.build();
+    let gate = Gate { profile_budget: 1_000, ..Gate::default() };
+    let err = gate.report(&profile, &fall).expect_err("the clone faults");
+    let ValidateError::CloneFaulted(fault) = err else {
+        panic!("expected CloneFaulted, got {err}");
+    };
+    assert_eq!(fault, Simulator::new(&fall).run(1_000).expect_err("falls off its text"));
+}
+
 /// A tiny deterministic loop program used by the property tests (cheap to
 /// profile compared to the bundled kernels).
 fn small_program(iters: i64, stride: i64) -> perfclone_isa::Program {
