@@ -681,8 +681,9 @@ pub fn run_grid_with(
 
 /// FNV-1a over `bytes` (the same construction the spill codec and seed
 /// derivation use; duplicated because it is four lines and keeping the
-/// grid hash self-contained makes the stability contract auditable).
-fn fnv1a(bytes: &[u8]) -> u64 {
+/// grid's hashes, the spec hash and the journal's row checksum, in this
+/// crate makes their stability contract auditable).
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for &b in bytes {
         h ^= u64::from(b);

@@ -15,7 +15,9 @@
 //! into place, so a record either exists whole or not at all; a `SIGKILL`
 //! mid-write leaves only a stray temp file, which [`Journal::open`] reaps
 //! on the next resume. Records are additionally validated on load (spec
-//! hash, shard range, row order, metric finiteness). A record that fails
+//! hash, shard range, row order, metric finiteness, and a checksum over
+//! every row field, so a flipped byte that leaves the JSON valid cannot
+//! pass for a journaled result). A record that fails
 //! *structural* validation — truncated by a torn rename, corrupted by bit
 //! rot, or short-written by a failing disk — is **demoted, not fatal**:
 //! the bad file is set aside (renamed `*.corrupt`), a stderr warning and
@@ -57,10 +59,11 @@ use std::path::{Path, PathBuf};
 
 use serde::{Deserialize, Serialize};
 
-use crate::grid::{CellRow, GridSpec};
+use crate::grid::{fnv1a, CellRow, GridSpec};
 
-/// Current journal format version (recorded in `spec.json`).
-pub const JOURNAL_VERSION: u32 = 1;
+/// Current journal format version (recorded in `spec.json`). Version 2
+/// added the shard records' row checksum.
+pub const JOURNAL_VERSION: u32 = 2;
 
 /// Typed error for journal I/O and validation.
 #[derive(Clone, Debug, PartialEq)]
@@ -152,6 +155,26 @@ struct ShardRecord {
     start: u64,
     end: u64,
     rows: Vec<CellRow>,
+    /// [`rows_checksum`] of `rows`.
+    checksum: u64,
+}
+
+/// FNV-1a over every field of every row, the `f64`s by their bits. A byte
+/// flip that keeps the record valid JSON (inside an id, an integer or a
+/// float) still changes a field, so it changes this sum.
+fn rows_checksum(rows: &[CellRow]) -> u64 {
+    let mut bytes = Vec::new();
+    for row in rows {
+        bytes.extend_from_slice(&row.cell.to_le_bytes());
+        bytes.extend_from_slice(&(row.id.len() as u64).to_le_bytes());
+        bytes.extend_from_slice(row.id.as_bytes());
+        for v in
+            [row.cycles, row.instrs, row.ipc.to_bits(), row.power.to_bits(), row.l1d_mpi.to_bits()]
+        {
+            bytes.extend_from_slice(&v.to_le_bytes());
+        }
+    }
+    fnv1a(&bytes)
 }
 
 /// One quarantined cell, as surfaced to callers and the run report: the
@@ -443,8 +466,9 @@ impl Journal {
     }
 
     /// Loads and validates one shard record. Rows must be strictly
-    /// increasing within the shard's cell range; a missing cell is
-    /// accepted exactly when `quarantined` covers it.
+    /// increasing within the shard's cell range, a missing cell is
+    /// accepted exactly when `quarantined` covers it, and the rows must
+    /// match the record's checksum.
     fn load_shard(
         path: &Path,
         spec: &GridSpec,
@@ -517,6 +541,16 @@ impl Journal {
         }
         check_finite(&rec.rows)
             .map_err(|e| corrupt(path, format!("journaled row is non-finite: {e}")))?;
+        let sum = rows_checksum(&rec.rows);
+        if sum != rec.checksum {
+            return Err(corrupt(
+                path,
+                format!(
+                    "rows checksum {sum:#018x} does not match the recorded {:#018x}",
+                    rec.checksum
+                ),
+            ));
+        }
         Ok(rec.rows)
     }
 
@@ -536,7 +570,14 @@ impl Journal {
         rows: &[CellRow],
     ) -> Result<(), JournalError> {
         check_finite(rows)?;
-        let rec = ShardRecord { spec_hash: self.spec_hash, shard, start, end, rows: rows.to_vec() };
+        let rec = ShardRecord {
+            spec_hash: self.spec_hash,
+            shard,
+            start,
+            end,
+            rows: rows.to_vec(),
+            checksum: rows_checksum(rows),
+        };
         let path = self.dir.join(format!("shard-{shard:06}.json"));
         let text = serde_json::to_string(&rec).map_err(|e| corrupt(&path, e.to_string()))?;
         perfclone_obs::instant!("journal.write.shard");

@@ -10,11 +10,13 @@
 //!
 //! [`InstrMeta`] caches the answers in a flat `Copy` struct and
 //! [`InstrMetaTable`] interns one per pc in a dense, pc-indexed `Vec` built
-//! once per program. Replay paths (batched and record-at-a-time oracle)
-//! index the table by pc; paths without a stable pc→instr mapping (statsim's
-//! synthetic traces shuffle block bodies, so one pc can denote different
-//! instructions across records) derive the same struct per record via
-//! [`InstrMeta::of`], keeping a single derivation of the metadata semantics.
+//! once per program. The batched replay path and the workload profiler
+//! index the table by pc (the record-at-a-time replay oracle resolves from
+//! the program text instead); paths without a stable pc→instr mapping
+//! (statsim's synthetic traces shuffle block bodies, so one pc can denote
+//! different instructions across records) derive the same struct per record
+//! via [`InstrMeta::of`], keeping a single derivation of the metadata
+//! semantics.
 //!
 //! Every field is computed *through* the existing `Instr` accessors
 //! (`class`, `uses`, `defs`, `mem_ref`, `is_cond_branch`, `is_control`), so

@@ -1,18 +1,22 @@
 //! The online profile collector.
 //!
-//! Hot-path note: every per-retired-instruction table — the `(pred, cur)`
-//! context map, the edge map, the per-stream stride/run maps, and above
-//! all the store-chunk `mem_writer` table — is keyed by small integers
-//! the profiler itself produces, never by attacker-controlled data, so
-//! they use the deterministic multiply-rotate [`FxHashMap`] instead of
-//! `std`'s SipHash map. Profile output is unaffected: every map either
-//! has hash-independent insertion logic or is sorted (or reduced by a
-//! total order) before it reaches the [`WorkloadProfile`].
+//! Hot-path note: the collector runs once per retired instruction, inlined
+//! into the interpreter loop. What it needs to know about the record's
+//! instruction it reads from the program's [`InstrMetaTable`], and the ids
+//! it interns per pc (SFG node, stream, branch record) sit in one dense
+//! pc-indexed slot table, so neither costs an enum match or a hash. The
+//! `(pred, cur)` context map (probed once per block entry), the store-chunk
+//! `mem_writer` table and the per-stream stride/run maps are keyed by
+//! run-time values and stay hashed, with the deterministic multiply-rotate
+//! [`FxHashMap`]: their keys are small integers the profiler itself
+//! produces, never attacker-controlled data. Profile output is unaffected:
+//! every map either has hash-independent insertion logic or is sorted (or
+//! reduced by a total order) before it reaches the [`WorkloadProfile`].
 
 use rustc_hash::FxHashMap;
 
-use perfclone_isa::{Instr, Program};
-use perfclone_sim::{DynInstr, Observer, Simulator};
+use perfclone_isa::{InstrClass, InstrMetaTable, Program};
+use perfclone_sim::{DynInstr, MemAccess, Observer, Simulator};
 
 use crate::error::ProfileError;
 use crate::hist::DepHistogram;
@@ -24,7 +28,11 @@ use crate::model::{
 /// profiler bounds its tables the same way.
 const MAX_STRIDES: usize = 128;
 
+/// The predecessor of the program's first block.
 const ENTRY: u32 = u32::MAX;
+
+/// A slot id not interned yet.
+const UNSEEN: u32 = u32::MAX;
 
 #[derive(Debug, Default)]
 struct NodeCollect {
@@ -39,6 +47,8 @@ struct NodeCollect {
 
 #[derive(Debug, Default)]
 struct CtxCollect {
+    pred: u32,
+    node: u32,
     count: u64,
     reg_deps: DepHistogram,
     mem_deps: DepHistogram,
@@ -191,79 +201,102 @@ impl Default for BranchCollect {
     }
 }
 
+/// Ids interned at one pc, in first-seen order (`UNSEEN` until then), so
+/// the profile lists nodes, streams and branches in the order execution
+/// first reached them.
+#[derive(Clone, Copy, Debug)]
+struct Slot {
+    /// The SFG node of the block starting at this pc.
+    node: u32,
+    /// The stream of the memory op, or the record of the conditional
+    /// branch, at this pc; no instruction is both.
+    site: u32,
+}
+
 /// An [`Observer`] that builds a [`WorkloadProfile`] from the retired
 /// instruction stream — the paper's "workload profiler" box (Figure 1).
+///
+/// A profiler is bound to the [`Program`] it was created for and must be
+/// fed that program's retired records, as the interpreter produces them.
+///
+/// # Panics
+///
+/// [`on_retire`](Observer::on_retire) panics when a record's pc lies
+/// outside the program, as [`InstrMetaTable::at`] does.
 #[derive(Debug)]
 pub struct Profiler {
     name: String,
+    meta: InstrMetaTable,
+    slots: Vec<Slot>,
     pos: u64,
-    node_ids: FxHashMap<u32, u32>,
     nodes: Vec<NodeCollect>,
-    edges: FxHashMap<(u32, u32), u64>,
-    contexts: FxHashMap<(u32, u32), CtxCollect>,
+    ctx_ids: FxHashMap<(u32, u32), u32>,
+    contexts: Vec<CtxCollect>,
     cur_node: Option<u32>,
     prev_node: u32,
-    cur_ctx: (u32, u32),
+    cur_ctx: usize,
     reg_writer: [u64; 64],
     mem_writer: FxHashMap<u64, u64>,
-    stream_ids: FxHashMap<u32, u32>,
     streams: Vec<StreamCollect>,
-    branch_ids: FxHashMap<u32, u32>,
     branches: Vec<BranchCollect>,
     global_history: u8,
 }
 
 impl Profiler {
-    /// Creates a profiler for a program with the given name.
-    pub fn new(name: impl Into<String>) -> Profiler {
+    /// Creates a profiler for `program`, interning its instruction
+    /// metadata once.
+    pub fn new(program: &Program) -> Profiler {
         Profiler {
-            name: name.into(),
+            name: program.name().to_string(),
+            meta: InstrMetaTable::new(program),
+            slots: vec![Slot { node: UNSEEN, site: UNSEEN }; program.len()],
             pos: 0,
-            node_ids: FxHashMap::default(),
             nodes: Vec::new(),
-            edges: FxHashMap::default(),
-            contexts: FxHashMap::default(),
+            ctx_ids: FxHashMap::default(),
+            contexts: Vec::new(),
             cur_node: None,
             prev_node: ENTRY,
-            cur_ctx: (ENTRY, ENTRY),
+            cur_ctx: 0,
             reg_writer: [0; 64],
             mem_writer: FxHashMap::default(),
-            stream_ids: FxHashMap::default(),
             streams: Vec::new(),
-            branch_ids: FxHashMap::default(),
             branches: Vec::new(),
             global_history: 0,
         }
     }
 
-    fn intern_node(&mut self, start_pc: u32) -> u32 {
-        if let Some(&id) = self.node_ids.get(&start_pc) {
-            return id;
+    #[inline]
+    fn node_at(&mut self, pc: u32) -> u32 {
+        let slot = &mut self.slots[pc as usize];
+        if slot.node == UNSEEN {
+            slot.node = self.nodes.len() as u32;
+            self.nodes.push(NodeCollect {
+                start_pc: pc,
+                collecting: true,
+                ..NodeCollect::default()
+            });
         }
-        let id = self.nodes.len() as u32;
-        self.node_ids.insert(start_pc, id);
-        self.nodes.push(NodeCollect { start_pc, collecting: true, ..NodeCollect::default() });
-        id
+        slot.node
     }
 
-    fn intern_stream(&mut self, pc: u32, is_store: bool, width: u8) -> u32 {
-        if let Some(&id) = self.stream_ids.get(&pc) {
-            return id;
+    #[inline]
+    fn stream_at(&mut self, pc: u32, m: &MemAccess) -> u32 {
+        let slot = &mut self.slots[pc as usize];
+        if slot.site == UNSEEN {
+            slot.site = self.streams.len() as u32;
+            self.streams.push(StreamCollect::new(pc, m.is_store, m.bytes));
         }
-        let id = self.streams.len() as u32;
-        self.stream_ids.insert(pc, id);
-        self.streams.push(StreamCollect::new(pc, is_store, width));
-        id
+        slot.site
     }
 
-    fn intern_branch(&mut self, pc: u32) -> u32 {
-        if let Some(&id) = self.branch_ids.get(&pc) {
-            return id;
+    #[inline]
+    fn branch_at(&mut self, pc: u32) -> u32 {
+        let slot = &mut self.slots[pc as usize];
+        if slot.site == UNSEEN {
+            slot.site = self.branches.len() as u32;
+            self.branches.push(BranchCollect { pc, ..BranchCollect::default() });
         }
-        let id = self.branches.len() as u32;
-        self.branch_ids.insert(pc, id);
-        self.branches.push(BranchCollect { pc, ..BranchCollect::default() });
-        id
+        slot.site
     }
 
     /// Finalizes collection into a [`WorkloadProfile`].
@@ -280,18 +313,21 @@ impl Profiler {
                 branch: n.branch,
             })
             .collect();
+        // Every block entry counts its `(pred, cur)` context, so the
+        // contexts with a real predecessor are exactly the SFG's edges.
         let mut edges: Vec<EdgeProfile> = self
-            .edges
-            .into_iter()
-            .map(|((from, to), count)| EdgeProfile { from, to, count })
+            .contexts
+            .iter()
+            .filter(|c| c.pred != ENTRY)
+            .map(|c| EdgeProfile { from: c.pred, to: c.node, count: c.count })
             .collect();
         edges.sort_by_key(|e| (e.from, e.to));
         let mut contexts: Vec<ContextProfile> = self
             .contexts
             .into_iter()
-            .map(|((pred, node), c)| ContextProfile {
-                pred,
-                node,
+            .map(|c| ContextProfile {
+                pred: c.pred,
+                node: c.node,
                 count: c.count,
                 reg_deps: c.reg_deps,
                 mem_deps: c.mem_deps,
@@ -323,59 +359,64 @@ impl Profiler {
 }
 
 impl Observer for Profiler {
+    // `#[inline]` lets `Gate::report`, which drives a profiler from
+    // another crate, fuse this body into its interpreter loop as
+    // `profile_program` does here; without LTO a non-generic method is
+    // otherwise a call per retired record.
+    #[inline]
     fn on_retire(&mut self, d: &DynInstr) {
-        // Block entry.
+        let meta = *self.meta.at(d.pc);
+
+        // Block entry: the `(pred, cur)` context is resolved here, once
+        // per block, and indexed directly by every record of the block.
         let node = match self.cur_node {
             Some(n) => n,
             None => {
-                let n = self.intern_node(d.pc);
+                let n = self.node_at(d.pc);
                 self.cur_node = Some(n);
                 self.nodes[n as usize].execs += 1;
-                if self.prev_node != ENTRY {
-                    *self.edges.entry((self.prev_node, n)).or_insert(0) += 1;
-                }
-                self.cur_ctx = (self.prev_node, n);
-                self.contexts.entry(self.cur_ctx).or_default().count += 1;
+                let (pred, contexts) = (self.prev_node, &mut self.contexts);
+                let ctx = *self.ctx_ids.entry((pred, n)).or_insert_with(|| {
+                    contexts.push(CtxCollect { pred, node: n, ..CtxCollect::default() });
+                    (contexts.len() - 1) as u32
+                });
+                self.cur_ctx = ctx as usize;
+                self.contexts[self.cur_ctx].count += 1;
                 n
             }
         };
-        let collecting = self.nodes[node as usize].collecting;
 
-        // Static block composition (first complete visit only).
-        let mut stream_id = None;
-        if let Some((_, width, is_store)) = d.instr.mem_ref() {
-            stream_id = Some(self.intern_stream(d.pc, is_store, width.bytes() as u8));
-        }
+        // Static block composition (first complete visit only). Interpreter
+        // records carry a memory access exactly for memory instructions.
+        let stream_id = d.mem.map(|m| self.stream_at(d.pc, &m));
+        let n = &mut self.nodes[node as usize];
+        let collecting = n.collecting;
         if collecting {
-            let n = &mut self.nodes[node as usize];
             n.size += 1;
-            n.class_counts[d.instr.class().index()] += 1;
+            n.class_counts[meta.class.index()] += 1;
             if let Some(sid) = stream_id {
                 n.mem_ops.push(sid);
             }
         }
 
-        // Dependency distances (per context). The context was interned at
-        // block entry; `or_default` keeps this total without an `expect`.
+        // Dependency distances (per context).
         let pos = self.pos + 1; // 1-based writer positions; 0 = none
-        {
-            let ctx = self.contexts.entry(self.cur_ctx).or_default();
-            for u in d.instr.uses() {
-                let w = self.reg_writer[u.flat_index()];
-                if w != 0 {
-                    ctx.reg_deps.record(pos - w);
-                }
+        let ctx = &mut self.contexts[self.cur_ctx];
+        for &u in meta.uses() {
+            let w = self.reg_writer[usize::from(u)];
+            if w != 0 {
+                ctx.reg_deps.record(pos - w);
             }
-            if let Some(m) = d.mem {
-                if !m.is_store {
-                    if let Some(&w) = self.mem_writer.get(&(m.addr >> 3)) {
-                        ctx.mem_deps.record(pos - w);
-                    }
+        }
+        if let Some(m) = d.mem {
+            if !m.is_store {
+                if let Some(&w) = self.mem_writer.get(&(m.addr >> 3)) {
+                    ctx.mem_deps.record(pos - w);
                 }
             }
         }
-        for def in d.instr.defs() {
-            self.reg_writer[def.flat_index()] = pos;
+        for &def in meta.defs() {
+            self.reg_writer[usize::from(def)] = pos;
         }
         if let Some(m) = d.mem {
             if m.is_store {
@@ -392,8 +433,8 @@ impl Observer for Profiler {
         }
 
         // Branch direction statistics.
-        if d.instr.is_cond_branch() {
-            let bid = self.intern_branch(d.pc);
+        if meta.cond_branch {
+            let bid = self.branch_at(d.pc);
             if collecting {
                 self.nodes[node as usize].branch = Some(bid);
             }
@@ -423,9 +464,8 @@ impl Observer for Profiler {
             self.global_history = self.global_history.wrapping_shl(1) | u8::from(d.taken);
         }
 
-        // Block end.
-        let ends = d.instr.is_control() || matches!(d.instr, Instr::Halt);
-        if ends {
+        // Block end: every control transfer, and `halt` (class `Jump`).
+        if matches!(meta.class, InstrClass::Branch | InstrClass::Jump) {
             self.nodes[node as usize].collecting = false;
             self.prev_node = node;
             self.cur_node = None;
@@ -447,7 +487,7 @@ impl Observer for Profiler {
 /// without SFG nodes.
 pub fn profile_program(program: &Program, limit: u64) -> Result<WorkloadProfile, ProfileError> {
     let _span = perfclone_obs::span!("profile.collect");
-    let mut profiler = Profiler::new(program.name());
+    let mut profiler = Profiler::new(program);
     let mut sim = Simulator::new(program);
     sim.run_with(limit, &mut profiler)?;
     let profile = profiler.finish();
@@ -624,6 +664,115 @@ mod tests {
         let err = profile_program(&b.build(), 100).unwrap_err();
         assert!(matches!(err, ProfileError::Fault(_)));
         assert!(err.to_string().contains("faulted"));
+    }
+
+    /// The last pc owns the last slot of the table: as a block start and
+    /// conditional branch in one program, as a block start and memory op
+    /// (faulting off the end right after it) in another.
+    #[test]
+    fn last_pc_fills_the_last_slot() {
+        let mut b = ProgramBuilder::new("last-branch");
+        let (exit, last) = (b.label(), b.label());
+        b.li(r(1), 7);
+        b.j(last);
+        b.bind(exit);
+        b.halt();
+        b.bind(last);
+        b.beq(r(1), r(1), exit); // pc 3, always taken
+        let prof = profile_program(&b.build(), 100).unwrap();
+        let starts: Vec<u32> = prof.nodes.iter().map(|n| n.start_pc).collect();
+        assert_eq!(starts, [0, 3, 2]);
+        assert_eq!((prof.nodes[1].size, prof.nodes[1].branch), (1, Some(0)));
+        assert_eq!(
+            (prof.branches[0].pc, prof.branches[0].execs, prof.branches[0].taken),
+            (3, 1, 1)
+        );
+
+        let mut b = ProgramBuilder::new("last-load");
+        let a = b.alloc(8);
+        let last = b.label();
+        b.li(r(1), a as i64);
+        b.j(last);
+        b.halt();
+        b.bind(last);
+        b.ld(r(2), r(1), 0); // pc 3, then off the end
+        let p = b.build();
+        let mut profiler = Profiler::new(&p);
+        let err = Simulator::new(&p).run_with(100, &mut profiler).unwrap_err();
+        assert!(matches!(err, perfclone_sim::SimError::PcOutOfRange { pc: 4, .. }));
+        let prof = profiler.finish();
+        let node = prof.nodes.iter().find(|n| n.start_pc == 3).expect("block at the last pc");
+        assert_eq!((node.size, node.mem_ops.as_slice()), (1, &[0][..]));
+        assert_eq!((prof.streams[0].pc, prof.streams[0].execs), (3, 1));
+    }
+
+    /// A block entered from two predecessors (`A→C`, `B→C`) gets one
+    /// context per predecessor, each with its own dependence histogram.
+    #[test]
+    fn two_predecessors_give_two_contexts() {
+        let mut b = ProgramBuilder::new("join");
+        let (blk_b, blk_c) = (b.label(), b.label());
+        let (visits, x, y, lim) = (r(5), r(3), r(4), r(6));
+        b.li(visits, 0); // A
+        b.j(blk_c);
+        b.bind(blk_b);
+        b.li(x, 9); // B
+        b.j(blk_c);
+        b.bind(blk_c);
+        b.add(y, x, visits); // C: reads `x` only after B wrote it
+        b.addi(visits, visits, 1);
+        b.li(lim, 2);
+        b.blt(visits, lim, blk_b);
+        b.halt();
+        let prof = profile_program(&b.build(), 100).unwrap();
+        let node = |pc: u32| prof.nodes.iter().position(|n| n.start_pc == pc).unwrap() as u32;
+        let (a, bb, c) = (node(0), node(2), node(4));
+        let ctx = |pred: u32| prof.contexts.iter().find(|k| k.pred == pred && k.node == c).unwrap();
+        let (from_a, from_b) = (ctx(a), ctx(bb));
+        assert_eq!((from_a.count, from_b.count), (1, 1));
+        // From A: add (visits), addi (visits), blt (visits, lim). From B the
+        // add also reads `x`.
+        assert_eq!((from_a.reg_deps.total(), from_b.reg_deps.total()), (4, 5));
+        assert_ne!(from_a.reg_deps, from_b.reg_deps);
+        let edges: Vec<(u32, u32, u64)> =
+            prof.edges.iter().map(|e| (e.from, e.to, e.count)).collect();
+        assert!(edges.contains(&(a, c, 1)) && edges.contains(&(bb, c, 1)), "{edges:?}");
+    }
+
+    /// `halt` ends its block: a record after it (here, the same run fed
+    /// twice) enters the block again instead of growing it.
+    #[test]
+    fn halt_ends_a_block() {
+        let mut b = ProgramBuilder::new("halt");
+        b.li(r(1), 1);
+        b.halt();
+        let p = b.build();
+        let records: Vec<DynInstr> = Simulator::trace(&p, 10).collect();
+        let mut profiler = Profiler::new(&p);
+        for d in records.iter().chain(&records) {
+            profiler.on_retire(d);
+        }
+        let prof = profiler.finish();
+        assert_eq!(prof.nodes.len(), 1);
+        assert_eq!((prof.nodes[0].size, prof.nodes[0].execs), (2, 2));
+        let edges: Vec<(u32, u32, u64)> =
+            prof.edges.iter().map(|e| (e.from, e.to, e.count)).collect();
+        assert_eq!(edges, [(0, 0, 1)]);
+    }
+
+    #[test]
+    #[should_panic]
+    fn record_outside_the_program_panics() {
+        let mut b = ProgramBuilder::new("short");
+        b.halt();
+        let mut profiler = Profiler::new(&b.build());
+        profiler.on_retire(&DynInstr {
+            pc: 1,
+            instr: perfclone_isa::Instr::Nop,
+            next_pc: 2,
+            taken: false,
+            mem: None,
+        });
     }
 
     #[test]

@@ -116,6 +116,13 @@ impl<'p> Simulator<'p> {
     ///
     /// Returns [`SimError::PcOutOfRange`] if control flow escapes the
     /// program text.
+    // The consumers of the retired stream (the profiler, the gate's
+    // re-profile, address extraction, trace capture, the live pipeline) run
+    // their loops in other crates. Without LTO a non-generic function is
+    // opaque across crates, so `#[inline]` is what lets each loop fuse with
+    // the interpreter instead of calling out per instruction and returning
+    // the record through memory.
+    #[inline]
     pub fn step(&mut self) -> Result<Option<DynInstr>, SimError> {
         if self.halted {
             return Ok(None);

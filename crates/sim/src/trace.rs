@@ -134,6 +134,10 @@ impl<'p> Trace<'p> {
 impl Iterator for Trace<'_> {
     type Item = DynInstr;
 
+    // Consumers iterate this from other crates (address extraction, trace
+    // capture, the live pipeline); `#[inline]` lets their loops fuse with
+    // the interpreter, for the reason given at `Simulator::step`.
+    #[inline]
     fn next(&mut self) -> Option<DynInstr> {
         if self.remaining == 0 || self.fault.is_some() {
             return None;

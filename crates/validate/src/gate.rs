@@ -272,7 +272,7 @@ impl Gate {
     ) -> Result<ValidationReport, ValidateError> {
         let _gate_span = perfclone_obs::span!("validate.gate");
         source.check().map_err(ValidateError::Source)?;
-        let mut profiler = Profiler::new(clone.name());
+        let mut profiler = Profiler::new(clone);
         let mut sim = Simulator::new(clone);
         let outcome = {
             let _s = perfclone_obs::span!("validate.reprofile");

@@ -7,8 +7,8 @@
 use std::path::PathBuf;
 
 use perfclone::{
-    parse_fault_injector, run_grid_with, Error, ErrorClass, GridAxes, GridOutcome, GridPolicy,
-    GridSpec, WorkloadCache,
+    parse_fault_injector, run_grid_with, CellRow, Error, ErrorClass, GridAxes, GridOutcome,
+    GridPolicy, GridSpec, Journal, WorkloadCache,
 };
 use perfclone_kernels::{by_name, Scale};
 use proptest::prelude::*;
@@ -200,6 +200,61 @@ fn truncated_final_shard_demotes_and_recovers() {
     assert_eq!(resumed.rows, first.rows, "recovery must be bit-identical");
     // The torn record is preserved as evidence, not deleted.
     assert!(journal.join(format!("shard-{last:06}.json.corrupt")).exists());
+    let _ = std::fs::remove_dir_all(&journal);
+}
+
+/// Replaces the character at `at` in `path`'s text with `with`.
+fn overwrite_char(path: &std::path::Path, at: usize, with: char) {
+    let mut text = std::fs::read_to_string(path).expect("read shard record");
+    text.replace_range(at..at + 1, &with.to_string());
+    std::fs::write(path, text).expect("rewrite shard record");
+}
+
+/// A flipped byte that keeps a shard record valid JSON, inside a row id or
+/// inside a numeric field, fails the record's row checksum: `Journal::open`
+/// demotes the shard, and the resumed sweep re-executes it and merges
+/// bit-identically.
+#[test]
+fn valid_json_byte_flips_demote_and_recompute() {
+    let program = tiny_program();
+    let spec = spec_with(10, 4);
+    let journal = temp_journal("flipped");
+    let _ = std::fs::remove_dir_all(&journal);
+    let first = sweep(&program, &spec, &journal, &fast_policy(false), None).expect("seed journal");
+
+    // Shard 0: one hex digit of the first row's id (`"id":"g<hash>-c0"`).
+    let shard0 = journal.join("shard-000000.json");
+    let text = std::fs::read_to_string(&shard0).expect("read shard 0");
+    let at = text.find("\"id\":\"g").expect("a row id") + 8;
+    overwrite_char(&shard0, at, if &text[at..=at] == "a" { 'b' } else { 'a' });
+    // Shard 1: the last digit of the first row's cycle count.
+    let shard1 = journal.join("shard-000001.json");
+    let text = std::fs::read_to_string(&shard1).expect("read shard 1");
+    let digits = text.find("\"cycles\":").expect("a cycle count") + 9;
+    let at = digits + text[digits..].find(|c: char| !c.is_ascii_digit()).expect("number ends") - 1;
+    let last = text.as_bytes()[at] - b'0';
+    overwrite_char(&shard1, at, char::from(b'0' + (last + 1) % 10));
+    #[derive(serde::Deserialize)]
+    struct Rows {
+        rows: Vec<CellRow>,
+    }
+    let parsed = |path: &std::path::Path| -> Vec<CellRow> {
+        let text = std::fs::read_to_string(path).expect("reread");
+        serde_json::from_str::<Rows>(&text).expect("the flip keeps the record parseable").rows
+    };
+    assert_ne!(parsed(&shard0)[0].id, first.rows[0].id);
+    assert_ne!(parsed(&shard1)[0].cycles, first.rows[4].cycles);
+
+    let (_, load) = Journal::open(&journal, &spec).expect("journal opens");
+    assert_eq!(load.recovered, 2, "both flipped records demoted");
+    assert!(!load.shards.contains_key(&0) && !load.shards.contains_key(&1));
+    assert!(journal.join("shard-000000.json.corrupt").exists());
+    assert!(journal.join("shard-000001.json.corrupt").exists());
+
+    let resumed =
+        sweep(&program, &spec, &journal, &fast_policy(false), None).expect("recovered sweep");
+    assert_eq!(resumed.executed_shards, 2, "only the demoted shards re-execute");
+    assert_eq!(resumed.rows, first.rows, "recovery must be bit-identical");
     let _ = std::fs::remove_dir_all(&journal);
 }
 
