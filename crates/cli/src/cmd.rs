@@ -5,10 +5,10 @@ use std::sync::Mutex;
 
 use perfclone::experiments::{cache_sweep_pair, design_change_sweep};
 use perfclone::{
-    base_config, cache_sweep, env_fault_injector, faultfs, pareto_frontier, parse_fault_injector,
-    run_grid, run_grid_with, run_timing, run_timing_trace, CellRow, Cloner, Error, Fault,
-    FaultPlan, Gate, GridAxes, GridOutcome, GridPolicy, GridSpec, PairComparison, SynthesisParams,
-    Table, ValidationReport, Verdict, WorkloadCache, WorkloadProfile,
+    base_config, cache_sweep, env_fault_injector, pareto_frontier, run_grid_with, run_timing,
+    run_timing_trace, CellRow, Cloner, Gate, GridAxes, GridOutcome, GridPolicy, GridSpec,
+    PairComparison, SynthesisParams, Table, ValidationReport, Verdict, WorkloadCache,
+    WorkloadProfile,
 };
 use perfclone_isa::Program;
 use perfclone_obs::{
@@ -39,12 +39,6 @@ USAGE:
   perfclone report <kernel|report.json> [opts]    characterization report, or
                                                   pretty-print a saved run report
   perfclone statsim <kernel> [opts]               statistical-simulation IPC
-  perfclone selfcheck [kernel...] [opts]          fault-injection self-check
-  perfclone chaos [kernel] [opts]                 resilience self-check: runs a
-                                                  --keep-going grid sweep under
-                                                  injected cell faults and filesystem
-                                                  chaos, asserting retry, quarantine,
-                                                  and recovery invariants
 
 OPTIONS:
   --scale tiny|small      input scale (default small)
@@ -317,8 +311,6 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
         "disasm" => disasm(&rest),
         "report" => report(&rest),
         "statsim" => statsim(&rest),
-        "selfcheck" => selfcheck(&rest),
-        "chaos" => chaos(&rest),
         other => Err(format!("unknown command {other:?}")),
     });
     // Export the trace before the report so the report's `trace` summary
@@ -350,8 +342,8 @@ fn kernel_program(parsed: &Parsed, pos: usize) -> Result<(String, Program), Stri
     Ok((name.clone(), kernel.build(parsed.scale()?).program))
 }
 
-/// Renders the per-stage wall-time footer `validate` / `selfcheck` /
-/// `clone` print: every duration comes from the span registry, so a
+/// Renders the per-stage wall-time footer `validate`, `dsweep`, `grid`
+/// and `clone` print: every duration comes from the span registry, so a
 /// `--jobs N` run reports the same stages (with pool fan-out folded into
 /// the driving span) at any thread count.
 fn stage_footer() -> Option<String> {
@@ -556,7 +548,7 @@ fn sweep(parsed: &Parsed) -> Result<(), String> {
     for ((cfg, r), s) in cmp.configs.iter().zip(&cmp.real_mpi).zip(&cmp.synth_mpi) {
         t.row(vec![cfg.to_string(), format!("{r:.5}"), format!("{s:.5}")]);
     }
-    let pearson = perfclone::pearson(&cmp.real_mpi, &cmp.synth_mpi);
+    let pearson = cmp.correlation();
     note_metric("sweep.mpi.pearson", pearson);
     say!("{name} cache sweep:\n\n{}", t.render());
     say!("pearson r = {pearson:.3}");
@@ -900,294 +892,6 @@ fn statsim(parsed: &Parsed) -> Result<(), String> {
     Ok(())
 }
 
-/// Fault-injection self-check: for every kernel named on the command line
-/// (default `crc32`), applies each [`Fault`] to the kernel's profile and
-/// verifies the pipeline's contract — structure-breaking faults are
-/// rejected with a typed error, structure-preserving ones synthesize a
-/// clone whose fidelity-gate verdict against the pristine profile is
-/// reported. Exits nonzero if any fault violates the contract.
-fn selfcheck(parsed: &Parsed) -> Result<(), String> {
-    let span = perfclone_obs::span!("cli.selfcheck");
-    let names: Vec<String> = if parsed.positional.is_empty() {
-        vec!["crc32".to_string()]
-    } else {
-        parsed.positional.clone()
-    };
-    let seed = parsed.opt_u64(&["--seed"])?.unwrap_or(0xC10_5E1F);
-    let mut t = Table::new(vec!["kernel".into(), "fault".into(), "outcome".into()]);
-    let mut violations = Vec::new();
-    for name in &names {
-        let kernel = perfclone_kernels::by_name(name)
-            .ok_or_else(|| format!("unknown kernel {name:?} (see `perfclone list`)"))?;
-        let program = kernel.build(parsed.scale()?).program;
-        let profile = perfclone::profile_program(&program, u64::MAX).map_err(|e| e.to_string())?;
-        let params = synth_params(parsed, &profile)?;
-        let cloner = Cloner::with_params(params);
-        let gate = Gate::default();
-        for fault in Fault::ALL {
-            let perturbed = FaultPlan::single(seed, fault).apply(&profile);
-            let outcome = match cloner.clone_program_from(&perturbed) {
-                Err(e) if fault.breaks_structure() => format!("rejected: {e}"),
-                Err(e) => {
-                    violations.push(format!("{name}/{}: unexpected rejection: {e}", fault.label()));
-                    format!("UNEXPECTED rejection: {e}")
-                }
-                Ok(_) if fault.breaks_structure() => {
-                    violations.push(format!(
-                        "{name}/{}: structurally broken profile was accepted",
-                        fault.label()
-                    ));
-                    "ACCEPTED broken profile".to_string()
-                }
-                Ok(clone) => match gate.report(&profile, &clone) {
-                    Ok(report) => format!("clone gated: {}", report.verdict().label()),
-                    Err(e) => format!("clone gated: {e}"),
-                },
-            };
-            t.row(vec![name.clone(), fault.label().into(), outcome]);
-        }
-    }
-    say!("{}", t.render());
-    drop(span);
-    if let Some(footer) = stage_footer() {
-        say!("{footer}");
-    }
-    if violations.is_empty() {
-        say!("selfcheck passed: every fault handled without a panic");
-        Ok(())
-    } else {
-        Err(format!("selfcheck failed: {}", violations.join("; ")))
-    }
-}
-
-/// Resilience self-check (`perfclone chaos [kernel]`): drives the sweep
-/// supervisor and the journal durability layer through every failure path
-/// — transient retry, permanent quarantine, degraded resume, typed abort
-/// without `--keep-going`, truncated-record recovery, and row identity
-/// against a fault-free run — under a deterministic injected cell-fault
-/// schedule, with the seeded FaultFs chaos shim armed against the sweep's
-/// own journal directory. Exits nonzero if any invariant is violated.
-fn chaos(parsed: &Parsed) -> Result<(), String> {
-    let span = perfclone_obs::span!("cli.chaos");
-    let name = parsed.positional.first().cloned().unwrap_or_else(|| "crc32".to_string());
-    let kernel = perfclone_kernels::by_name(&name)
-        .ok_or_else(|| format!("unknown kernel {name:?} (see `perfclone list`)"))?;
-    note_workload(&name);
-    let program = kernel.build(parsed.scale()?).program;
-    let seed = parsed.opt_u64(&["--seed"])?.unwrap_or(0xC7A0_5EED);
-    let pid = std::process::id();
-    let faulty_tag = format!("perfclone-chaos-faulty-{name}-{pid}");
-    let faulty_dir = std::env::temp_dir().join(&faulty_tag);
-    let clean_dir = std::env::temp_dir().join(format!("perfclone-chaos-clean-{name}-{pid}"));
-    let _ = std::fs::remove_dir_all(&faulty_dir);
-    let _ = std::fs::remove_dir_all(&clean_dir);
-
-    // Arm the I/O chaos shim against the faulty journal only. Install is
-    // process-global and first-wins: an ambient PERFCLONE_FAULTFS plan
-    // keeps precedence, and the supervisor invariants below hold either
-    // way (the shim exercises *extra* recovery paths, never different
-    // results).
-    let installed = faultfs::install(faultfs::FaultFsPlan {
-        seed,
-        enospc: 11,
-        short: 13,
-        torn: 7,
-        corrupt: 9,
-        scope: Some(faulty_tag.clone()),
-    });
-    if !installed && faultfs::active() {
-        eprintln!("perfclone: chaos: a FaultFs plan is already installed; using it");
-    }
-
-    let scale = match parsed.scale()? {
-        perfclone_kernels::Scale::Tiny => "tiny",
-        perfclone_kernels::Scale::Small => "small",
-    };
-    let spec = GridSpec {
-        workload: name.clone(),
-        scale: scale.to_string(),
-        limit: parsed.opt_u64(&["--limit"])?.unwrap_or(20_000),
-        axes: GridAxes::small(),
-        max_cells: parsed.opt_u64(&["--cells"])?.unwrap_or(12),
-        shard_size: parsed.opt_u64(&["--shard"])?.unwrap_or(4),
-    };
-    // Deterministic cell-fault schedule: cells 2 and 9 fail permanently,
-    // cell 5 needs two retries, cell 11 one — so the sweep must retry
-    // exactly 3 times and quarantine exactly 2 cells.
-    let schedule = "2=perm,5=trans:2,9=perm,11=trans";
-    let injector =
-        parse_fault_injector(schedule).ok_or("internal: chaos fault schedule did not parse")?;
-    let expected_quarantined: Vec<u64> = vec![2, 9];
-    let expected_retries = 3;
-    // Extra retry headroom absorbs injected ENOSPC bursts on journal
-    // writes; 1 ms backoff keeps the check fast while still sleeping.
-    let policy = GridPolicy {
-        keep_going: true,
-        max_retries: 5,
-        backoff_base_ms: 1,
-        seed,
-        ..GridPolicy::default()
-    };
-    let cache = WorkloadCache::new();
-    let sweep = |dir: &std::path::Path, inject: bool| {
-        run_grid_with(
-            &program,
-            &spec,
-            dir,
-            &cache,
-            &policy,
-            inject.then_some(injector.as_ref()),
-            |_| {},
-        )
-    };
-    let quarantined_cells =
-        |o: &GridOutcome| o.quarantined.iter().map(|q| q.cell).collect::<Vec<u64>>();
-
-    let mut checks: Vec<(&str, bool, String)> = Vec::new();
-
-    // 1. A fresh keep-going sweep under faults completes with degraded
-    //    coverage: every healthy cell has a row, every permanent failure
-    //    a typed quarantine record, every transient fault a retry.
-    let first = sweep(&faulty_dir, true).map_err(|e| format!("chaos sweep aborted: {e}"))?;
-    checks.push((
-        "keep-going completes with degraded coverage",
-        first.rows.len() as u64 == spec.cells() - expected_quarantined.len() as u64,
-        format!("{}/{} rows", first.rows.len(), spec.cells()),
-    ));
-    checks.push((
-        "permanent faults quarantined with typed reasons",
-        quarantined_cells(&first) == expected_quarantined
-            && first.quarantined.iter().all(|q| q.kind == "injected" && q.attempts == 1),
-        format!(
-            "cells {:?}, kinds {:?}",
-            quarantined_cells(&first),
-            first.quarantined.iter().map(|q| q.kind.as_str()).collect::<Vec<_>>()
-        ),
-    ));
-    checks.push((
-        "transient faults retried to success",
-        first.retries == expected_retries,
-        format!("{} retries (expected {expected_retries})", first.retries),
-    ));
-    // 2. Resuming the degraded journal honours the quarantine records and
-    //    reproduces the merged rows bit-identically (records the chaos
-    //    shim tore or corrupted are demoted and re-executed en route).
-    let resumed = sweep(&faulty_dir, true).map_err(|e| format!("chaos resume aborted: {e}"))?;
-    checks.push((
-        "degraded resume is bit-identical",
-        resumed.rows == first.rows && quarantined_cells(&resumed) == expected_quarantined,
-        format!(
-            "{} rows, {} re-executed, {} recovered",
-            resumed.rows.len(),
-            resumed.executed_shards,
-            resumed.recovered_shards
-        ),
-    ));
-
-    // 3. Quarantine records converge to durable journal files. A torn
-    //    rename may eat a freshly published record, but every supervised
-    //    resume re-executes the affected shard and re-publishes it, so a
-    //    handful of resumes must leave both records on disk.
-    let records_persisted = |dir: &std::path::Path| {
-        expected_quarantined.iter().all(|c| dir.join(format!("quarantine-{c:06}.json")).is_file())
-    };
-    let mut persist_resumes = 0u32;
-    while !records_persisted(&faulty_dir) && persist_resumes < 6 {
-        sweep(&faulty_dir, true).map_err(|e| format!("chaos republish aborted: {e}"))?;
-        persist_resumes += 1;
-    }
-    checks.push((
-        "quarantine records published to the journal",
-        records_persisted(&faulty_dir),
-        format!("durable after {persist_resumes} extra resume(s)"),
-    ));
-
-    // 4. Without --keep-going, a quarantined journal is a typed abort,
-    //    not a silent partial result.
-    let strict = run_grid(&program, &spec, &faulty_dir, &cache, |_| {});
-    checks.push((
-        "quarantined journal without --keep-going aborts typed",
-        matches!(strict, Err(Error::DegradedJournal { .. })),
-        match &strict {
-            Err(e) => format!("error kind: {}", e.kind()),
-            Ok(_) => "unexpectedly succeeded".to_string(),
-        },
-    ));
-
-    // 5. A truncated shard record (torn rename, bit rot) demotes to
-    //    pending and re-executes instead of poisoning the journal. When
-    //    the chaos shim already tore the record away entirely, plant a
-    //    half-written one so the demotion path always runs.
-    let victim = faulty_dir.join("shard-000000.json");
-    let torn_bytes = match std::fs::read(&victim) {
-        Ok(bytes) => bytes[..bytes.len() / 2].to_vec(),
-        Err(_) => b"{\"spec_hash\":".to_vec(),
-    };
-    std::fs::write(&victim, &torn_bytes)
-        .map_err(|e| format!("truncating {}: {e}", victim.display()))?;
-    let recovered_run =
-        sweep(&faulty_dir, true).map_err(|e| format!("chaos recovery aborted: {e}"))?;
-    checks.push((
-        "truncated record demoted and re-executed",
-        recovered_run.recovered_shards >= 1 && recovered_run.rows == first.rows,
-        format!("{} record(s) recovered", recovered_run.recovered_shards),
-    ));
-
-    // 6. The degraded sweep's surviving rows match a fault-free sweep
-    //    exactly: supervision never perturbs what it does not quarantine.
-    let clean = sweep(&clean_dir, false).map_err(|e| format!("clean sweep aborted: {e}"))?;
-    let clean_subset: Vec<CellRow> =
-        clean.rows.iter().filter(|r| !expected_quarantined.contains(&r.cell)).cloned().collect();
-    checks.push((
-        "non-quarantined rows match a fault-free sweep",
-        clean.quarantined.is_empty() && clean_subset == first.rows,
-        format!("{} clean rows compared", clean_subset.len()),
-    ));
-
-    let mut t = Table::new(vec!["invariant".into(), "verdict".into(), "detail".into()]);
-    let mut violations = Vec::new();
-    for (label, pass, detail) in &checks {
-        t.row(vec![
-            (*label).to_string(),
-            if *pass { "ok".into() } else { "VIOLATED".into() },
-            detail.clone(),
-        ]);
-        if !pass {
-            violations.push(format!("{label} ({detail})"));
-        }
-    }
-    let counts = faultfs::injected();
-    say!("{name} chaos self-check:\n\n{}", t.render());
-    say!(
-        "faultfs: {} · {} enospc, {} short writes, {} torn renames, {} corruptions injected",
-        if faultfs::active() { "armed" } else { "inert" },
-        counts.enospc,
-        counts.short,
-        counts.torn,
-        counts.corrupt
-    );
-    note_degraded(&first);
-    note_metric("chaos.retries", first.retries as f64);
-    note_metric("chaos.quarantined", first.quarantined.len() as f64);
-    note_metric("chaos.violations", violations.len() as f64);
-    drop(span);
-    if let Some(footer) = stage_footer() {
-        say!("{footer}");
-    }
-    if violations.is_empty() {
-        let _ = std::fs::remove_dir_all(&faulty_dir);
-        let _ = std::fs::remove_dir_all(&clean_dir);
-        say!("chaos passed: every resilience invariant held");
-        Ok(())
-    } else {
-        Err(format!(
-            "chaos failed: {} (journal kept at {})",
-            violations.join("; "),
-            faulty_dir.display()
-        ))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1329,7 +1033,22 @@ mod tests {
         let sweep = report.sweep.expect("sweep stats populated");
         assert_eq!(sweep.configs, 28);
         assert!(sweep.configs_per_sec > 0.0);
-        assert!(report.metrics.iter().any(|m| m.name == "sweep.mpi.pearson"));
+        let pearson = report
+            .metrics
+            .iter()
+            .find(|m| m.name == "sweep.mpi.pearson")
+            .expect("pearson metric recorded")
+            .value;
+        // The printed r is the paper's Fig. 4 correlation of the same clone.
+        let program = perfclone_kernels::by_name("crc32")
+            .expect("bundled kernel")
+            .build(perfclone_kernels::Scale::Tiny)
+            .program;
+        let profile = perfclone::profile_program(&program, u64::MAX).unwrap();
+        let params = SynthesisParams { target_dynamic: 20_000, ..SynthesisParams::default() };
+        let clone = Cloner::with_params(params).clone_program_from(&profile).unwrap();
+        let r = cache_sweep_pair(&program, &clone, &cache_sweep(), u64::MAX).correlation();
+        assert!((pearson - r).abs() < 1e-12, "CLI r = {pearson}, Fig. 4 r = {r}");
     }
 
     #[test]
@@ -1371,23 +1090,6 @@ mod tests {
         let _ = std::fs::remove_dir_all(&journal);
         let _ = std::fs::remove_file(&out1);
         let _ = std::fs::remove_file(&out2);
-    }
-
-    #[test]
-    fn chaos_selfcheck_passes() {
-        // The chaos verb's supervisor invariants are deterministic even
-        // when another test in this process already claimed the global
-        // FaultFs plan slot (install is first-wins), so this holds at any
-        // test interleaving.
-        let _g = report_lock();
-        run(&["chaos", "crc32", "--scale", "tiny"]).unwrap();
-        assert!(run(&["chaos", "not-a-kernel"]).is_err());
-    }
-
-    #[test]
-    fn selfcheck_handles_every_fault() {
-        run(&["selfcheck", "crc32", "--scale", "tiny", "--dynamic", "20000"]).unwrap();
-        assert!(run(&["selfcheck", "not-a-kernel"]).is_err());
     }
 
     #[test]

@@ -2,15 +2,15 @@
 //!
 //! A design-space sweep runs the same workload against many machine
 //! configurations. Profiling the workload, synthesizing its clone,
-//! generating its statistical trace, and capturing its packed dynamic
-//! trace (the [`TraceStore`] record-once/replay-many artifact that
-//! `run_timing_trace` replays per configuration) are
+//! capturing its packed dynamic trace (the [`TraceStore`]
+//! record-once/replay-many artifact that `run_timing_trace` replays per
+//! configuration) and interning its per-pc instruction metadata are
 //! configuration-independent, so repeating them per cell wastes most of
 //! the sweep's time. A [`WorkloadCache`] computes each artifact once — on
 //! whichever thread asks first — and hands every subsequent requester the
 //! same [`Arc`]-shared value. Each memo reports `cache.<memo>.lookups` /
-//! `cache.<memo>.computes` counters (`profile`, `clone`, `statsim`,
-//! `trace`, ...) so run reports show real hit rates.
+//! `cache.<memo>.computes` counters (`profile`, `clone`, `trace`, `meta`)
+//! so run reports show real hit rates.
 //!
 //! Concurrency: the key→slot map sits behind a [`Mutex`] held only long
 //! enough to find or insert a slot; the (expensive) computation itself
@@ -28,10 +28,8 @@ use std::path::PathBuf;
 
 use perfclone_isa::{InstrMetaTable, Program};
 use perfclone_profile::{profile_program, WorkloadProfile};
-use perfclone_sim::{DynInstr, Simulator, SpillingRecorder, TraceStore};
-use perfclone_statsim::{synth_trace, TraceParams};
+use perfclone_sim::{Simulator, SpillingRecorder, TraceStore};
 use perfclone_synth::{synthesize, MemoryModel, SynthesisParams};
-use perfclone_uarch::AddressTrace;
 
 use crate::Error;
 
@@ -290,20 +288,6 @@ struct CloneKey {
 }
 
 #[derive(Clone, PartialEq, Eq, Hash)]
-struct AddrTraceKey {
-    workload: String,
-    limit: u64,
-}
-
-#[derive(Clone, PartialEq, Eq, Hash)]
-struct TraceKey {
-    workload: String,
-    limit: u64,
-    length: u64,
-    seed: u64,
-}
-
-#[derive(Clone, PartialEq, Eq, Hash)]
 struct PackedKey {
     workload: String,
     limit: u64,
@@ -330,14 +314,6 @@ pub struct WorkloadCacheStats {
     pub clone_lookups: u64,
     /// Clones actually synthesized.
     pub clone_computes: u64,
-    /// Statistical-trace lookups served.
-    pub trace_lookups: u64,
-    /// Statistical traces actually generated.
-    pub trace_computes: u64,
-    /// Address-trace (cache-sweep input) lookups served.
-    pub addr_trace_lookups: u64,
-    /// Address traces actually extracted.
-    pub addr_trace_computes: u64,
     /// Packed dynamic-trace (timing-replay input) lookups served.
     pub packed_trace_lookups: u64,
     /// Packed dynamic traces actually captured (failed spills count too:
@@ -351,18 +327,16 @@ pub struct WorkloadCacheStats {
 
 /// Memoizes the per-workload artifacts a sweep re-uses across cells: the
 /// microarchitecture-independent profile, the synthesized clone program,
-/// and the statistical-simulation trace.
+/// the packed dynamic trace, and the interned instruction-metadata table.
 ///
 /// Entries are keyed by a caller-chosen workload name plus every input
-/// that affects the artifact (profiling limit, synthesis parameters,
-/// trace parameters) — the caller must use distinct names for distinct
-/// programs. The cache is `Sync`; share one instance by reference across
-/// a sweep's worker threads.
+/// that affects the artifact (profiling or capture limit, synthesis
+/// parameters, program length) — the caller must use distinct names for
+/// distinct programs. The cache is `Sync`; share one instance by
+/// reference across a sweep's worker threads.
 pub struct WorkloadCache {
     profiles: Memo<ProfileKey, WorkloadProfile>,
     clones: Memo<CloneKey, Program>,
-    traces: Memo<TraceKey, Vec<DynInstr>>,
-    addr_traces: Memo<AddrTraceKey, AddressTrace>,
     packed_traces: Memo<PackedKey, TraceStore>,
     metas: Memo<MetaKey, InstrMetaTable>,
 }
@@ -372,8 +346,6 @@ impl Default for WorkloadCache {
         WorkloadCache {
             profiles: Memo::new("profile"),
             clones: Memo::new("clone"),
-            traces: Memo::new("statsim"),
-            addr_traces: Memo::new("addr_trace"),
             packed_traces: Memo::new("trace"),
             metas: Memo::new("meta"),
         }
@@ -423,52 +395,6 @@ impl WorkloadCache {
             let profile = self.profile(workload, program, limit)?;
             Ok(synthesize(&profile, params)?)
         })
-    }
-
-    /// The statistical-simulation trace of `program` under `trace_params`,
-    /// generated from the cached profile. Replay it with
-    /// `trace.iter().copied()`.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`profile`](WorkloadCache::profile) returns, plus
-    /// [`Error::Trace`] if trace generation fails.
-    pub fn statsim_trace(
-        &self,
-        workload: &str,
-        program: &Program,
-        limit: u64,
-        trace_params: &TraceParams,
-    ) -> Result<Arc<Vec<DynInstr>>, Error> {
-        let key = TraceKey {
-            workload: workload.to_string(),
-            limit,
-            length: trace_params.length,
-            seed: trace_params.seed,
-        };
-        self.traces.get_or_compute(key, || {
-            let profile = self.profile(workload, program, limit)?;
-            Ok(synth_trace(&profile, trace_params)?)
-        })
-    }
-
-    /// The data-reference trace of `program` (up to `limit`
-    /// instructions) — the single-pass cache-sweep engine's input —
-    /// extracted on first request and shared thereafter, so a design-space
-    /// sweep pays one functional simulation per workload no matter how
-    /// many cache geometries (or hierarchy pairs) it evaluates.
-    pub fn address_trace(
-        &self,
-        workload: &str,
-        program: &Program,
-        limit: u64,
-    ) -> Arc<AddressTrace> {
-        let key = AddrTraceKey { workload: workload.to_string(), limit };
-        self.addr_traces
-            .get_or_compute(key, || Ok(AddressTrace::extract(program, limit)))
-            // Extraction is infallible, so the Err arm is unreachable;
-            // recomputing (uncached) keeps this API infallible too.
-            .unwrap_or_else(|_| Arc::new(AddressTrace::extract(program, limit)))
     }
 
     /// The packed dynamic trace of `program` (up to `limit` instructions)
@@ -545,10 +471,6 @@ impl WorkloadCache {
             profile_computes: self.profiles.computes.load(Ordering::Relaxed),
             clone_lookups: self.clones.lookups.load(Ordering::Relaxed),
             clone_computes: self.clones.computes.load(Ordering::Relaxed),
-            trace_lookups: self.traces.lookups.load(Ordering::Relaxed),
-            trace_computes: self.traces.computes.load(Ordering::Relaxed),
-            addr_trace_lookups: self.addr_traces.lookups.load(Ordering::Relaxed),
-            addr_trace_computes: self.addr_traces.computes.load(Ordering::Relaxed),
             packed_trace_lookups: self.packed_traces.lookups.load(Ordering::Relaxed),
             packed_trace_computes: self.packed_traces.computes.load(Ordering::Relaxed),
             meta_lookups: self.metas.lookups.load(Ordering::Relaxed),
@@ -618,35 +540,6 @@ mod tests {
         // Both clones share one underlying profile.
         assert_eq!(cache.snapshot().profile_computes, 1);
         assert_eq!(cache.snapshot().clone_computes, 2);
-    }
-
-    #[test]
-    fn trace_keyed_by_length_and_seed() {
-        let cache = WorkloadCache::new();
-        let p = program("crc32");
-        let tp = TraceParams { length: 20_000, seed: 7 };
-        let a = cache.statsim_trace("crc32", &p, u64::MAX, &tp).unwrap();
-        let b = cache.statsim_trace("crc32", &p, u64::MAX, &tp).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        assert_eq!(a.len() as u64, tp.length);
-        let c = cache.statsim_trace("crc32", &p, u64::MAX, &TraceParams { seed: 8, ..tp }).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
-    }
-
-    #[test]
-    fn address_trace_entry_is_shared_transparent_and_keyed_by_limit() {
-        let cache = WorkloadCache::new();
-        let p = program("crc32");
-        let a = cache.address_trace("crc32", &p, 100_000);
-        let b = cache.address_trace("crc32", &p, 100_000);
-        assert!(Arc::ptr_eq(&a, &b));
-        let stats = cache.snapshot();
-        assert_eq!(stats.addr_trace_lookups, 2);
-        assert_eq!(stats.addr_trace_computes, 1);
-        assert_eq!(*a, AddressTrace::extract(&p, 100_000), "cache must be transparent");
-        let c = cache.address_trace("crc32", &p, 50_000);
-        assert!(!Arc::ptr_eq(&a, &c));
-        assert_eq!(cache.snapshot().addr_trace_computes, 2);
     }
 
     #[test]

@@ -1,8 +1,8 @@
 //! The unified error taxonomy for the cloning pipeline.
 //!
 //! Every fallible stage — functional simulation, profiling, synthesis,
-//! statistical trace generation, the fidelity gate — has its own typed
-//! error; [`Error`] folds them into one enum so facade-level APIs
+//! the fidelity gate, trace spill and the sweep journal — has its own
+//! typed error; [`Error`] folds them into one enum so facade-level APIs
 //! ([`Cloner`](crate::Cloner), [`run_timing`](crate::run_timing), the
 //! suite and experiment drivers) return a single error type. Runaway
 //! guards from any layer fold into [`Error::BudgetExhausted`], so "this
@@ -15,7 +15,6 @@ use std::fmt;
 use perfclone_profile::ProfileError;
 use perfclone_sim::SimError;
 use perfclone_sim::TraceError as SpillError;
-use perfclone_statsim::TraceError;
 use perfclone_synth::SynthError;
 use perfclone_uarch::PipelineError;
 use perfclone_validate::ValidateError;
@@ -32,8 +31,6 @@ pub enum Error {
     Profile(ProfileError),
     /// Clone synthesis failed.
     Synth(SynthError),
-    /// Statistical trace generation failed.
-    Trace(TraceError),
     /// The fidelity gate rejected a clone (or could not evaluate it).
     Validate(ValidateError),
     /// A stage's runaway guard tripped: the named stage did not terminate
@@ -142,7 +139,6 @@ impl Error {
             Error::Sim(_) => "sim",
             Error::Profile(_) => "profile",
             Error::Synth(_) => "synth",
-            Error::Trace(_) => "trace",
             Error::Validate(_) => "validate",
             Error::BudgetExhausted { .. } => "budget-exhausted",
             Error::EmptySuite { .. } => "empty-suite",
@@ -162,7 +158,6 @@ impl fmt::Display for Error {
             Error::Sim(e) => write!(f, "simulation failed: {e}"),
             Error::Profile(e) => write!(f, "profiling failed: {e}"),
             Error::Synth(e) => write!(f, "synthesis failed: {e}"),
-            Error::Trace(e) => write!(f, "trace generation failed: {e}"),
             Error::Validate(e) => write!(f, "validation failed: {e}"),
             Error::BudgetExhausted { stage, budget } => {
                 write!(f, "{stage} stage did not terminate within its budget of {budget}")
@@ -197,7 +192,6 @@ impl StdError for Error {
             Error::Sim(e) => Some(e),
             Error::Profile(e) => Some(e),
             Error::Synth(e) => Some(e),
-            Error::Trace(e) => Some(e),
             Error::Validate(e) => Some(e),
             Error::Spill(e) => Some(e),
             Error::Journal(e) => Some(e),
@@ -234,12 +228,6 @@ impl From<SynthError> for Error {
             }
             other => Error::Synth(other),
         }
-    }
-}
-
-impl From<TraceError> for Error {
-    fn from(e: TraceError) -> Error {
-        Error::Trace(e)
     }
 }
 

@@ -116,7 +116,7 @@ pub struct StageSummary {
 /// [`WorkloadCache`]: https://docs.rs/perfclone
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct CacheRates {
-    /// Memo name, e.g. `profile` or `addr_trace`.
+    /// Memo name, e.g. `profile` or `trace`.
     pub name: String,
     /// Total lookups.
     pub lookups: u64,

@@ -11,10 +11,10 @@
 //! capacity is reported as the dropped-event count.
 //!
 //! Tracing is **off** by default and costs two relaxed atomic loads per
-//! call site while off; `--trace-out` (or [`set_trace_enabled`], or
-//! `PERFCLONE_TRACE=1`) turns it on. Events additionally honour the
-//! global [`enabled()`](crate::enabled) switch, so `PERFCLONE_OBS=0`
-//! silences tracing along with every other instrument.
+//! call site while off; `--trace-out` (or [`set_trace_enabled`]) turns
+//! it on. Events additionally honour the global
+//! [`enabled()`](crate::enabled) switch, so `PERFCLONE_OBS=0` silences
+//! tracing along with every other instrument.
 //!
 //! [`chrome_trace`] renders the retained events as Chrome Trace Format
 //! JSON (`{"traceEvents": [...]}`), loadable in Perfetto or
@@ -186,8 +186,6 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
 fn state() -> &'static TraceState {
     static STATE: OnceLock<TraceState> = OnceLock::new();
     STATE.get_or_init(|| {
-        let on =
-            matches!(std::env::var("PERFCLONE_TRACE").as_deref(), Ok("1") | Ok("on") | Ok("true"));
         let capacity = std::env::var("PERFCLONE_TRACE_RING")
             .ok()
             .and_then(|s| s.parse::<usize>().ok())
@@ -195,7 +193,7 @@ fn state() -> &'static TraceState {
         let mut name_slots = Vec::with_capacity(NAME_SLOTS);
         name_slots.resize_with(NAME_SLOTS, NameSlot::new);
         TraceState {
-            enabled: AtomicBool::new(on),
+            enabled: AtomicBool::new(false),
             capacity: AtomicUsize::new(capacity),
             next_tid: AtomicU64::new(1),
             rings: Mutex::new(Vec::new()),
@@ -217,8 +215,7 @@ pub fn trace_enabled() -> bool {
 }
 
 /// Turns event tracing on or off. Off by default; the CLI enables it for
-/// the duration of a `--trace-out` run. `PERFCLONE_TRACE=1` starts the
-/// process with tracing on.
+/// the duration of a `--trace-out` run.
 pub fn set_trace_enabled(on: bool) {
     state().enabled.store(on, Ordering::Relaxed);
 }

@@ -112,7 +112,8 @@ static SHORT_INJECTED: AtomicU64 = AtomicU64::new(0);
 static TORN_INJECTED: AtomicU64 = AtomicU64::new(0);
 static CORRUPT_INJECTED: AtomicU64 = AtomicU64::new(0);
 
-/// Totals of faults injected so far (for selfcheck output and tests).
+/// Totals of faults injected so far in this process, so a chaos test can
+/// tell an armed run from an inert shim.
 pub fn injected() -> FaultFsCounts {
     FaultFsCounts {
         enospc: ENOSPC_INJECTED.load(Ordering::Relaxed),

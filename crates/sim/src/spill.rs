@@ -378,13 +378,6 @@ impl SpillSink {
         self.w.write_all(bytes).map_err(io_at(&self.final_path, "write"))
     }
 
-    fn write_words(&mut self, words: &[u64]) -> Result<(), TraceError> {
-        for word in words {
-            self.write(&word.to_le_bytes())?;
-        }
-        Ok(())
-    }
-
     fn finish(mut self, mut header: Header) -> Result<(), TraceError> {
         header.checksum = self.hash;
         self.w.flush().map_err(io_at(&self.final_path, "flush"))?;
@@ -404,39 +397,6 @@ impl SpillSink {
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn meta_header(
-    program_name: &str,
-    program_len: usize,
-    start_pc: u32,
-    len: u64,
-    halted: bool,
-    fault: Option<&SimError>,
-    n_words: u64,
-    n_targets: u64,
-    n_mem: u64,
-) -> Header {
-    let mut flags = 0u32;
-    if halted {
-        flags |= FLAG_HALTED;
-    }
-    if fault.is_some() {
-        flags |= FLAG_FAULT;
-    }
-    Header {
-        flags,
-        start_pc,
-        name_len: program_name.len() as u32,
-        program_len: program_len as u64,
-        len,
-        n_words,
-        n_targets,
-        n_mem,
-        fault_len: if fault.is_some() { FAULT_ENC_LEN as u64 } else { 0 },
-        checksum: 0,
-    }
-}
-
 /// Writes name, fault, and alignment padding — the variable-length metadata
 /// between the header and the sections.
 fn write_meta(
@@ -452,37 +412,6 @@ fn write_meta(
     }
     let pad = align8(HEADER_LEN + meta_len) - (HEADER_LEN + meta_len);
     sink.write(&[0u8; 8][..pad])
-}
-
-impl PackedTrace {
-    /// Writes this trace to `path` in the spill format, atomically
-    /// (write-then-rename).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`TraceError::Io`] if any filesystem operation fails; the
-    /// temp file is removed on the error path.
-    pub fn spill_to(&self, path: &Path) -> Result<(), TraceError> {
-        let header = meta_header(
-            &self.program_name,
-            self.program_len,
-            self.start_pc,
-            self.len,
-            self.halted,
-            self.fault.as_ref(),
-            self.redirect_bits.len() as u64,
-            self.targets.len() as u64,
-            self.mem_addrs.len() as u64,
-        );
-        let mut sink = SpillSink::create(path)?;
-        write_meta(&mut sink, &self.program_name, self.fault.as_ref())?;
-        sink.write_words(&self.redirect_bits)?;
-        sink.write_words(&self.taken_bits)?;
-        sink.write_words(&self.mem_addrs)?;
-        sink.write(&self.targets)?;
-        sink.write(&self.mem_sizes)?;
-        sink.finish(header)
-    }
 }
 
 /// A packed trace whose encoding lives in a spill file, replayed through a
@@ -1126,17 +1055,25 @@ impl SpillingRecorder {
             return Ok(TraceStore::Mem(rec.finish(program, halted, fault)));
         }
         self.drain(true)?;
-        let header = meta_header(
-            program.name(),
-            program.len(),
-            self.rec.start_pc,
-            self.rec.len,
-            halted,
-            fault.as_ref(),
-            self.words_flushed as u64,
-            self.targets_flushed,
-            self.mem_flushed,
-        );
+        let mut flags = 0u32;
+        if halted {
+            flags |= FLAG_HALTED;
+        }
+        if fault.is_some() {
+            flags |= FLAG_FAULT;
+        }
+        let header = Header {
+            flags,
+            start_pc: self.rec.start_pc,
+            name_len: program.name().len() as u32,
+            program_len: program.len() as u64,
+            len: self.rec.len,
+            n_words: self.words_flushed as u64,
+            n_targets: self.targets_flushed,
+            n_mem: self.mem_flushed,
+            fault_len: if fault.is_some() { FAULT_ENC_LEN as u64 } else { 0 },
+            checksum: 0,
+        };
         let mut sink = SpillSink::create(&self.final_path)?;
         write_meta(&mut sink, program.name(), fault.as_ref())?;
         // Segment drop (end of this function, success or error) removes
@@ -1253,6 +1190,19 @@ mod tests {
         dir
     }
 
+    /// Captures `p` through a [`SpillingRecorder`] with `budget` bytes of
+    /// memory; a zero budget spills every non-empty capture.
+    fn record(p: &Program, limit: u64, budget: usize, dir: &Path, stem: &str) -> TraceStore {
+        let mut rec = SpillingRecorder::new(budget, dir, stem);
+        let mut trace = Simulator::trace(p, limit);
+        for d in &mut trace {
+            rec.push(&d).unwrap();
+        }
+        let fault = trace.fault().cloned();
+        let halted = trace.into_inner().is_halted();
+        rec.finish(p, halted, fault).unwrap()
+    }
+
     #[test]
     fn stray_pid_parses_only_this_crates_shapes() {
         assert_eq!(stray_pid("perfclone-crc32-123-0.spill"), Some(123));
@@ -1297,18 +1247,18 @@ mod tests {
         let p = busy_program();
         let packed = PackedTrace::capture(&p, u64::MAX);
         let dir = tmp_dir("roundtrip");
-        let path = dir.join("busy.spill");
-        packed.spill_to(&path).unwrap();
-        let spilled = SpilledTrace::open(&path).unwrap();
+        let store = record(&p, u64::MAX, 0, &dir, "busy");
+        let TraceStore::Spilled(spilled) = &store else {
+            panic!("a zero budget must spill");
+        };
         assert_eq!(spilled.len(), packed.len());
         assert_eq!(spilled.halted(), packed.halted());
         assert_eq!(spilled.fault(), packed.fault());
         assert!(spilled.is_mapped(), "unix CI should serve spills via mmap");
         let direct: Vec<DynInstr> = packed.parts().replay(&p).collect();
-        let spilled = TraceStore::Spilled(spilled);
-        let mapped: Vec<DynInstr> = spilled.replay(&p).collect();
+        let mapped: Vec<DynInstr> = store.replay(&p).collect();
         assert_eq!(direct, mapped);
-        drop(spilled);
+        drop(store);
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1318,9 +1268,8 @@ mod tests {
         let meta = InstrMetaTable::new(&p);
         let packed = PackedTrace::capture(&p, u64::MAX);
         let dir = tmp_dir("batched");
-        let path = dir.join("busy.spill");
-        packed.spill_to(&path).unwrap();
-        let spilled = TraceStore::Spilled(SpilledTrace::open(&path).unwrap());
+        let spilled = record(&p, u64::MAX, 0, &dir, "busy");
+        assert!(spilled.is_spilled());
         let oracle: Vec<DynInstr> = packed.parts().replay(&p).collect();
         let mut batched = spilled.replay_batched(&p, &meta);
         let mut chunk = crate::ReplayChunk::new();
@@ -1338,17 +1287,8 @@ mod tests {
     fn spilling_recorder_stays_in_memory_under_budget() {
         let p = busy_program();
         let dir = tmp_dir("mem");
-        let mut rec = SpillingRecorder::new(usize::MAX, &dir, "busy");
-        let mut trace = Simulator::trace(&p, u64::MAX);
-        for d in &mut trace {
-            rec.push(&d).unwrap();
-        }
-        let halted = {
-            let fault = trace.fault().cloned();
-            assert!(fault.is_none());
-            trace.into_inner().is_halted()
-        };
-        let store = rec.finish(&p, halted, None).unwrap();
+        let store = record(&p, u64::MAX, usize::MAX, &dir, "busy");
+        assert!(store.fault().is_none());
         assert!(!store.is_spilled());
         assert_eq!(store.len(), PackedTrace::capture(&p, u64::MAX).len());
         fs::remove_dir_all(&dir).unwrap();
@@ -1358,28 +1298,31 @@ mod tests {
     fn spilling_recorder_matches_direct_capture() {
         let p = busy_program();
         let dir = tmp_dir("spill");
-        // A budget far below the encoding size forces many drain cycles.
-        let mut rec = SpillingRecorder::new(160, &dir, "busy");
-        let mut trace = Simulator::trace(&p, u64::MAX);
-        for d in &mut trace {
-            rec.push(&d).unwrap();
+        // Budgets far below the encoding size force a drain per record (0)
+        // or many drain cycles (160); the limits straddle the 64-record
+        // bitset words that drain early only once complete.
+        for budget in [0, 160] {
+            for limit in [1, 2, 63, 64, 65, 128, u64::MAX] {
+                let store = record(&p, limit, budget, &dir, "busy");
+                let direct = PackedTrace::capture(&p, limit);
+                assert_eq!(store.is_spilled(), budget == 0 || direct.packed_bytes() > budget);
+                let replayed: Vec<DynInstr> = store.replay(&p).collect();
+                assert_eq!(direct.parts().replay(&p).collect::<Vec<_>>(), replayed);
+                assert_eq!(store.halted(), direct.halted());
+                if !store.is_spilled() {
+                    continue;
+                }
+                // Only the final spill file remains — segments are gone.
+                let names: Vec<String> = fs::read_dir(&dir)
+                    .unwrap()
+                    .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+                    .collect();
+                assert_eq!(names, vec!["busy.spill".to_string()], "leftovers: {names:?}");
+                let path = store.spill_path().unwrap().to_path_buf();
+                drop(store);
+                assert!(!path.exists(), "capture-produced spill should delete on drop");
+            }
         }
-        let fault = trace.fault().cloned();
-        let halted = trace.into_inner().is_halted();
-        let store = rec.finish(&p, halted, fault).unwrap();
-        assert!(store.is_spilled());
-        let direct: Vec<DynInstr> = PackedTrace::capture(&p, u64::MAX).parts().replay(&p).collect();
-        let replayed: Vec<DynInstr> = store.replay(&p).collect();
-        assert_eq!(direct, replayed);
-        // Only the final spill file remains — segments are gone.
-        let names: Vec<String> = fs::read_dir(&dir)
-            .unwrap()
-            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-            .collect();
-        assert_eq!(names, vec!["busy.spill".to_string()], "leftovers: {names:?}");
-        let path = store.spill_path().unwrap().to_path_buf();
-        drop(store);
-        assert!(!path.exists(), "capture-produced spill should delete on drop");
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1391,13 +1334,12 @@ mod tests {
         let packed = PackedTrace::capture(&p, 100);
         assert!(packed.fault().is_some());
         let dir = tmp_dir("fault");
-        let path = dir.join("fall.spill");
-        packed.spill_to(&path).unwrap();
-        let spilled = SpilledTrace::open(&path).unwrap();
+        let spilled = record(&p, 100, 0, &dir, "fall");
+        assert!(spilled.is_spilled());
         assert_eq!(spilled.fault(), packed.fault());
         assert!(!spilled.halted());
         let a: Vec<DynInstr> = packed.parts().replay(&p).collect();
-        let b2: Vec<DynInstr> = spilled.parts().replay(&p).collect();
+        let b2: Vec<DynInstr> = spilled.replay(&p).collect();
         assert_eq!(a, b2);
         drop(spilled);
         fs::remove_dir_all(&dir).unwrap();
@@ -1406,11 +1348,11 @@ mod tests {
     #[test]
     fn corrupted_files_yield_typed_errors() {
         let p = busy_program();
-        let packed = PackedTrace::capture(&p, u64::MAX);
         let dir = tmp_dir("corrupt");
-        let path = dir.join("busy.spill");
-        packed.spill_to(&path).unwrap();
-        let pristine = fs::read(&path).unwrap();
+        let store = record(&p, u64::MAX, 0, &dir, "busy");
+        let pristine = fs::read(store.spill_path().unwrap()).unwrap();
+        drop(store);
+        let path = dir.join("copy.spill");
 
         // Flipped payload byte: checksum mismatch.
         let mut bad = pristine.clone();

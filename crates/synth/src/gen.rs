@@ -337,25 +337,6 @@ pub fn synthesize(
         (params.target_blocks, u32::MAX)
     };
     let instances = walk_sfg(profile, target_blocks, body_budget, &mut rng)?;
-    if std::env::var("PERFCLONE_SYNTH_DEBUG").is_ok() {
-        eprintln!(
-            "synth debug: target_blocks={target_blocks} body_budget={body_budget} instances={}",
-            instances.len()
-        );
-        let mut counts: std::collections::HashMap<u32, u32> = std::collections::HashMap::new();
-        for inst in &instances {
-            *counts.entry(inst.node).or_default() += 1;
-        }
-        let mut v: Vec<_> = counts.into_iter().collect();
-        v.sort();
-        for (node, n) in v {
-            let np = &profile.nodes[node as usize];
-            eprintln!(
-                "  node {node} (pc {} size {} execs {} mem_ops {:?} branch {:?}): {n} instances",
-                np.start_pc, np.size, np.execs, np.mem_ops, np.branch
-            );
-        }
-    }
 
     // Context-sensitive dependency lookup (§3.1.1): per (pred, node),
     // falling back to per-node merged statistics.

@@ -10,9 +10,9 @@ use std::sync::Arc;
 use perfclone::experiments::{cache_sweep_pair, design_change_sweep};
 use perfclone::suite::{suite_mark, Suite};
 use perfclone::{
-    base_config, cache_sweep, derive_cell_seed, design_changes, run_timing, sweep_trace,
-    AddressTrace, CacheConfig, Cloner, Gate, MachineConfig, SynthesisParams, TimingResult,
-    WorkloadCache, WorkloadProfile,
+    base_config, cache_sweep, derive_cell_seed, design_changes, run_timing, AddressTrace,
+    CacheConfig, Cloner, Gate, MachineConfig, SynthesisParams, TimingResult, WorkloadCache,
+    WorkloadProfile,
 };
 use perfclone_isa::{Program, ProgramBuilder};
 use perfclone_kernels::{catalog, Scale};
@@ -223,39 +223,4 @@ fn workload_cache_is_shared_across_a_parallel_sweep() {
         .unwrap();
     assert!(Arc::ptr_eq(&a, &a_again));
     assert!(!Arc::ptr_eq(&a, &b));
-}
-
-/// The address-trace entry feeding the single-pass cache engine behaves
-/// like the other cached artifacts: many parallel sweep cells asking for
-/// one workload's trace trigger exactly one functional simulation, every
-/// requester sees the same `Arc`, and the cached trace drives the engine
-/// to the same answer as a fresh extraction.
-#[test]
-fn address_trace_is_extracted_once_per_workload_across_a_sweep() {
-    let (name, program) = tiny_program(3);
-    let cache = WorkloadCache::new();
-    let configs = cache_sweep();
-
-    let traces: Vec<Arc<AddressTrace>> =
-        configs.par_iter().map(|_| cache.address_trace(name, &program, u64::MAX)).collect();
-    let first = &traces[0];
-    assert!(traces.iter().all(|t| Arc::ptr_eq(first, t)));
-
-    let stats = cache.snapshot();
-    assert_eq!(stats.addr_trace_computes, 1, "functional simulator must run exactly once");
-    assert_eq!(stats.addr_trace_lookups, configs.len() as u64);
-    // Address traces and profiles are independent entries: no profile was
-    // computed on this cache.
-    assert_eq!(stats.profile_computes, 0);
-
-    // A different limit is a different trace.
-    let truncated = cache.address_trace(name, &program, 1_000);
-    assert!(!Arc::ptr_eq(first, &truncated));
-    assert_eq!(cache.snapshot().addr_trace_computes, 2);
-
-    // The cached trace is transparent: the engine produces the same sweep
-    // from it as from a direct extraction.
-    let direct = AddressTrace::extract(&program, u64::MAX);
-    assert_eq!(**first, direct);
-    assert_eq!(sweep_trace(first, &configs), sweep_trace(&direct, &configs));
 }

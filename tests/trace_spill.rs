@@ -1,12 +1,14 @@
-//! Acceptance tests for the out-of-core trace spill path: a packed trace
-//! spilled to disk and replayed through the memory mapping must match the
-//! in-memory replay record-for-record (mid-stream faults and missing
-//! halts included), corrupted or truncated spill files must surface typed
-//! [`TraceError`]s — never panics — and timing results driven through a
-//! spilled [`TraceStore`] obtained from the shared cache under a tiny
-//! byte cap must be bit-identical to the direct interpreter path.
+//! Acceptance tests for the out-of-core trace spill path: a trace
+//! captured through the shared cache's spilling writer and replayed
+//! through the memory mapping must match the in-memory replay
+//! record-for-record (mid-stream faults and missing halts included),
+//! corrupted or truncated copies of the files that writer produces must
+//! surface typed [`TraceError`]s — never panics — and timing results
+//! driven through a spilled [`TraceStore`] under a tiny byte cap must be
+//! bit-identical to the direct interpreter path.
 
 use std::path::PathBuf;
+use std::sync::Arc;
 
 use perfclone::{base_config, run_timing, run_timing_store, Error, WorkloadCache};
 use perfclone_isa::{InstrMetaTable, MemWidth, Program, ProgramBuilder, Reg, StreamDesc};
@@ -62,10 +64,19 @@ fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("perfclone-trace-spill-{}-{name}", std::process::id()))
 }
 
+/// Captures `p` through the production spill writer: at a byte cap of 0
+/// the shared cache spills every non-empty capture to disk.
+fn spill(p: &Program, limit: u64) -> Arc<TraceStore> {
+    let store =
+        WorkloadCache::new().packed_trace_capped(p.name(), p, limit, 0).expect("spill to disk");
+    assert!(store.is_spilled(), "a zero cap must spill");
+    store
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Spill → open → replay equals the in-memory replay record for
+    /// Spill → mmap → replay equals the in-memory replay record for
     /// record, and the trace metadata (length, halt, fault, program
     /// name) survives the round trip — for halting and faulting programs
     /// across capture limits.
@@ -74,21 +85,17 @@ proptest! {
         ops in proptest::collection::vec(any::<u8>(), 1..160),
         halt in any::<bool>(),
         limit in prop_oneof![Just(u64::MAX), 1u64..400],
-        case in 0u64..u64::MAX,
     ) {
         let p = random_program(&ops, halt);
         let packed = PackedTrace::capture(&p, limit);
-        let path = temp(&format!("roundtrip-{case:x}.spill"));
-        packed.spill_to(&path).expect("spill to disk");
-        let mut spilled = SpilledTrace::open(&path).expect("open spill file");
-        spilled.delete_on_drop(true);
+        let spilled = spill(&p, limit);
 
         prop_assert_eq!(spilled.len(), packed.len());
         prop_assert_eq!(spilled.halted(), packed.halted());
         prop_assert_eq!(spilled.fault(), packed.fault());
         prop_assert_eq!(spilled.program_name(), packed.program_name());
 
-        let (packed, spilled) = (TraceStore::Mem(packed), TraceStore::Spilled(spilled));
+        let packed = TraceStore::Mem(packed);
         let mut mem = packed.replay(&p);
         let mut disk = spilled.replay(&p);
         loop {
@@ -113,10 +120,9 @@ proptest! {
         flip in any::<u64>(),
     ) {
         let p = random_program(&ops, true);
-        let packed = PackedTrace::capture(&p, u64::MAX);
-        let path = temp("fliptarget.spill");
-        packed.spill_to(&path).expect("spill to disk");
-        let mut bytes = std::fs::read(&path).expect("read spill file");
+        let spilled = spill(&p, u64::MAX);
+        let mut bytes =
+            std::fs::read(spilled.spill_path().expect("spilled")).expect("read spill file");
         // Byte 72 is where the checksum field starts; everything from
         // there on participates in (or is) the checksum.
         let at = 72 + (flip as usize % (bytes.len() - 72));
@@ -124,7 +130,6 @@ proptest! {
         let flipped = temp("flipped.spill");
         std::fs::write(&flipped, &bytes).expect("write corrupted copy");
         let result = SpilledTrace::open(&flipped);
-        let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_file(&flipped);
         match result {
             Err(
@@ -146,10 +151,8 @@ proptest! {
 #[test]
 fn corruption_errors_are_typed() {
     let p = by_name("crc32").expect("bundled kernel").build(Scale::Tiny).program;
-    let packed = PackedTrace::capture(&p, 2_000);
-    let path = temp("typed.spill");
-    packed.spill_to(&path).expect("spill to disk");
-    let good = std::fs::read(&path).expect("read spill file");
+    let spilled = spill(&p, 2_000);
+    let good = std::fs::read(spilled.spill_path().expect("spilled")).expect("read spill file");
 
     let write = |name: &str, bytes: &[u8]| {
         let p = temp(name);
@@ -183,8 +186,6 @@ fn corruption_errors_are_typed() {
 
     let missing = temp("never-written.spill");
     assert!(matches!(SpilledTrace::open(&missing), Err(TraceError::Io { .. })));
-
-    let _ = std::fs::remove_file(&path);
 }
 
 /// A capture forced over a tiny byte cap through the shared cache comes
@@ -234,16 +235,13 @@ fn faulted_trace_carries_through_spill() {
     let packed = PackedTrace::capture(&p, u64::MAX);
     assert!(packed.fault().is_some(), "missing halt must fault");
 
-    let path = temp("faulted.spill");
-    packed.spill_to(&path).expect("spill to disk");
-    let mut spilled = SpilledTrace::open(&path).expect("open spill file");
-    spilled.delete_on_drop(true);
+    let spilled = spill(&p, u64::MAX);
     assert_eq!(spilled.fault(), packed.fault());
 
     let config = base_config();
     let meta = InstrMetaTable::new(&p);
     let mem_err = run_timing_store(&p, &TraceStore::Mem(packed), &meta, &config, None);
-    let disk_err = run_timing_store(&p, &TraceStore::Spilled(spilled), &meta, &config, None);
+    let disk_err = run_timing_store(&p, &spilled, &meta, &config, None);
     match (mem_err, disk_err) {
         (Err(Error::Sim(a)), Err(Error::Sim(b))) => assert_eq!(a, b),
         other => panic!("both stores must surface the fault, got {other:?}"),

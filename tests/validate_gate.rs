@@ -74,6 +74,34 @@ fn truncated_nodes_corruption_is_rejected_at_every_stage() {
     assert!(matches!(Error::from(gate_err), Error::Validate(_)));
 }
 
+/// The fault-injection contract on bundled kernels, under the CLI's
+/// default synthesis parameters: every structure-breaking fault makes
+/// synthesis reject the profile as invalid, and every other fault still
+/// synthesizes a clone that the gate can judge against the pristine
+/// profile, whatever its verdict.
+#[test]
+fn every_fault_honours_its_structure_contract() {
+    for name in ["crc32", "susan"] {
+        let program = by_name(name).expect("bundled kernel").build(Scale::Tiny).program;
+        let profile = profile_program(&program, u64::MAX).expect("profile");
+        let cloner = Cloner::with_params(SynthesisParams {
+            target_dynamic: profile.total_instrs.clamp(100_000, 2_500_000),
+            ..SynthesisParams::default()
+        });
+        for fault in Fault::ALL {
+            let perturbed = FaultPlan::single(0xC10_5E1F, fault).apply(&profile);
+            match cloner.clone_program_from(&perturbed) {
+                Err(Error::Synth(SynthError::InvalidProfile(_))) if fault.breaks_structure() => {}
+                Ok(clone) if !fault.breaks_structure() => {
+                    let report = Gate::default().report(&profile, &clone);
+                    assert!(report.is_ok(), "{name}/{}: gate errored: {report:?}", fault.label());
+                }
+                other => panic!("{name}/{}: contract violated: {other:?}", fault.label()),
+            }
+        }
+    }
+}
+
 /// A non-halting program trips the budget guard at each layer, and the
 /// unified taxonomy folds each layer's variant into
 /// [`Error::BudgetExhausted`] with the stage recorded.
