@@ -11,7 +11,7 @@
 //! * `PERFCLONE_SCALE` — `tiny` (fast smoke runs) or `small` (default; the
 //!   paper-scale inputs, ~0.5-2 M dynamic instructions per kernel),
 //! * `PERFCLONE_KERNELS` — comma-separated kernel names to restrict the
-//!   population (default: all 23),
+//!   population (default: all 23; an unknown name is an error),
 //! * `PERFCLONE_JOBS` — worker threads for the parallel experiment paths
 //!   (default: all cores; results are identical at any thread count),
 //! * `PERFCLONE_SEED` — root seed from which each kernel's synthesis seed
@@ -74,14 +74,29 @@ pub fn init_parallelism() {
 }
 
 /// The kernel population, optionally restricted via `PERFCLONE_KERNELS`.
+///
+/// # Panics
+///
+/// Panics, naming them, when the list holds names the catalog lacks: a
+/// typo would otherwise shrink the population without a word.
 pub fn kernels_from_env() -> Vec<&'static Kernel> {
-    match std::env::var("PERFCLONE_KERNELS") {
-        Ok(list) if !list.trim().is_empty() => {
-            let wanted: Vec<&str> = list.split(',').map(str::trim).collect();
-            catalog().iter().filter(|k| wanted.contains(&k.name())).collect()
-        }
-        _ => catalog().iter().collect(),
+    let list = std::env::var("PERFCLONE_KERNELS").unwrap_or_default();
+    select_kernels(&list).unwrap_or_else(|e| panic!("PERFCLONE_KERNELS: {e}"))
+}
+
+/// The catalog kernels a comma-separated list names, in catalog order; a
+/// blank list selects them all.
+fn select_kernels(list: &str) -> Result<Vec<&'static Kernel>, String> {
+    if list.trim().is_empty() {
+        return Ok(catalog().iter().collect());
     }
+    let wanted: Vec<&str> = list.split(',').map(str::trim).collect();
+    let unknown: Vec<&str> =
+        wanted.iter().copied().filter(|w| catalog().iter().all(|k| k.name() != *w)).collect();
+    if !unknown.is_empty() {
+        return Err(format!("unknown kernel(s) {unknown:?} (`perfclone list` names them all)"));
+    }
+    Ok(catalog().iter().filter(|k| wanted.contains(&k.name())).collect())
 }
 
 /// The replay benches' shared configuration set: base, the five Table-3
@@ -258,6 +273,16 @@ mod tests {
         // Not setting the variables yields the full population at Small.
         std::env::remove_var("PERFCLONE_KERNELS");
         assert_eq!(kernels_from_env().len(), 23);
+    }
+
+    #[test]
+    fn kernel_list_names_its_unknown_entries() {
+        let picked: Vec<&str> =
+            select_kernels(" crc32, sha ").unwrap().iter().map(|k| k.name()).collect();
+        assert_eq!(picked, ["sha", "crc32"], "catalog order");
+        assert_eq!(select_kernels(" ").unwrap().len(), 23);
+        let err = select_kernels("crc32,crc3,shaa").map(|_| ()).unwrap_err();
+        assert!(err.contains(r#"["crc3", "shaa"]"#), "{err}");
     }
 
     #[test]

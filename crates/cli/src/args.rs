@@ -10,8 +10,7 @@ pub struct Parsed {
     options: HashMap<String, String>,
 }
 
-/// Option keys that take a value; everything else starting with `-` is a
-/// bare flag.
+/// Option keys that take a value.
 const VALUED: &[&str] = &[
     "-o",
     "--out",
@@ -34,11 +33,16 @@ const VALUED: &[&str] = &[
     "--heartbeat",
 ];
 
+/// Option keys that take no value. A `-`-prefixed token in neither list
+/// is rejected, so a misspelled option fails instead of being ignored.
+const FLAGS: &[&str] = &["--allow-degraded", "--keep-going", "--stream"];
+
 /// Splits `argv` into positionals and options.
 ///
 /// # Errors
 ///
-/// Returns an error when a valued option is missing its value.
+/// Returns an error naming the token when an option is unknown or a
+/// valued option is missing its value.
 pub fn parse(argv: &[String]) -> Result<Parsed, String> {
     let mut out = Parsed::default();
     let mut it = argv.iter().peekable();
@@ -47,8 +51,10 @@ pub fn parse(argv: &[String]) -> Result<Parsed, String> {
             if VALUED.contains(&a.as_str()) {
                 let v = it.next().ok_or_else(|| format!("option {a} requires a value"))?;
                 out.options.insert(a.clone(), v.clone());
-            } else {
+            } else if FLAGS.contains(&a.as_str()) {
                 out.options.insert(a.clone(), String::new());
+            } else {
+                return Err(format!("unknown option {a}"));
             }
         } else {
             out.positional.push(a.clone());
@@ -164,6 +170,18 @@ mod tests {
     #[test]
     fn missing_value_is_an_error() {
         assert!(parse(&argv(&["synth", "--seed"])).is_err());
+    }
+
+    #[test]
+    fn unknown_options_are_rejected_by_name() {
+        for bad in ["--cell-dedline", "--confg", "--help", "-x"] {
+            let err = parse(&argv(&["grid", "crc32", bad, "5"])).unwrap_err();
+            assert_eq!(err, format!("unknown option {bad}"));
+        }
+        let p = parse(&argv(&["grid", "crc32", "--stream", "--keep-going", "--allow-degraded"]))
+            .unwrap();
+        assert_eq!(p.positional, vec!["grid", "crc32"]);
+        assert!(p.opt(&["--stream"]).is_some() && p.keep_going() && p.allow_degraded());
     }
 
     #[test]

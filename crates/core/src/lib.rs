@@ -216,7 +216,7 @@ pub(crate) fn run_timing_budgeted(
 /// capture limit, for both storage classes.
 ///
 /// `deadline` is a pipeline cycle budget, the per-cell deadline of
-/// supervised sweeps ([`GridPolicy`](grid::GridPolicy)`::cell_deadline`);
+/// supervised sweeps ([`GridPolicy`]`::cell_deadline`);
 /// `None` runs to completion.
 ///
 /// # Errors

@@ -16,6 +16,11 @@
 //!   hand-written benchmark kernels and by the clone synthesizer,
 //! * [`disasm`] — a human-readable disassembler.
 //!
+//! Programs live only in memory. What the reproduction disseminates is the
+//! profile JSON and the clone emitted as C (the paper's §3.2, step 12), so
+//! the crate has no binary encoding and no text assembler: `disasm` output
+//! is for people to read.
+//!
 //! # Example
 //!
 //! ```
@@ -39,18 +44,14 @@
 
 mod builder;
 mod disasm;
-mod encode;
 mod instr;
 mod meta;
-mod parse;
 mod program;
 mod reg;
 
 pub use builder::{Label, ProgramBuilder};
 pub use disasm::{disasm, disasm_program};
-pub use encode::{decode_instr, decode_program, encode_instr, encode_program, DecodeError};
 pub use instr::{AluOp, Cond, FpOp, Instr, InstrClass, MemRef, MemWidth, OperandList, RegRef};
 pub use meta::{InstrMeta, InstrMetaTable};
-pub use parse::{parse_instr, ParseInstrError};
 pub use program::{DataSeg, Program, StreamDesc, StreamId, INSTR_BYTES};
 pub use reg::{FReg, Reg};

@@ -81,73 +81,6 @@ pub fn spearman(x: &[f64], y: &[f64]) -> f64 {
     pearson(&rank(x), &rank(y))
 }
 
-/// Kendall's tau-a rank correlation: concordant minus discordant pairs
-/// over all pairs — the ranking metric least sensitive to outliers.
-///
-/// # Example
-///
-/// ```
-/// use perfclone_metrics::kendall_tau;
-/// assert!((kendall_tau(&[1.0, 2.0, 3.0], &[10.0, 20.0, 30.0]) - 1.0).abs() < 1e-12);
-/// assert!((kendall_tau(&[1.0, 2.0, 3.0], &[30.0, 20.0, 10.0]) + 1.0).abs() < 1e-12);
-/// ```
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths.
-pub fn kendall_tau(x: &[f64], y: &[f64]) -> f64 {
-    assert_eq!(x.len(), y.len(), "kendall_tau requires equal-length samples");
-    let n = x.len();
-    if n < 2 {
-        return 0.0;
-    }
-    let mut concordant = 0i64;
-    let mut discordant = 0i64;
-    for i in 0..n {
-        for j in i + 1..n {
-            let sx = (x[i] - x[j]).signum();
-            let sy = (y[i] - y[j]).signum();
-            let s = sx * sy;
-            if s > 0.0 {
-                concordant += 1;
-            } else if s < 0.0 {
-                discordant += 1;
-            }
-        }
-    }
-    let pairs = (n * (n - 1) / 2) as f64;
-    (concordant - discordant) as f64 / pairs
-}
-
-/// Geometric mean of positive samples (the EEMBC/SPEC aggregation).
-///
-/// # Panics
-///
-/// Panics if the slice is empty or contains non-positive values.
-pub fn geomean(xs: &[f64]) -> f64 {
-    assert!(!xs.is_empty(), "geomean of nothing");
-    let log_sum: f64 = xs
-        .iter()
-        .map(|&x| {
-            assert!(x > 0.0, "geomean requires positive samples");
-            x.ln()
-        })
-        .sum();
-    (log_sum / xs.len() as f64).exp()
-}
-
-/// Root-mean-square error between paired samples.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or are empty.
-pub fn rmse(a: &[f64], b: &[f64]) -> f64 {
-    assert_eq!(a.len(), b.len());
-    assert!(!a.is_empty());
-    let ss: f64 = a.iter().zip(b.iter()).map(|(x, y)| (x - y) * (x - y)).sum();
-    (ss / a.len() as f64).sqrt()
-}
-
 /// The paper's relative-error formula (§5.2): the error of the *ratio*
 /// predicted by the synthetic clone when moving from design point Y to
 /// design point X, relative to the real benchmark's ratio.
@@ -260,11 +193,6 @@ pub fn f3(v: f64) -> String {
     format!("{v:.3}")
 }
 
-/// Formats a fraction as a percentage with 2 decimals.
-pub fn pct(v: f64) -> String {
-    format!("{:.2}%", 100.0 * v)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -326,47 +254,7 @@ mod tests {
         t.row(vec!["1".into(), "2".into()]);
     }
 
-    #[test]
-    fn kendall_handles_partial_agreement() {
-        // One swapped pair of four: tau = (5 - 1) / 6.
-        let t = kendall_tau(&[1.0, 2.0, 3.0, 4.0], &[1.0, 2.0, 4.0, 3.0]);
-        assert!((t - 4.0 / 6.0).abs() < 1e-12, "{t}");
-    }
-
-    #[test]
-    fn geomean_matches_hand_value() {
-        assert!((geomean(&[1.0, 4.0]) - 2.0).abs() < 1e-12);
-        assert!((geomean(&[2.0, 2.0, 2.0]) - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn rmse_basics() {
-        assert_eq!(rmse(&[1.0, 2.0], &[1.0, 2.0]), 0.0);
-        assert!((rmse(&[0.0, 0.0], &[3.0, 4.0]) - (12.5f64).sqrt()).abs() < 1e-12);
-    }
-
     proptest! {
-        #[test]
-        fn kendall_bounded_and_antisymmetric(
-            v in proptest::collection::vec((-1e6f64..1e6, -1e6f64..1e6), 2..30)
-        ) {
-            let x: Vec<f64> = v.iter().map(|p| p.0).collect();
-            let y: Vec<f64> = v.iter().map(|p| p.1).collect();
-            let t = kendall_tau(&x, &y);
-            prop_assert!((-1.0..=1.0).contains(&t));
-            let neg: Vec<f64> = y.iter().map(|v| -v).collect();
-            let tn = kendall_tau(&x, &neg);
-            prop_assert!((t + tn).abs() < 1e-9, "tau {t} vs negated {tn}");
-        }
-
-        #[test]
-        fn geomean_between_min_and_max(xs in proptest::collection::vec(0.1f64..1e3, 1..20)) {
-            let g = geomean(&xs);
-            let lo = xs.iter().cloned().fold(f64::INFINITY, f64::min);
-            let hi = xs.iter().cloned().fold(0.0f64, f64::max);
-            prop_assert!(g >= lo - 1e-9 && g <= hi + 1e-9);
-        }
-
         #[test]
         fn pearson_is_symmetric_and_bounded(
             v in proptest::collection::vec((-1e6f64..1e6, -1e6f64..1e6), 2..50)

@@ -224,11 +224,6 @@ impl WorkloadProfile {
         self.streams.len()
     }
 
-    /// Total dynamic conditional-branch executions.
-    pub fn total_branches(&self) -> u64 {
-        self.branches.iter().map(|b| b.execs).sum()
-    }
-
     /// Dynamic-execution-weighted mean basic-block size.
     pub fn mean_block_size(&self) -> f64 {
         let (mut wsum, mut w) = (0.0, 0.0);

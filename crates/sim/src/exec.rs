@@ -99,11 +99,6 @@ impl<'p> Simulator<'p> {
         &self.mem
     }
 
-    /// Mutable access to the memory image (e.g. to poke inputs).
-    pub fn mem_mut(&mut self) -> &mut Memory {
-        &mut self.mem
-    }
-
     /// `true` once the program has executed `halt`.
     pub fn is_halted(&self) -> bool {
         self.halted

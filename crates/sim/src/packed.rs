@@ -46,7 +46,7 @@ use crate::trace::{DynInstr, MemAccess, Observer};
 
 /// A compact recording of one program's retired-instruction stream,
 /// replayable any number of times without re-running the functional
-/// interpreter. See the [module docs](self) for the encoding.
+/// interpreter. The `packed` module's docs describe the encoding.
 #[derive(Clone, Debug, PartialEq)]
 pub struct PackedTrace {
     pub(crate) program_name: String,

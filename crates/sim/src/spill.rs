@@ -85,7 +85,7 @@ pub enum TraceError {
         /// The offending file.
         path: PathBuf,
     },
-    /// The file's format version is not [`SPILL_VERSION`].
+    /// The file's format version is not the one this build writes.
     BadVersion {
         /// The offending file.
         path: PathBuf,
@@ -579,7 +579,7 @@ impl SpilledTrace {
     fn map_or_read(
         path: &Path,
         file: &mut File,
-        file_len: usize,
+        #[cfg_attr(not(unix), allow(unused_variables))] file_len: usize,
         sections_at: usize,
         n_words: usize,
         n_targets: usize,
@@ -615,7 +615,6 @@ impl SpilledTrace {
         file.read_exact(&mut targets).map_err(io_at(path, "read"))?;
         let mut mem_sizes = vec![0u8; n_mem];
         file.read_exact(&mut mem_sizes).map_err(io_at(path, "read"))?;
-        let _ = file_len;
         Ok(Backing::Owned { redirect_bits, taken_bits, mem_addrs, targets, mem_sizes })
     }
 

@@ -1028,10 +1028,9 @@ impl Pipeline {
     }
 
     fn fetch<S: RecordSource>(&mut self, trace: &mut Feed<S>) {
-        if let Some(seq) = self.fetch_blocked_on {
+        if self.fetch_blocked_on.is_some() {
             // Blocked until the mispredicted branch resolves; writeback
             // clears the block.
-            let _ = seq;
             self.activity.mispredict_stall_cycles += 1;
             return;
         }

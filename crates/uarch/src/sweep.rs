@@ -72,26 +72,11 @@ impl HierarchyPoint {
     }
 }
 
-/// Replays the program's loads and stores through an L1 + unified-L2
-/// hierarchy, functionally. L2 sees L1 misses (and L1 dirty evictions as
-/// writes), the usual exclusive-of-hits filtering.
-///
-/// Extracts the address trace and delegates to
-/// [`simulate_hierarchy_trace`]; callers evaluating many `(l1, l2)` pairs
-/// should extract an [`AddressTrace`] once and call the trace-based form
-/// per pair instead of paying one functional simulation each.
-pub fn simulate_hierarchy(
-    program: &Program,
-    l1: CacheConfig,
-    l2: CacheConfig,
-    limit: u64,
-) -> HierarchyPoint {
-    simulate_hierarchy_trace(&AddressTrace::extract(program, limit), l1, l2)
-}
-
 /// Replays a pre-extracted data-reference trace through an L1 +
-/// unified-L2 hierarchy — [`simulate_hierarchy`] minus the per-pair
-/// functional simulation.
+/// unified-L2 hierarchy, functionally. L2 sees L1 misses (and L1 dirty
+/// evictions as writes), the usual exclusive-of-hits filtering. Callers
+/// evaluating many `(l1, l2)` pairs extract the [`AddressTrace`] once and
+/// call this per pair instead of paying one functional simulation each.
 pub fn simulate_hierarchy_trace(
     trace: &AddressTrace,
     l1: CacheConfig,
@@ -170,11 +155,10 @@ mod tests {
     #[test]
     fn hierarchy_l2_filters_l1_hits() {
         let p = streaming_program(32, 4096, 8_000);
-        let point = simulate_hierarchy(
-            &p,
+        let point = simulate_hierarchy_trace(
+            &AddressTrace::extract(&p, u64::MAX),
             CacheConfig::new(1024, Assoc::Ways(2), 32),
             CacheConfig::new(64 * 1024, Assoc::Ways(4), 64),
-            u64::MAX,
         );
         // Every L2 access corresponds to an L1 miss (loads only here).
         assert!(point.l2_stats.accesses <= point.l1_stats.misses + point.l1_stats.writebacks);
@@ -191,20 +175,6 @@ mod tests {
         assert_eq!(
             sweep_dcache(&p, &configs, u64::MAX),
             sweep_dcache_replay(&p, &configs, u64::MAX)
-        );
-    }
-
-    #[test]
-    fn hierarchy_trace_form_matches_program_form() {
-        let p = streaming_program(32, 1024, 4_000);
-        let (l1, l2) = (
-            CacheConfig::new(1024, Assoc::Ways(2), 32),
-            CacheConfig::new(32 * 1024, Assoc::Ways(4), 64),
-        );
-        let trace = AddressTrace::extract(&p, u64::MAX);
-        assert_eq!(
-            simulate_hierarchy_trace(&trace, l1, l2),
-            simulate_hierarchy(&p, l1, l2, u64::MAX)
         );
     }
 

@@ -6,7 +6,7 @@
 //! error or a degraded-but-flagged result instead of panicking. Every
 //! perturbation is a pure function of the plan's root seed, the profile's
 //! name, and the fault's position in the plan (via
-//! [`derive_cell_seed`](crate::seeds::derive_cell_seed)), so fault-injected
+//! [`derive_cell_seed`]), so fault-injected
 //! runs are bit-identical at any thread count.
 
 use perfclone_profile::{DepHistogram, EdgeProfile, WorkloadProfile, NUM_DEP_BUCKETS};

@@ -250,11 +250,6 @@ impl Default for Gate {
 }
 
 impl Gate {
-    /// Creates a gate with the given tolerances and the default budget.
-    pub fn with_tolerances(tolerances: Tolerances) -> Gate {
-        Gate { tolerances, ..Gate::default() }
-    }
-
     /// Re-profiles `clone` and compares it against `source`, returning the
     /// report regardless of verdict.
     ///

@@ -312,7 +312,7 @@ pub mod collection {
 
     use super::{Strategy, TestRng};
 
-    /// Length specifications accepted by [`vec`].
+    /// Length specifications accepted by [`vec()`].
     pub trait SizeRange {
         /// Samples a length.
         fn sample_len(&self, rng: &mut TestRng) -> usize;
