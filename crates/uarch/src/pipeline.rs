@@ -9,8 +9,6 @@
 //! the mispredicted branch until it resolves, modelling the wrong-path
 //! bubble without executing wrong-path instructions.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::error::Error as StdError;
 use std::fmt;
 
@@ -34,6 +32,24 @@ fn exec_latency(class: InstrClass) -> u32 {
     }
 }
 
+/// Functional-unit groups: the pool each class issues to. Multiply and
+/// divide share a group, and a busy divider closes it to both.
+const G_INT_ALU: u32 = 0;
+const G_INT_MUL: u32 = 1;
+const G_FP_ALU: u32 = 2;
+const G_FP_MUL: u32 = 3;
+const G_MEM: u32 = 4;
+
+fn unit_group(class: InstrClass) -> u32 {
+    match class {
+        InstrClass::IntAlu | InstrClass::Branch | InstrClass::Jump => G_INT_ALU,
+        InstrClass::IntMul | InstrClass::IntDiv => G_INT_MUL,
+        InstrClass::FpAlu => G_FP_ALU,
+        InstrClass::FpMul | InstrClass::FpDiv => G_FP_MUL,
+        InstrClass::Load | InstrClass::Store => G_MEM,
+    }
+}
+
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 enum EntryState {
     Waiting,
@@ -45,7 +61,7 @@ enum EntryState {
 /// registers ([`perfclone_isa::Instr::uses`] caps its `OperandList` at 3),
 /// so the sequence numbers of its producers always fit inline — keeping
 /// [`RobEntry`] `Copy` and the rename/issue paths free of heap traffic.
-/// Readiness is checked lazily at issue time ([`Pipeline::producer_done`])
+/// Readiness is checked lazily at issue time ([`Pipeline::deps_satisfied`])
 /// instead of by broadcasting wakeups through the window, so the list is
 /// immutable once built.
 #[derive(Clone, Copy, Debug, Default)]
@@ -326,16 +342,6 @@ impl Window {
     }
 
     #[inline]
-    fn get(&self, i: usize) -> Option<&RobEntry> {
-        (i < self.len).then(|| &self.slab[(self.head + i) & self.mask])
-    }
-
-    #[inline]
-    fn get_mut(&mut self, i: usize) -> Option<&mut RobEntry> {
-        (i < self.len).then(|| &mut self.slab[(self.head + i) & self.mask])
-    }
-
-    #[inline]
     fn at(&self, i: usize) -> &RobEntry {
         debug_assert!(i < self.len);
         &self.slab[(self.head + i) & self.mask]
@@ -345,6 +351,159 @@ impl Window {
     fn at_mut(&mut self, i: usize) -> &mut RobEntry {
         debug_assert!(i < self.len);
         &mut self.slab[(self.head + i) & self.mask]
+    }
+
+    /// Slab slot of entry `i`. An entry keeps its slot while it is in the
+    /// window, so the issue queue and the completion wheel name entries
+    /// by slot.
+    #[inline]
+    fn slot(&self, i: usize) -> usize {
+        (self.head + i) & self.mask
+    }
+
+    /// Inverse of [`slot`](Window::slot).
+    #[inline]
+    fn index_of(&self, slot: usize) -> usize {
+        slot.wrapping_sub(self.head) & self.mask
+    }
+
+    #[inline]
+    fn in_slot_mut(&mut self, slot: usize) -> &mut RobEntry {
+        &mut self.slab[slot]
+    }
+}
+
+/// End-of-list marker in a [`Wheel`] bucket.
+const NIL: u32 = u32::MAX;
+
+/// Most buckets a [`Wheel`] gets, whatever the configured latencies.
+const WHEEL_CAP: u64 = 4096;
+
+/// Pending completions on a timing wheel. Bucket `done_at & mask` holds
+/// the window slots of the Executing entries due then, linked through
+/// `next`; a bitmap of non-empty buckets finds the next completion without
+/// visiting empty ones. The wheel is longer than any latency an issue can
+/// schedule, so a bucket holds only entries due on its next visit — unless
+/// the latencies exceed [`WHEEL_CAP`], when a completion more than one lap
+/// away stays in its bucket until the lap in which it falls due.
+#[derive(Debug)]
+struct Wheel {
+    heads: Box<[u32]>,
+    next: Box<[u32]>,
+    occupied: Box<[u64]>,
+    mask: u64,
+}
+
+impl Wheel {
+    fn new(slots: usize, max_latency: u64) -> Wheel {
+        let buckets = max_latency.saturating_add(1).next_power_of_two().clamp(64, WHEEL_CAP);
+        Wheel {
+            heads: vec![NIL; buckets as usize].into_boxed_slice(),
+            next: vec![NIL; slots].into_boxed_slice(),
+            occupied: vec![0; buckets as usize / 64].into_boxed_slice(),
+            mask: buckets - 1,
+        }
+    }
+
+    /// Files window slot `slot`, due at `done_at`.
+    #[inline]
+    fn push(&mut self, slot: usize, done_at: u64) {
+        let b = (done_at & self.mask) as usize;
+        self.next[slot] = self.heads[b];
+        self.heads[b] = slot as u32;
+        self.occupied[b / 64] |= 1 << (b % 64);
+    }
+
+    /// Empties the bucket visited at `cycle` and returns its list.
+    #[inline]
+    fn take(&mut self, cycle: u64) -> u32 {
+        let b = (cycle & self.mask) as usize;
+        self.occupied[b / 64] &= !(1 << (b % 64));
+        std::mem::replace(&mut self.heads[b], NIL)
+    }
+
+    /// The first cycle after `now` at which an entry due at `done_at` is
+    /// visited: `done_at` itself unless it is more than a lap away.
+    #[inline]
+    fn visit(&self, now: u64, done_at: u64) -> u64 {
+        now + 1 + ((done_at - now - 1) & self.mask)
+    }
+
+    /// The first cycle after `now` whose bucket is non-empty, or
+    /// `u64::MAX` when the wheel is empty.
+    #[inline]
+    fn next_visit(&self, now: u64) -> u64 {
+        let start = ((now + 1) & self.mask) as usize;
+        let bits = self.occupied[start / 64] >> (start % 64);
+        if bits != 0 {
+            return now + 1 + u64::from(bits.trailing_zeros());
+        }
+        // The other words in order, then the start word again for its
+        // buckets before `start`, which wrap round.
+        let words = self.occupied.len();
+        for k in 1..=words {
+            let w = (start / 64 + k) & (words - 1);
+            let bits = self.occupied[w];
+            if bits != 0 {
+                let b = w * 64 + bits.trailing_zeros() as usize;
+                return now + 1 + (b.wrapping_sub(start) as u64 & self.mask);
+            }
+        }
+        u64::MAX
+    }
+}
+
+/// The issue queue: Waiting ROB entries in age order, as a list linked
+/// through their window slots. An item is the entry's window slot shifted
+/// left by 3 over its functional-unit group, so issue can pass over an
+/// entry whose group is used up without reading the ROB, and it unlinks
+/// an issued entry without moving the others.
+#[derive(Debug)]
+struct IssueQueue {
+    /// Per window slot: the item after that slot's entry, or [`NIL`].
+    link: Box<[u32]>,
+    /// The oldest item, or [`NIL`] when the queue is empty.
+    first: u32,
+    /// Window slot of the youngest item (stale while the queue is empty).
+    last: usize,
+    len: usize,
+}
+
+impl IssueQueue {
+    fn new(slots: usize) -> IssueQueue {
+        IssueQueue { link: vec![NIL; slots].into_boxed_slice(), first: NIL, last: 0, len: 0 }
+    }
+
+    #[inline]
+    fn push(&mut self, slot: usize, group: u32) {
+        let item = (slot as u32) << 3 | group;
+        if self.len == 0 {
+            self.first = item;
+        } else {
+            self.link[self.last] = item;
+        }
+        self.link[slot] = NIL;
+        self.last = slot;
+        self.len += 1;
+    }
+
+    /// Unlinks the item in window slot `slot`, whose predecessor is in
+    /// slot `prev` (`None` when it is the oldest), and returns the item
+    /// after it.
+    #[inline]
+    fn unlink(&mut self, prev: Option<usize>, slot: usize) -> u32 {
+        let next = self.link[slot];
+        match prev {
+            None => self.first = next,
+            Some(p) => {
+                self.link[p] = next;
+                if next == NIL {
+                    self.last = p;
+                }
+            }
+        }
+        self.len -= 1;
+        next
     }
 }
 
@@ -486,22 +645,23 @@ pub struct Pipeline {
     last_writer: [Option<u64>; 64],
     activity: Activity,
     committed: u64,
-    /// Earliest `done_at` among Executing entries (`u64::MAX` when none):
-    /// lets [`writeback`](Pipeline::writeback) skip work on cycles where
-    /// nothing can possibly finish.
+    /// The first cycle after the last writeback at which the wheel has a
+    /// completion to visit (`u64::MAX` when none): lets
+    /// [`writeback`](Pipeline::writeback) skip cycles where nothing can
+    /// finish, and gives the stall skip its next completion.
     next_done_at: u64,
-    /// Pending completions as `(done_at, seq)`, pushed at issue time: an
-    /// Executing entry cannot leave the ROB (commit requires Done), so
-    /// [`writeback`](Pipeline::writeback) promotes exactly the heap
-    /// entries with `done_at <= cycle` instead of scanning the window.
-    done_heap: BinaryHeap<Reverse<(u64, u64)>>,
-    /// Every entry with a sequence number below this is known not to be
-    /// Waiting (entries never revert to Waiting), so the issue scan can
-    /// start past the already-issued prefix of the window.
-    waiting_head_seq: u64,
-    /// Waiting entries currently in the ROB: lets [`issue`](Pipeline::issue)
-    /// skip its window scan entirely on cycles with nothing to issue.
-    rob_waiting: u32,
+    /// Pending completions, filed at issue: an Executing entry cannot leave
+    /// the ROB (commit requires Done), so writeback promotes exactly the
+    /// entries in the bucket of the current cycle.
+    wheel: Wheel,
+    /// The ROB's Waiting entries in age order. Dispatch appends, issue
+    /// removes, so issue never visits an entry that is not Waiting.
+    waiting: IssueQueue,
+    /// Units per functional-unit group, indexed by `G_*`.
+    units: [u32; 5],
+    /// Bit `g` set when group `g` has at least one unit: the free-unit
+    /// mask an issue scan starts from, before the divider-busy bits.
+    unit_mask: u32,
     /// Store entries currently in the ROB (any state): when zero, a load's
     /// forwarding scan in [`load_latency`](Pipeline::load_latency) cannot
     /// match and is skipped.
@@ -520,11 +680,73 @@ pub struct Pipeline {
     /// Earliest cycle a busy divider could unblock a sleeping issue scan
     /// (`u64::MAX` when no divider was busy at sleep time).
     issue_wake_at: u64,
+    work: Work,
+}
+
+/// What one run cost the model, as opposed to what it simulated: pure
+/// functions of trace and config, published once per run as the
+/// `uarch.pipeline.cycles_skipped` and `uarch.issue.*` counters.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct Work {
+    /// Cycles the run loop stepped through its stages.
+    stepped: u64,
+    /// Cycles the stall skip jumped over.
+    skipped: u64,
+    /// Issue calls that scanned the issue queue.
+    scans: u64,
+    /// Scans that issued nothing.
+    fruitless: u64,
+    /// Issue-queue entries the scans read.
+    visits: u64,
+    /// Readiness checks: visits whose unit group had a free unit.
+    evaluated: u64,
+}
+
+impl Work {
+    fn publish(&self) {
+        perfclone_obs::count!("uarch.pipeline.cycles_skipped", self.skipped);
+        perfclone_obs::count!("uarch.issue.scans", self.scans);
+        perfclone_obs::count!("uarch.issue.fruitless", self.fruitless);
+        perfclone_obs::count!("uarch.issue.visits", self.visits);
+        perfclone_obs::count!("uarch.issue.evaluated", self.evaluated);
+    }
+}
+
+/// A finished or budget-tripped run: the report, the model's work, and
+/// whether the budget tripped.
+struct Outcome {
+    report: PipelineReport,
+    work: Work,
+    exhausted: bool,
+}
+
+impl Outcome {
+    fn into_result(self, max_cycles: u64) -> Result<PipelineReport, PipelineError> {
+        if self.exhausted {
+            Err(PipelineError::BudgetExhausted { max_cycles, report: Box::new(self.report) })
+        } else {
+            Ok(self.report)
+        }
+    }
 }
 
 impl Pipeline {
     /// Creates a pipeline with cold caches and predictor.
     pub fn new(config: MachineConfig) -> Pipeline {
+        let mem_burst_cycles = config.l2.line_bytes / config.mem_bus_bytes;
+        // The longest latency an issue can schedule: a load that misses
+        // to memory (agen, then L1, L2 and memory), or a divide.
+        let load_miss = 2
+            + u64::from(config.l2_latency)
+            + u64::from(config.mem_latency)
+            + u64::from(mem_burst_cycles);
+        let max_latency = load_miss.max(u64::from(exec_latency(InstrClass::IntDiv)));
+        let window = Window::new((config.rob_size + config.fetch_queue) as usize);
+        let slots = window.slab.len();
+        let units =
+            [config.int_alu, config.int_mul, config.fp_alu, config.fp_mul, config.mem_ports];
+        let unit_mask =
+            units.iter().enumerate().filter(|&(_, &n)| n > 0).fold(0, |m, (g, _)| m | 1 << g);
         Pipeline {
             config,
             l1i: Cache::new(config.l1i),
@@ -532,7 +754,8 @@ impl Pipeline {
             l2: Cache::new(config.l2),
             bpred: BranchPredictor::new(config.predictor),
             cycle: 0,
-            rob: Window::new((config.rob_size + config.fetch_queue) as usize),
+            wheel: Wheel::new(slots, max_latency),
+            rob: window,
             rob_len: 0,
             lsq_count: 0,
             next_seq: 0,
@@ -540,27 +763,28 @@ impl Pipeline {
             icache_ready_at: 0,
             last_fetch_line: u64::MAX,
             l1i_line_shift: config.l1i.line_bytes.trailing_zeros(),
-            mem_burst_cycles: config.l2.line_bytes / config.mem_bus_bytes,
+            mem_burst_cycles,
             int_div_busy_until: 0,
             fp_div_busy_until: 0,
             last_writer: [None; 64],
             activity: Activity::default(),
             committed: 0,
             next_done_at: u64::MAX,
-            done_heap: BinaryHeap::with_capacity(config.rob_size as usize + 1),
-            waiting_head_seq: 0,
-            rob_waiting: 0,
+            waiting: IssueQueue::new(slots),
+            units,
+            unit_mask,
             store_count: 0,
             pending_stores: 0,
             issue_asleep: false,
             issue_wake_at: 0,
+            work: Work::default(),
         }
     }
 
     /// Runs the pipeline over a correct-path trace until every instruction
     /// has committed, returning the report.
     pub fn run<I: IntoIterator<Item = DynInstr>>(self, trace: I) -> PipelineReport {
-        self.run_inner(Feed::new(IterSource(trace.into_iter())), u64::MAX).0
+        self.run_fast(Feed::new(IterSource(trace.into_iter())), u64::MAX).report
     }
 
     /// Runs the pipeline over a batched trace decoder until every
@@ -570,7 +794,7 @@ impl Pipeline {
     /// [`run`](Pipeline::run) over the replay oracle, bit-identically
     /// (property-tested in the workspace replay suites).
     pub fn run_batched(self, replay: BatchReplay<'_>) -> PipelineReport {
-        self.run_inner(Feed::new(BatchSource::new(replay)), u64::MAX).0
+        self.run_fast(Feed::new(BatchSource::new(replay)), u64::MAX).report
     }
 
     /// [`run_batched`](Pipeline::run_batched) with a cycle budget, mirroring
@@ -584,12 +808,7 @@ impl Pipeline {
         replay: BatchReplay<'_>,
         max_cycles: u64,
     ) -> Result<PipelineReport, PipelineError> {
-        let (report, exhausted) = self.run_inner(Feed::new(BatchSource::new(replay)), max_cycles);
-        if exhausted {
-            Err(PipelineError::BudgetExhausted { max_cycles, report: Box::new(report) })
-        } else {
-            Ok(report)
-        }
+        self.run_fast(Feed::new(BatchSource::new(replay)), max_cycles).into_result(max_cycles)
     }
 
     /// [`run`](Pipeline::run) with a cycle budget: if the trace has not
@@ -605,21 +824,28 @@ impl Pipeline {
         trace: I,
         max_cycles: u64,
     ) -> Result<PipelineReport, PipelineError> {
-        let (report, exhausted) =
-            self.run_inner(Feed::new(IterSource(trace.into_iter())), max_cycles);
-        if exhausted {
-            Err(PipelineError::BudgetExhausted { max_cycles, report: Box::new(report) })
-        } else {
-            Ok(report)
-        }
+        self.run_fast(Feed::new(IterSource(trace.into_iter())), max_cycles).into_result(max_cycles)
     }
 
-    fn run_inner<S: RecordSource>(
+    /// The model with every shortcut on; publishes its work counters.
+    fn run_fast<S: RecordSource>(self, trace: Feed<S>, max_cycles: u64) -> Outcome {
+        let out = self.run_inner::<true, _>(trace, max_cycles);
+        out.work.publish();
+        out
+    }
+
+    /// The model. `FAST` selects its shortcuts: the stall skip, the
+    /// completion wheel, the issue queue and issue sleep. The naive
+    /// instantiation (`FAST = false`) steps every cycle, scans the whole
+    /// ROB for issue and for writeback, and never sleeps; only this
+    /// crate's tests run it, as the oracle the fast one must equal.
+    fn run_inner<const FAST: bool, S: RecordSource>(
         mut self,
         mut trace: Feed<S>,
         max_cycles: u64,
-    ) -> (PipelineReport, bool) {
+    ) -> Outcome {
         let mut exhausted = false;
+        let mut stepped = 0;
         loop {
             let trace_empty = trace.peek().is_none();
             if trace_empty && self.rob.is_empty() {
@@ -630,76 +856,31 @@ impl Pipeline {
                 break;
             }
             self.cycle += 1;
+            stepped += 1;
             let committed = self.committed;
             let issues = self.activity.issues;
             let dispatches = self.activity.dispatches;
             let fetches = self.activity.fetches;
-            let wrote_back = self.next_done_at <= self.cycle;
             self.commit();
-            self.writeback();
-            self.issue();
-            self.dispatch();
+            let wrote_back = if FAST { self.writeback() } else { self.writeback_scan() };
+            if FAST {
+                self.issue();
+            } else {
+                self.issue_scan();
+            }
+            self.dispatch::<FAST>();
             self.fetch(&mut trace);
             self.activity.rob_occupancy_sum += self.rob_len as u64;
             self.activity.lsq_occupancy_sum += u64::from(self.lsq_count);
-            // Stall skip: on a quiescent cycle (no stage moved anything),
-            // the model's state is frozen until the next event — the
-            // earliest in-flight completion (which also unblocks commit,
-            // dependents, and a mispredict-blocked fetch), the I-cache
-            // line arrival, or a divider becoming free. Every one of
-            // those times is tracked exactly, so jumping there and
-            // accumulating the per-cycle statistics in bulk is
-            // bit-identical to stepping cycle by cycle.
-            const STALL_SKIP: bool = true;
-            let quiescent = STALL_SKIP
+            let quiescent = FAST
                 && !wrote_back
                 && committed == self.committed
                 && issues == self.activity.issues
                 && dispatches == self.activity.dispatches
                 && fetches == self.activity.fetches;
             if quiescent {
-                let mut ev = u64::MAX;
-                if self.next_done_at > self.cycle {
-                    ev = ev.min(self.next_done_at);
-                }
-                if self.fetch_blocked_on.is_none() && self.icache_ready_at > self.cycle {
-                    ev = ev.min(self.icache_ready_at);
-                }
-                if self.rob_waiting > 0 {
-                    // A waiting div/mul may be gated only on the divider.
-                    if self.int_div_busy_until > self.cycle {
-                        ev = ev.min(self.int_div_busy_until);
-                    }
-                    if self.fp_div_busy_until > self.cycle {
-                        ev = ev.min(self.fp_div_busy_until);
-                    }
-                }
-                if ev != u64::MAX && ev > self.cycle + 1 {
-                    // Land one cycle short of the event so the normal loop
-                    // body executes the event cycle itself; never skip past
-                    // the budget (its last cycle must run, then trip).
-                    let target = (ev - 1).min(max_cycles);
-                    let k = target.saturating_sub(self.cycle);
-                    self.cycle = target;
-                    self.activity.rob_occupancy_sum += k * self.rob_len as u64;
-                    self.activity.lsq_occupancy_sum += k * u64::from(self.lsq_count);
-                    // Replicate fetch's per-cycle stall accounting for the
-                    // skipped cycles (its branch conditions are constant
-                    // across them: no writeback ran, so the block holds,
-                    // and the line-arrival time is beyond the target).
-                    if self.fetch_blocked_on.is_some() {
-                        self.activity.mispredict_stall_cycles += k;
-                    } else if self.icache_ready_at > target {
-                        self.activity.icache_stall_cycles += k;
-                    }
-                }
+                self.skip(&mut trace, max_cycles);
             }
-            // Defensive bound: a liveness bug would otherwise spin forever.
-            debug_assert!(
-                self.cycle < 1_000 + 2_000 * (self.committed + 100),
-                "pipeline livelock at cycle {}",
-                self.cycle
-            );
         }
         let report = PipelineReport {
             cycles: self.cycle,
@@ -710,7 +891,66 @@ impl Pipeline {
             bpred: self.bpred.stats(),
             activity: self.activity,
         };
-        (report, exhausted)
+        Outcome { report, work: Work { stepped, ..self.work }, exhausted }
+    }
+
+    /// Stall skip, after a quiescent cycle (no stage moved anything): the
+    /// model's state is frozen until the next event — the earliest
+    /// in-flight completion (which also unblocks commit, dependents, and
+    /// a mispredict-blocked fetch), the I-cache line arrival, or a divider
+    /// becoming free. Every one of those times is tracked exactly (a
+    /// capped wheel may report a completion's bucket a lap early, which
+    /// costs one stepped cycle), so jumping there and accumulating the
+    /// per-cycle statistics in bulk is bit-identical to stepping cycle by
+    /// cycle.
+    ///
+    /// # Panics
+    ///
+    /// When there is no next event although work remains: nothing can
+    /// ever move again, so the run would otherwise spin forever.
+    fn skip<S: RecordSource>(&mut self, trace: &mut Feed<S>, max_cycles: u64) {
+        let mut ev = self.next_done_at;
+        // A line that arrives this very cycle (a zero-latency refill) is
+        // fetched on the next one: an event, not a wedge.
+        if self.fetch_blocked_on.is_none() && self.icache_ready_at >= self.cycle {
+            ev = ev.min(self.icache_ready_at);
+        }
+        if self.waiting.len > 0 {
+            // A waiting div/mul may be gated only on the divider.
+            if self.int_div_busy_until > self.cycle {
+                ev = ev.min(self.int_div_busy_until);
+            }
+            if self.fp_div_busy_until > self.cycle {
+                ev = ev.min(self.fp_div_busy_until);
+            }
+        }
+        if ev == u64::MAX && (!self.rob.is_empty() || trace.peek().is_some()) {
+            panic!(
+                "pipeline wedged at cycle {}: {} instructions committed, {} in the ROB, \
+                 and no event left to wake it",
+                self.cycle, self.committed, self.rob_len
+            );
+        }
+        if ev > self.cycle + 1 {
+            // Land one cycle short of the event so the normal loop body
+            // executes the event cycle itself; never skip past the budget
+            // (its last cycle must run, then trip).
+            let target = (ev - 1).min(max_cycles);
+            let k = target.saturating_sub(self.cycle);
+            self.cycle = target;
+            self.work.skipped += k;
+            self.activity.rob_occupancy_sum += k * self.rob_len as u64;
+            self.activity.lsq_occupancy_sum += k * u64::from(self.lsq_count);
+            // Replicate fetch's per-cycle stall accounting for the skipped
+            // cycles (its branch conditions are constant across them: no
+            // writeback ran, so the block holds, and the line-arrival time
+            // is beyond the target).
+            if self.fetch_blocked_on.is_some() {
+                self.activity.mispredict_stall_cycles += k;
+            } else if self.icache_ready_at > target {
+                self.activity.icache_stall_cycles += k;
+            }
+        }
     }
 
     /// Walks the data hierarchy for one access, returning its latency.
@@ -792,72 +1032,121 @@ impl Pipeline {
         }
     }
 
-    fn writeback(&mut self) {
+    /// Promotes the completions due this cycle, returning whether any was.
+    fn writeback(&mut self) -> bool {
         let cycle = self.cycle;
         if self.next_done_at > cycle {
-            return; // nothing can finish this cycle
+            return false; // nothing can finish this cycle
         }
-        // Promote exactly the completions due by now. Promotion order
-        // within a cycle is immaterial: each entry's effects (Done state,
-        // store/mispredict bookkeeping) are independent of the others'.
-        while let Some(&Reverse((done_at, seq))) = self.done_heap.peek() {
-            if done_at > cycle {
-                break;
-            }
-            self.done_heap.pop();
-            let Some(front_seq) = self.rob.front().map(|e| e.seq) else { break };
-            let Some(e) = self.rob.get_mut((seq - front_seq) as usize) else { break };
-            debug_assert_eq!(e.seq, seq, "Executing entries stay in the ROB");
-            e.state = EntryState::Done;
-            let (is_store, mispredicted) = (e.is_store, e.mispredicted);
-            // A new Done entry may satisfy a sleeping scan's deps.
-            self.issue_asleep = false;
-            if is_store {
-                self.pending_stores -= 1;
-            }
-            if mispredicted && self.fetch_blocked_on == Some(seq) {
-                self.fetch_blocked_on = None;
+        // Promotion order within a cycle is immaterial: each entry's
+        // effects (Done state, store/mispredict bookkeeping) are
+        // independent of the others'.
+        let mut promoted = false;
+        let mut slot = self.wheel.take(cycle);
+        while slot != NIL {
+            let s = slot as usize;
+            slot = self.wheel.next[s];
+            match self.rob.in_slot_mut(s).state {
+                // Due in a later lap of a capped wheel: file it again.
+                EntryState::Executing { done_at } if done_at > cycle => self.wheel.push(s, done_at),
+                _ => {
+                    self.promote(s);
+                    promoted = true;
+                }
             }
         }
-        self.next_done_at = self.done_heap.peek().map_or(u64::MAX, |&Reverse((d, _))| d);
+        self.next_done_at = self.wheel.next_visit(cycle);
+        promoted
     }
 
-    /// `true` when the producer with sequence number `w` has finished
-    /// execution (or already committed). O(1): the window holds the
-    /// contiguous in-flight range `[oldest, next_seq)`, so a sequence
-    /// number below the window head has committed, one inside the ROB
-    /// partition is found by direct indexing, and one at or beyond the
-    /// partition is still in the fetch queue (never executed).
-    #[inline]
-    fn producer_done(&self, w: u64) -> bool {
-        let Some(front) = self.rob.front() else { return true };
-        if w < front.seq {
-            return true;
-        }
-        let idx = (w - front.seq) as usize;
-        if idx >= self.rob_len {
-            return false; // still in the fetch-queue partition
-        }
-        match self.rob.get(idx) {
-            Some(p) => {
-                debug_assert_eq!(p.seq, w, "window seq range must be contiguous");
-                p.state == EntryState::Done
+    /// The naive writeback: scans the whole ROB for due completions.
+    fn writeback_scan(&mut self) -> bool {
+        let mut promoted = false;
+        for idx in 0..self.rob_len {
+            if let EntryState::Executing { done_at } = self.rob.at(idx).state {
+                if done_at <= self.cycle {
+                    self.promote(self.rob.slot(idx));
+                    promoted = true;
+                }
             }
-            None => false,
+        }
+        promoted
+    }
+
+    /// Marks the Executing entry in window slot `slot` Done.
+    fn promote(&mut self, slot: usize) {
+        let e = self.rob.in_slot_mut(slot);
+        debug_assert!(matches!(e.state, EntryState::Executing { .. }));
+        e.state = EntryState::Done;
+        let (seq, is_store, mispredicted) = (e.seq, e.is_store, e.mispredicted);
+        // A new Done entry may satisfy a sleeping scan's deps.
+        self.issue_asleep = false;
+        if is_store {
+            self.pending_stores -= 1;
+        }
+        if mispredicted && self.fetch_blocked_on == Some(seq) {
+            self.fetch_blocked_on = None;
         }
     }
 
-    /// `true` when every producer of ROB entry `idx` has finished.
+    /// `true` when every producer of ROB entry `idx` has finished
+    /// execution (or already committed). O(1) per producer: the window
+    /// holds the contiguous in-flight range `[oldest, next_seq)`, so a
+    /// sequence number below the window head has committed, one inside
+    /// the ROB partition is found by direct indexing, and one at or beyond
+    /// the partition is still in the fetch queue (never executed).
     #[inline]
     fn deps_satisfied(&self, idx: usize) -> bool {
-        self.rob.at(idx).deps.iter().all(|w| self.producer_done(w))
+        let e = self.rob.at(idx);
+        let front = e.seq - idx as u64;
+        e.deps.iter().all(|w| {
+            w < front || {
+                let i = (w - front) as usize;
+                i < self.rob_len && self.rob.at(i).state == EntryState::Done
+            }
+        })
     }
 
+    /// Starts ROB entry `idx` executing this cycle, returning the cycle it
+    /// completes. The caller charges the functional unit.
+    #[inline(always)]
+    fn launch(&mut self, idx: usize) -> u64 {
+        let (class, is_load, seq, addr, bytes) = {
+            let e = self.rob.at(idx);
+            (e.class, e.is_load, e.seq, e.addr, e.bytes)
+        };
+        let lat = if is_load { self.load_latency(seq, addr, bytes) } else { exec_latency(class) };
+        let done_at = self.cycle + u64::from(lat);
+        let e = self.rob.at_mut(idx);
+        e.state = EntryState::Executing { done_at };
+        self.activity.issues += 1;
+        self.activity.regfile_reads += u64::from(e.num_uses);
+        match class {
+            InstrClass::IntAlu | InstrClass::Branch | InstrClass::Jump => {
+                self.activity.int_alu_ops += 1;
+            }
+            InstrClass::IntMul => self.activity.int_mul_ops += 1,
+            InstrClass::IntDiv => {
+                self.int_div_busy_until = done_at;
+                self.activity.int_mul_ops += 1;
+            }
+            InstrClass::FpAlu => self.activity.fp_alu_ops += 1,
+            InstrClass::FpMul => self.activity.fp_mul_ops += 1,
+            InstrClass::FpDiv => {
+                self.fp_div_busy_until = done_at;
+                self.activity.fp_mul_ops += 1;
+            }
+            InstrClass::Load | InstrClass::Store => {}
+        }
+        done_at
+    }
+
+    /// Issues from the issue queue, oldest first. An entry whose unit
+    /// group is used up this cycle is passed over on its tag alone; the
+    /// scan ends when the issue width is spent or no group has a free
+    /// unit.
     fn issue(&mut self) {
-        if self.rob_waiting == 0 {
-            // Nothing in the window is Waiting; the scan below could only
-            // walk and find nothing. (The waiting-head hint stays valid:
-            // entries never revert to Waiting.)
+        if self.waiting.len == 0 {
             return;
         }
         if self.issue_asleep && self.cycle < self.issue_wake_at {
@@ -867,106 +1156,65 @@ impl Pipeline {
             return;
         }
         self.issue_asleep = false;
-        let mut budget = self.config.issue_width;
-        let mut int_alu_free = self.config.int_alu;
-        let mut int_mul_free = self.config.int_mul;
-        let mut fp_alu_free = self.config.fp_alu;
-        let mut fp_mul_free = self.config.fp_mul;
-        let mut mem_ports_free = self.config.mem_ports;
         let cycle = self.cycle;
-
-        let Some(front_seq) = self.rob.front().map(|e| e.seq) else { return };
-        // Entries below the waiting-head hint are known issued; start past
-        // them. The hint is re-established from this scan's outcome below.
-        let mut idx = (self.waiting_head_seq.saturating_sub(front_seq)) as usize;
-        let mut first_still_waiting: Option<u64> = None;
-        while idx < self.rob_len && budget > 0 {
-            let (state, class) = {
-                let e = self.rob.at(idx);
-                (e.state, e.class)
+        let mut free = self.unit_mask;
+        if self.int_div_busy_until > cycle {
+            free &= !(1 << G_INT_MUL);
+        }
+        if self.fp_div_busy_until > cycle {
+            free &= !(1 << G_FP_MUL);
+        }
+        let mut left = self.units;
+        let mut budget = self.config.issue_width;
+        let in_order = self.config.issue_policy == IssuePolicy::InOrder;
+        let mut prev = None;
+        let mut item = self.waiting.first;
+        let mut visits = 0;
+        let mut evaluated = 0;
+        while item != NIL && budget > 0 && free != 0 {
+            let g = item & 7;
+            let slot = (item >> 3) as usize;
+            visits += 1;
+            let ready = free & (1 << g) != 0 && {
+                evaluated += 1;
+                let idx = self.rob.index_of(slot);
+                self.deps_satisfied(idx) && self.load_ready(idx)
             };
-            if state != EntryState::Waiting {
-                idx += 1;
-                continue;
-            }
-            let unit_ok = match class {
-                InstrClass::IntAlu | InstrClass::Branch | InstrClass::Jump => int_alu_free > 0,
-                InstrClass::IntMul => int_mul_free > 0 && self.int_div_busy_until <= cycle,
-                InstrClass::IntDiv => int_mul_free > 0 && self.int_div_busy_until <= cycle,
-                InstrClass::FpAlu => fp_alu_free > 0,
-                InstrClass::FpMul => fp_mul_free > 0 && self.fp_div_busy_until <= cycle,
-                InstrClass::FpDiv => fp_mul_free > 0 && self.fp_div_busy_until <= cycle,
-                InstrClass::Load | InstrClass::Store => mem_ports_free > 0,
-            };
-            let ready = unit_ok && self.deps_satisfied(idx) && self.load_ready(idx);
-            if ready {
-                // Extract the latency inputs as scalars rather than copying
-                // the whole entry out of the ROB to satisfy the borrow.
-                let (is_load, seq, addr, bytes) = {
-                    let e = self.rob.at(idx);
-                    (e.is_load, e.seq, e.addr, e.bytes)
-                };
-                let lat =
-                    if is_load { self.load_latency(seq, addr, bytes) } else { exec_latency(class) };
-                let done_at = cycle + u64::from(lat);
-                self.next_done_at = self.next_done_at.min(done_at);
-                self.done_heap.push(Reverse((done_at, front_seq + idx as u64)));
-                let e = self.rob.at_mut(idx);
-                e.state = EntryState::Executing { done_at };
-                self.rob_waiting -= 1;
-                budget -= 1;
-                self.activity.issues += 1;
-                self.activity.regfile_reads += u64::from(e.num_uses);
-                match e.class {
-                    InstrClass::IntAlu | InstrClass::Branch | InstrClass::Jump => {
-                        int_alu_free -= 1;
-                        self.activity.int_alu_ops += 1;
-                    }
-                    InstrClass::IntMul => {
-                        int_mul_free -= 1;
-                        self.activity.int_mul_ops += 1;
-                    }
-                    InstrClass::IntDiv => {
-                        int_mul_free -= 1;
-                        self.int_div_busy_until = cycle + u64::from(lat);
-                        self.activity.int_mul_ops += 1;
-                    }
-                    InstrClass::FpAlu => {
-                        fp_alu_free -= 1;
-                        self.activity.fp_alu_ops += 1;
-                    }
-                    InstrClass::FpMul => {
-                        fp_mul_free -= 1;
-                        self.activity.fp_mul_ops += 1;
-                    }
-                    InstrClass::FpDiv => {
-                        fp_mul_free -= 1;
-                        self.fp_div_busy_until = cycle + u64::from(lat);
-                        self.activity.fp_mul_ops += 1;
-                    }
-                    InstrClass::Load | InstrClass::Store => {
-                        mem_ports_free -= 1;
-                    }
-                }
-            } else {
-                if first_still_waiting.is_none() {
-                    first_still_waiting = Some(front_seq + idx as u64);
-                }
-                if self.config.issue_policy == IssuePolicy::InOrder {
+            if !ready {
+                if in_order {
                     // In-order issue: stop at the first instruction that
                     // cannot issue this cycle.
                     break;
                 }
+                prev = Some(slot);
+                item = self.waiting.link[slot];
+                continue;
             }
-            idx += 1;
+            item = self.waiting.unlink(prev, slot);
+            let done_at = self.launch(self.rob.index_of(slot));
+            self.wheel.push(slot, done_at);
+            self.next_done_at = self.next_done_at.min(self.wheel.visit(cycle, done_at));
+            budget -= 1;
+            left[g as usize] -= 1;
+            if left[g as usize] == 0 {
+                free &= !(1 << g);
+            }
+            // An issued divide holds its divider, closing its group.
+            if self.int_div_busy_until > cycle {
+                free &= !(1 << G_INT_MUL);
+            }
+            if self.fp_div_busy_until > cycle {
+                free &= !(1 << G_FP_MUL);
+            }
         }
-        // Everything scanned before the first still-Waiting entry issued;
-        // if the scan ran dry, everything up to the scan end is non-Waiting.
-        self.waiting_head_seq = first_still_waiting.unwrap_or(front_seq + idx as u64);
+        self.work.scans += 1;
+        self.work.visits += visits;
+        self.work.evaluated += evaluated;
         if budget == self.config.issue_width {
             // Issued nothing: sleep until a wake event. A busy divider can
             // unblock a waiting mul/div purely by time passing, so cap the
             // sleep at its release.
+            self.work.fruitless += 1;
             self.issue_asleep = true;
             let mut wake = u64::MAX;
             if self.int_div_busy_until > cycle {
@@ -976,6 +1224,54 @@ impl Pipeline {
                 wake = wake.min(self.fp_div_busy_until);
             }
             self.issue_wake_at = wake;
+        }
+    }
+
+    /// The naive issue stage: scans the whole ROB, oldest first, checking
+    /// every Waiting entry against the free units of its class.
+    fn issue_scan(&mut self) {
+        let cycle = self.cycle;
+        let mut budget = self.config.issue_width;
+        let mut int_alu_free = self.config.int_alu;
+        let mut int_mul_free = self.config.int_mul;
+        let mut fp_alu_free = self.config.fp_alu;
+        let mut fp_mul_free = self.config.fp_mul;
+        let mut mem_ports_free = self.config.mem_ports;
+        for i in 0..self.rob_len {
+            if budget == 0 {
+                break;
+            }
+            let (state, class) = {
+                let e = self.rob.at(i);
+                (e.state, e.class)
+            };
+            if state != EntryState::Waiting {
+                continue;
+            }
+            let unit_ok = match class {
+                InstrClass::IntAlu | InstrClass::Branch | InstrClass::Jump => int_alu_free > 0,
+                InstrClass::IntMul | InstrClass::IntDiv => {
+                    int_mul_free > 0 && self.int_div_busy_until <= cycle
+                }
+                InstrClass::FpAlu => fp_alu_free > 0,
+                InstrClass::FpMul | InstrClass::FpDiv => {
+                    fp_mul_free > 0 && self.fp_div_busy_until <= cycle
+                }
+                InstrClass::Load | InstrClass::Store => mem_ports_free > 0,
+            };
+            if unit_ok && self.deps_satisfied(i) && self.load_ready(i) {
+                self.launch(i);
+                budget -= 1;
+                *match class {
+                    InstrClass::IntAlu | InstrClass::Branch | InstrClass::Jump => &mut int_alu_free,
+                    InstrClass::IntMul | InstrClass::IntDiv => &mut int_mul_free,
+                    InstrClass::FpAlu => &mut fp_alu_free,
+                    InstrClass::FpMul | InstrClass::FpDiv => &mut fp_mul_free,
+                    InstrClass::Load | InstrClass::Store => &mut mem_ports_free,
+                } -= 1;
+            } else if self.config.issue_policy == IssuePolicy::InOrder {
+                break;
+            }
         }
     }
 
@@ -997,7 +1293,7 @@ impl Pipeline {
         true
     }
 
-    fn dispatch(&mut self) {
+    fn dispatch<const FAST: bool>(&mut self) {
         for _ in 0..self.config.decode_width {
             if self.rob_len == self.rob.len() {
                 break; // fetch-queue partition is empty
@@ -1011,6 +1307,9 @@ impl Pipeline {
                 break;
             }
             let is_store = front.is_store;
+            if FAST {
+                self.waiting.push(self.rob.slot(self.rob_len), unit_group(front.class));
+            }
             // Admit the entry by moving the partition: no data moves.
             self.rob_len += 1;
             if is_mem {
@@ -1020,7 +1319,6 @@ impl Pipeline {
                 self.store_count += 1;
                 self.pending_stores += 1;
             }
-            self.rob_waiting += 1;
             self.activity.dispatches += 1;
             // A new Waiting entry may be issuable where the rest are not.
             self.issue_asleep = false;
@@ -1065,7 +1363,7 @@ impl Pipeline {
 
             // Rename: record the last writer of each source register.
             // Whether that producer is still in flight is resolved lazily
-            // at issue time ([`producer_done`](Pipeline::producer_done)).
+            // at issue time ([`deps_satisfied`](Pipeline::deps_satisfied)).
             let mut deps = DepList::default();
             for &u in d.uses() {
                 if let Some(w) = self.last_writer[usize::from(u)] {
@@ -1121,6 +1419,7 @@ mod tests {
     use crate::config::base_config;
     use perfclone_isa::{ProgramBuilder, Reg};
     use perfclone_sim::Simulator;
+    use proptest::prelude::*;
 
     fn r(i: u8) -> Reg {
         Reg::new(i)
@@ -1376,6 +1675,186 @@ mod tests {
         let PipelineError::BudgetExhausted { report: a, .. } = iter_err;
         let PipelineError::BudgetExhausted { report: b, .. } = batch_err;
         assert_eq!(a, b, "partial reports at the budget must match");
+    }
+
+    /// The model over a recorded trace: the shipped model when `FAST`,
+    /// the naive oracle otherwise.
+    fn model<const FAST: bool>(
+        config: MachineConfig,
+        trace: &[DynInstr],
+        max_cycles: u64,
+    ) -> Outcome {
+        Pipeline::new(config)
+            .run_inner::<FAST, _>(Feed::new(IterSource(trace.iter().copied())), max_cycles)
+    }
+
+    /// Asserts the fast model equals the naive one on `trace`, run to
+    /// completion and under a budget of the fraction `cut` of the full
+    /// run's cycles, returning the full run's work.
+    fn assert_matches_naive(config: MachineConfig, trace: &[DynInstr], cut: f64) -> Work {
+        let fast = model::<true>(config, trace, u64::MAX);
+        assert!(!fast.exhausted);
+        // The naive run must drain by the same cycle, so it gets exactly
+        // that many: a slower oracle trips the budget and shows up below.
+        let naive = model::<false>(config, trace, fast.report.cycles);
+        assert_eq!(
+            (naive.report, naive.exhausted),
+            (fast.report, false),
+            "full run diverged for {config:?}"
+        );
+        let budget = (fast.report.cycles as f64 * cut) as u64;
+        let cut_fast = model::<true>(config, trace, budget);
+        let cut_naive = model::<false>(config, trace, budget);
+        assert_eq!(
+            (cut_fast.report, cut_fast.exhausted),
+            (cut_naive.report, cut_naive.exhausted),
+            "run under a {budget}-cycle budget diverged for {config:?}"
+        );
+        fast.work
+    }
+
+    /// Clones of the Tiny kernels: profiled once, synthesized per seed.
+    fn clone_trace(kernel: usize, seed: u64) -> Vec<DynInstr> {
+        use perfclone_kernels::{catalog, Scale};
+        use perfclone_profile::WorkloadProfile;
+        use std::sync::OnceLock;
+        static PROFILES: OnceLock<Vec<WorkloadProfile>> = OnceLock::new();
+        let profiles = PROFILES.get_or_init(|| {
+            catalog()
+                .iter()
+                .map(|k| {
+                    let program = k.build(Scale::Tiny).program;
+                    perfclone_profile::profile_program(&program, 20_000).expect("kernel profiles")
+                })
+                .collect()
+        });
+        let params = perfclone_synth::SynthesisParams {
+            seed,
+            target_dynamic: 3_000,
+            ..perfclone_synth::SynthesisParams::default()
+        };
+        let clone = perfclone_synth::synthesize(&profiles[kernel % profiles.len()], &params)
+            .expect("clone synthesizes");
+        Simulator::trace(&clone, 6_000).collect()
+    }
+
+    /// Random machines: every predictor kind and both issue policies over
+    /// the width, window, unit and latency ranges the oracle covers.
+    fn machine() -> impl Strategy<Value = MachineConfig> {
+        use crate::cache::{Assoc, CacheConfig};
+        use crate::predictor::PredictorKind;
+        let widths = (1u32..=8, 1u32..=8, 1u32..=8, 1u32..=8);
+        let window = (1u32..=128, 1u32..=16, 1u32..=64);
+        let units = (1u32..=4, 1u32..=4, 1u32..=4, 1u32..=4, 1u32..=4);
+        let memory = (1u32..=24, 1u32..=320, 0u32..4, 0u32..4);
+        let control = (any::<bool>(), 0u32..7, 1u32..=10, 0u32..=4);
+        (widths, window, units, memory, control).prop_map(|(w, win, u, mem, ctl)| {
+            let (l2_latency, mem_latency, l1d_log, bus_log) = mem;
+            let (in_order, kind, bits, addr_bits) = ctl;
+            let predictor = match kind {
+                0 => PredictorKind::NotTaken,
+                1 => PredictorKind::Taken,
+                2 => PredictorKind::Bimodal { table_bits: bits },
+                3 => PredictorKind::TwoLevelGAp { history_bits: bits, addr_bits },
+                4 => PredictorKind::Gshare { history_bits: bits },
+                5 => PredictorKind::TwoLevelPAp { history_bits: bits, addr_bits },
+                _ => PredictorKind::Tournament { history_bits: bits, table_bits: bits },
+            };
+            MachineConfig {
+                name: "random",
+                fetch_width: w.0,
+                decode_width: w.1,
+                issue_width: w.2,
+                commit_width: w.3,
+                rob_size: win.0,
+                fetch_queue: win.1,
+                lsq_size: win.2,
+                int_alu: u.0,
+                int_mul: u.1,
+                fp_alu: u.2,
+                fp_mul: u.3,
+                mem_ports: u.4,
+                issue_policy: if in_order { IssuePolicy::InOrder } else { IssuePolicy::OutOfOrder },
+                predictor,
+                l1d: CacheConfig::new(512 << (2 * l1d_log), Assoc::Ways(1 << l1d_log), 32),
+                l2_latency,
+                mem_latency,
+                mem_bus_bytes: 4 << bus_log,
+                ..base_config()
+            }
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The stall skip, the completion wheel, the issue queue and issue
+        /// sleep change nothing the model reports: the naive
+        /// instantiation, which steps every cycle and scans the whole ROB,
+        /// returns the same report, also when a budget trips mid-run.
+        #[test]
+        fn fast_model_equals_naive_model(
+            kernel in 0usize..64,
+            seed in any::<u64>(),
+            config in machine(),
+            cut in 0.0f64..1.0,
+        ) {
+            assert_matches_naive(config, &clone_trace(kernel, seed), cut);
+        }
+    }
+
+    #[test]
+    fn far_completions_wait_on_a_capped_wheel() {
+        let config = MachineConfig { mem_latency: 100_000, ..base_config() };
+        assert_eq!(Pipeline::new(config).wheel.heads.len() as u64, WHEEL_CAP);
+        let trace: Vec<DynInstr> = Simulator::trace(&mixed_program(), 400).collect();
+        let work = assert_matches_naive(config, &trace, 0.6);
+        assert!(work.skipped > 100_000, "misses to memory are skipped, not stepped");
+    }
+
+    #[test]
+    #[should_panic(expected = "pipeline wedged at cycle 1: 0 instructions committed")]
+    fn a_wedged_pipeline_panics_in_every_build() {
+        // Fetch waits on a branch that will never resolve, so no event can
+        // ever move the model again.
+        let mut p = Pipeline::new(base_config());
+        p.fetch_blocked_on = Some(u64::MAX);
+        p.run(Simulator::trace(&alu_loop(10), u64::MAX));
+    }
+
+    /// The work counters of one fixed program, pinned exactly: they are
+    /// pure functions of trace and config.
+    #[test]
+    fn work_counters_are_exact() {
+        let trace: Vec<DynInstr> = Simulator::trace(&mixed_program(), u64::MAX).collect();
+        let axes = crate::GridAxes::dense();
+        let widest = axes.config(axes.cells() - 1).expect("last cell");
+        assert_eq!((widest.issue_width, widest.rob_size), (8, 128));
+        let expected = [
+            Work {
+                stepped: 3058,
+                skipped: 102,
+                scans: 3016,
+                fruitless: 12,
+                visits: 4379,
+                evaluated: 4379,
+            },
+            Work {
+                stepped: 1069,
+                skipped: 709,
+                scans: 1036,
+                fruitless: 8,
+                visits: 110_270,
+                evaluated: 16_971,
+            },
+        ];
+        for (config, want) in [base_config(), widest].into_iter().zip(expected) {
+            let run = model::<true>(config, &trace, u64::MAX);
+            let (work, report) = (run.work, run.report);
+            assert_eq!(work, want, "{}", config.name);
+            assert_eq!(work.stepped + work.skipped, report.cycles);
+            assert!(work.visits >= work.evaluated && work.evaluated >= report.activity.issues);
+        }
     }
 
     #[test]
