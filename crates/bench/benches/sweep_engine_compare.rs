@@ -2,7 +2,8 @@
 //! L1 D-cache sweep evaluated by per-configuration functional replay
 //! (`sweep_dcache_replay`, the pre-engine path and correctness oracle)
 //! versus the single-pass stack-distance engine (`sweep_dcache`: one trace
-//! extraction + one Mattson pass over per-set truncated LRU stacks), plus
+//! extraction + one Mattson pass over per-set truncated LRU stacks that
+//! stops at the first set count holding the line on top), plus
 //! the engine's two halves in isolation (`trace_extraction_only`,
 //! `stack_pass_only`). Asserts bit-identical miss counts before timing,
 //! and prints the wall-clock speedup the engine delivers.

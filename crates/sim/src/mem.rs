@@ -73,17 +73,17 @@ impl Memory {
         out
     }
 
-    /// Writes `N` little-endian bytes starting at `addr`.
-    pub fn write_bytes(&mut self, addr: u64, bytes: &[u8]) {
-        let off = (addr & PAGE_MASK) as usize;
-        if off + bytes.len() <= PAGE_SIZE {
+    /// Writes `bytes` starting at `addr`, one page-sized chunk at a time
+    /// (a program's data image is loaded this way).
+    pub fn write_bytes(&mut self, mut addr: u64, mut bytes: &[u8]) {
+        while !bytes.is_empty() {
+            let off = (addr & PAGE_MASK) as usize;
+            let (chunk, rest) = bytes.split_at(bytes.len().min(PAGE_SIZE - off));
             let page =
                 self.pages.entry(addr >> PAGE_SHIFT).or_insert_with(|| Box::new([0u8; PAGE_SIZE]));
-            page[off..off + bytes.len()].copy_from_slice(bytes);
-            return;
-        }
-        for (i, b) in bytes.iter().enumerate() {
-            self.write_u8(addr.wrapping_add(i as u64), *b);
+            page[off..off + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            bytes = rest;
         }
     }
 
@@ -169,12 +169,25 @@ mod tests {
             prop_assert_eq!(m.read_u64(addr), value);
         }
 
+        /// Spans of up to three pages at any offset, including ones that
+        /// wrap past the top of the address space, land byte for byte and
+        /// allocate the same pages as byte-at-a-time writes.
         #[test]
-        fn byte_writes_compose(addr in 0u64..(1 << 30), bytes in proptest::collection::vec(any::<u8>(), 1..64)) {
+        fn byte_writes_compose(
+            page in prop_oneof![0u64..(1 << 18), Just(u64::MAX >> PAGE_SHIFT)],
+            off in 0..PAGE_SIZE as u64,
+            bytes in proptest::collection::vec(any::<u8>(), 1..3 * PAGE_SIZE),
+        ) {
+            let addr = (page << PAGE_SHIFT) | off;
             let mut m = Memory::new();
             m.write_bytes(addr, &bytes);
+            let mut reference = Memory::new();
             for (i, b) in bytes.iter().enumerate() {
-                prop_assert_eq!(m.read_u8(addr + i as u64), *b);
+                reference.write_u8(addr.wrapping_add(i as u64), *b);
+            }
+            prop_assert_eq!(m.page_count(), reference.page_count());
+            for (i, b) in bytes.iter().enumerate() {
+                prop_assert_eq!(m.read_u8(addr.wrapping_add(i as u64)), *b);
             }
         }
 

@@ -21,10 +21,35 @@
 //! **Truncated stacks.** Distances at or beyond the largest way count any
 //! configuration uses at a level (its *cap*) are misses for all of them,
 //! so each set's stack keeps only its `cap` most recent lines; a line that
-//! falls off re-enters at the MRU end like a cold one. An access costs one
-//! move-to-front pass per level, `O(Σ caps)` in the worst case. Levels
-//! are independent: the engine does not use Hill & Smith's refinement of
-//! `S`-set caches by `2S`-set ones.
+//! falls off re-enters at the MRU end like a cold one.
+//!
+//! **Early exit by set refinement** (Hill & Smith, "Evaluating
+//! Associativity in CPU Caches", 1989). Set counts are powers of two, so
+//! each set of a finer level holds a subset of the lines of one set of
+//! any coarser level. A line at stack distance 0 at `S` sets is therefore
+//! the most recent line of its set at every finer level too, where moving
+//! it to the front changes nothing. The pass visits levels in ascending
+//! set count and stops at the first that finds the line at distance 0,
+//! counting an *exit* there. A level's distance-0 hits are the exits at it
+//! and at every coarser level. A truncated stack is a prefix of the full
+//! one, so its top is the same line, and the skipped levels would not
+//! have changed: every stack stays exactly what it would be without the
+//! exit.
+//!
+//! **Shallow and deep levels.** A level of cap at most 4 (every
+//! set-associative level of the paper sweep) keeps each set's lines inline
+//! with its fill count, so an access touches one slot. A deeper level (the
+//! paper's 512-line fully-associative one) keeps flat stacks plus a
+//! presence filter, an open-addressing set of the lines it holds. A line
+//! absent from its stack then skips the walk: it costs one shift of the
+//! stack, one insert into the filter and, on a full stack, one removal of
+//! the line that falls off.
+//!
+//! **Cost.** An access walks each visited level's set to the line's
+//! distance, `O(Σ caps)` in the worst case. On the paper sweep over the 23
+//! kernels' and their clones' 200 K-instruction windows, a reference
+//! visits 5.3 of the 10 levels on average, and the 7.7% that miss the
+//! 512-deep level skip their walk there.
 //!
 //! Grouping rule: one pass handles every configuration sharing a line
 //! size (the line size fixes the address→line mapping); configurations
@@ -123,6 +148,180 @@ impl AddressTrace {
     }
 }
 
+/// Largest cap whose sets a level keeps inline (every set-associative
+/// level of the paper sweep has cap 1, 2 or 4).
+const SHALLOW_CAP: usize = 4;
+
+/// One set of a shallow level: its lines, MRU first, held inline so that
+/// an access touches one slot.
+#[derive(Clone, Copy, Default)]
+struct ShallowSet {
+    lines: [u64; SHALLOW_CAP],
+    /// Occupied length of `lines`. Slots past it are empty, so no line
+    /// value doubles as an empty marker.
+    fill: u8,
+}
+
+impl ShallowSet {
+    /// Moves `line` to the front and returns its old stack distance, or
+    /// `None` when it was absent (a full stack's LRU line then drops off).
+    #[inline]
+    fn touch(&mut self, line: u64, cap: usize) -> Option<usize> {
+        let fill = usize::from(self.fill);
+        // Move to front in one pass: each slot takes the line above it
+        // until the accessed line's old slot is overwritten.
+        let mut carry = line;
+        for (d, slot) in self.lines[..fill].iter_mut().enumerate() {
+            carry = std::mem::replace(slot, carry);
+            if carry == line {
+                return Some(d);
+            }
+        }
+        if fill < cap {
+            self.lines[fill] = carry;
+            self.fill += 1;
+        }
+        None
+    }
+}
+
+/// The sets of a deep level: flat stacks plus a presence filter over all
+/// of them, so that a line absent from its stack skips the walk.
+struct DeepSets {
+    /// `lines[s * cap..][..fill[s]]` holds set `s`'s lines, MRU first.
+    lines: Vec<u64>,
+    fill: Vec<usize>,
+    /// Exactly the lines the stacks hold.
+    present: LineSet,
+}
+
+impl DeepSets {
+    /// [`ShallowSet::touch`] for set `set`.
+    #[inline]
+    fn touch(&mut self, set: usize, line: u64, cap: usize) -> Option<usize> {
+        let stack = &mut self.lines[set * cap..][..cap];
+        let fill = &mut self.fill[set];
+        if *fill > 0 && stack[0] == line {
+            return Some(0);
+        }
+        if self.present.contains(line) {
+            // The filter is exact, so this walk finds the line.
+            let mut carry = line;
+            for (d, slot) in stack[..*fill].iter_mut().enumerate() {
+                carry = std::mem::replace(slot, carry);
+                if carry == line {
+                    return Some(d);
+                }
+            }
+        }
+        // Absent: shift the stack down one slot without a walk; the LRU
+        // line of a full stack drops off and leaves the filter.
+        if *fill == cap {
+            self.present.remove(stack[cap - 1]);
+        } else {
+            *fill += 1;
+        }
+        stack.copy_within(..*fill - 1, 1);
+        stack[0] = line;
+        self.present.insert(line);
+        None
+    }
+}
+
+/// A set of lines: open addressing with linear probing and deletion by
+/// backward shift. Occupancy is kept in flags of its own because every
+/// `u64` can be a line. The hash is not keyed, so lines crafted to
+/// collide can make a probe scan the whole table; it is at most a quarter
+/// full, so every probe ends.
+struct LineSet {
+    keys: Vec<u64>,
+    used: Vec<bool>,
+    /// Number of keys held.
+    len: usize,
+    /// `64 - log2(keys.len())`: a key's home slot is the top bits of its
+    /// Fibonacci hash.
+    shift: u32,
+}
+
+impl LineSet {
+    /// An empty set for up to `capacity` lines, at most a quarter full.
+    fn with_capacity(capacity: usize) -> LineSet {
+        let slots = (4 * capacity).next_power_of_two().max(2);
+        LineSet {
+            keys: vec![0; slots],
+            used: vec![false; slots],
+            len: 0,
+            shift: 64 - slots.trailing_zeros(),
+        }
+    }
+
+    fn home(&self, line: u64) -> usize {
+        (line.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> self.shift) as usize
+    }
+
+    /// The slot holding `line`, or else the empty slot that ends its
+    /// probe run, and whether `line` was found.
+    fn probe(&self, line: u64) -> (usize, bool) {
+        let mask = self.keys.len() - 1;
+        let mut i = self.home(line);
+        while self.used[i] {
+            if self.keys[i] == line {
+                return (i, true);
+            }
+            i = (i + 1) & mask;
+        }
+        (i, false)
+    }
+
+    fn contains(&self, line: u64) -> bool {
+        self.probe(line).1
+    }
+
+    fn insert(&mut self, line: u64) {
+        let (i, found) = self.probe(line);
+        if !found {
+            // A level that lost track of its lines would fill the table,
+            // and then a probe would never meet an empty slot.
+            assert!(self.len < self.keys.len() / 4, "line filter over capacity");
+            self.keys[i] = line;
+            self.used[i] = true;
+            self.len += 1;
+        }
+    }
+
+    fn remove(&mut self, line: u64) {
+        let (mut hole, found) = self.probe(line);
+        if !found {
+            return;
+        }
+        // Backward shift: pull each later key of the run into the hole
+        // when the hole lies on its probe path from its home slot.
+        let mask = self.keys.len() - 1;
+        let mut i = hole;
+        loop {
+            i = (i + 1) & mask;
+            if !self.used[i] {
+                break;
+            }
+            let home = self.home(self.keys[i]);
+            if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
+                self.keys[hole] = self.keys[i];
+                hole = i;
+            }
+        }
+        self.used[hole] = false;
+        self.len -= 1;
+    }
+}
+
+/// A level's per-set stacks, stored by its cap.
+enum Stacks {
+    /// Cap at most [`SHALLOW_CAP`].
+    Shallow(Vec<ShallowSet>),
+    /// Any deeper cap.
+    Deep(DeepSets),
+}
+
 /// One set-count level of a pass: a truncated LRU stack per set plus the
 /// level's stack-distance histogram.
 struct Level {
@@ -130,41 +329,62 @@ struct Level {
     /// Deepest distance any configuration at this level distinguishes
     /// (its maximum way count), and so each stack's length.
     cap: usize,
-    /// `stacks[s * cap..][..fill[s]]` holds set `s`'s lines, MRU first.
-    stacks: Vec<u64>,
-    /// Occupied length of each set's stack. Slots past it are empty, so
-    /// no line value doubles as an empty marker.
-    fill: Vec<usize>,
-    /// `hist[d]` counts accesses at stack distance `d < cap`.
+    stacks: Stacks,
+    /// `hist[d]` counts accesses at stack distance `0 < d < cap` (a
+    /// distance-0 access is an exit instead, so `hist[0]` stays 0).
     hist: Vec<u64>,
+    /// Accesses that found their line at distance 0 here and stopped: a
+    /// distance-0 hit at this level and at every finer one.
+    exits: u64,
 }
 
 impl Level {
-    fn access(&mut self, line: u64) {
+    fn new(sets: u64, cap: usize) -> Level {
+        let stacks = if cap <= SHALLOW_CAP {
+            Stacks::Shallow(vec![ShallowSet::default(); sets as usize])
+        } else {
+            Stacks::Deep(DeepSets {
+                lines: vec![0; sets as usize * cap],
+                fill: vec![0; sets as usize],
+                present: LineSet::with_capacity(sets as usize * cap),
+            })
+        };
+        Level { sets, cap, stacks, hist: vec![0; cap], exits: 0 }
+    }
+
+    /// Moves `line` to the front of its set's stack and records its
+    /// distance. Returns `true` when the line was already at the front,
+    /// where the access changes nothing.
+    #[inline]
+    fn access(&mut self, line: u64) -> bool {
         let set = (line & (self.sets - 1)) as usize;
-        let stack = &mut self.stacks[set * self.cap..][..self.cap];
-        let fill = &mut self.fill[set];
-        // Move to front in one pass: each slot takes the line above it
-        // until the accessed line's old slot is overwritten.
-        let mut carry = line;
-        for (d, slot) in stack[..*fill].iter_mut().enumerate() {
-            carry = std::mem::replace(slot, carry);
-            if carry == line {
-                self.hist[d] += 1;
-                return;
+        let distance = match &mut self.stacks {
+            Stacks::Shallow(sets) => sets[set].touch(line, self.cap),
+            Stacks::Deep(deep) => deep.touch(set, line, self.cap),
+        };
+        match distance {
+            Some(0) => {
+                self.exits += 1;
+                return true;
             }
+            Some(d) => self.hist[d] += 1,
+            None => {}
         }
-        // Absent (a miss at every way count): the pushed-down LRU line
-        // drops off a full stack.
-        if *fill < self.cap {
-            stack[*fill] = carry;
-            *fill += 1;
-        }
+        false
     }
 }
 
+/// Work of one pass, derived from its exits and accesses.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+struct PassWork {
+    /// Levels visited, summed over accesses.
+    level_visits: u64,
+    /// Accesses that stopped at a level holding their line at distance 0.
+    early_exits: u64,
+}
+
 /// One single-pass evaluation: a [`Level`] per distinct set count among
-/// the configurations of one line-size group.
+/// the configurations of one line-size group, in ascending set count.
 struct AllAssocPass {
     line_shift: u32,
     levels: Vec<Level>,
@@ -181,35 +401,43 @@ impl AllAssocPass {
                 None => caps.push((sets, ways as usize)),
             }
         }
-        let levels = caps
-            .into_iter()
-            .map(|(sets, cap)| Level {
-                sets,
-                cap,
-                stacks: vec![0; sets as usize * cap],
-                fill: vec![0; sets as usize],
-                hist: vec![0; cap],
-            })
-            .collect();
+        caps.sort_unstable();
+        let levels = caps.into_iter().map(|(sets, cap)| Level::new(sets, cap)).collect();
         AllAssocPass { line_shift: line_bytes.trailing_zeros(), levels, accesses: 0 }
     }
 
+    /// Visits the levels coarsest first and stops at the first that finds
+    /// the line at distance 0, which set refinement makes exact (see the
+    /// module docs).
     fn access(&mut self, addr: u64) {
         self.accesses += 1;
         let line = addr >> self.line_shift;
         for level in &mut self.levels {
-            level.access(line);
+            if level.access(line) {
+                return;
+            }
         }
     }
 
-    /// Exact LRU miss count of a `(sets, ways)` geometry.
+    /// Exact LRU miss count of a `(sets, ways)` geometry: distance-0 hits
+    /// are the exits at this level and every coarser one.
     fn misses(&self, sets: u64, ways: u64) -> u64 {
-        let hits: u64 = self
-            .levels
-            .iter()
-            .find(|l| l.sets == sets)
-            .map_or(0, |l| l.hist[..ways as usize].iter().sum());
-        self.accesses - hits
+        let Some(j) = self.levels.iter().position(|l| l.sets == sets) else {
+            return self.accesses;
+        };
+        let exits: u64 = self.levels[..=j].iter().map(|l| l.exits).sum();
+        let deeper: u64 = self.levels[j].hist[..ways as usize].iter().sum();
+        self.accesses - exits - deeper
+    }
+
+    /// An access that stops at level `i` visited `i + 1` levels; any other
+    /// visited them all.
+    fn work(&self) -> PassWork {
+        let early_exits: u64 = self.levels.iter().map(|l| l.exits).sum();
+        let stopped: u64 =
+            self.levels.iter().zip(1u64..).map(|(l, visited)| l.exits * visited).sum();
+        let walked_through = (self.accesses - early_exits) * self.levels.len() as u64;
+        PassWork { level_visits: stopped + walked_through, early_exits }
     }
 }
 
@@ -229,6 +457,15 @@ fn line_size_groups(configs: &[CacheConfig]) -> Vec<Group> {
     groups
 }
 
+/// One pass of `trace` over the levels of `geometries`.
+fn run_pass(trace: &AddressTrace, line_bytes: u32, geometries: &[(u64, u64)]) -> AllAssocPass {
+    let mut pass = AllAssocPass::new(line_bytes, geometries);
+    for r in trace.refs() {
+        pass.access(r.addr);
+    }
+    pass
+}
+
 /// Miss counts of one line-size group's configurations, in group order.
 fn run_group(
     trace: &AddressTrace,
@@ -239,11 +476,13 @@ fn run_group(
     let _span = perfclone_obs::span!("sweep.group");
     let geometries: Vec<(u64, u64)> =
         idxs.iter().map(|&i| (configs[i].sets(), configs[i].ways())).collect();
-    let mut pass = AllAssocPass::new(line_bytes, &geometries);
-    for r in trace.refs() {
-        pass.access(r.addr);
-    }
+    let pass = run_pass(trace, line_bytes, &geometries);
+    // Published once per pass: the per-reference loop keeps no counter
+    // beyond the exits it needs for the miss counts.
+    let work = pass.work();
     perfclone_obs::count!("sweep.group_accesses", pass.accesses);
+    perfclone_obs::count!("sweep.level_visits", work.level_visits);
+    perfclone_obs::count!("sweep.early_exits", work.early_exits);
     geometries.iter().map(|&(sets, ways)| pass.misses(sets, ways)).collect()
 }
 
@@ -278,6 +517,8 @@ mod tests {
     use crate::config::cache_sweep;
     use crate::sweep::sweep_dcache_replay;
     use perfclone_isa::{MemWidth, ProgramBuilder, Reg, StreamDesc};
+    use proptest::prelude::*;
+    use std::collections::HashSet;
 
     fn streaming_program(stride: i64, length: u32, n: i64) -> Program {
         let mut b = ProgramBuilder::new("stream");
@@ -376,6 +617,69 @@ mod tests {
         ];
         for (pt, &config) in sweep_trace(&trace, &configs).iter().zip(&configs) {
             assert_eq!(pt.misses, replay_misses(&refs, config), "{config}");
+        }
+    }
+
+    #[test]
+    fn work_counters_are_exact() {
+        // Every third reference re-touches the line before it, a 700-line
+        // stream overflows even the 512-line fully-associative stack, and
+        // a 50-line hot set hits at middling distances.
+        let refs: Vec<DataRef> = (0..6_000u64)
+            .map(|i| {
+                let line = if i % 3 == 2 { i * 7 % 50 } else { i / 3 % 700 };
+                DataRef { addr: line * 32 + i % 32, is_store: false }
+            })
+            .collect();
+        let trace = AddressTrace::from_refs(refs.len() as u64, refs);
+        let geometries: Vec<(u64, u64)> =
+            cache_sweep().iter().map(|c| (c.sets(), c.ways())).collect();
+        let pass = run_pass(&trace, 32, &geometries);
+        let work = pass.work();
+        assert_eq!(pass.levels.len(), 10);
+        // An unbounded LRU stack per set and level, walked at every level,
+        // gives the same two numbers.
+        assert_eq!(work, PassWork { level_visits: 37_916, early_exits: 4_599 });
+        assert!(work.level_visits <= pass.accesses * pass.levels.len() as u64);
+    }
+
+    /// Keys whose home slot is one of the last two slots of `set` or its
+    /// first, so that their probe runs collide and wrap past the end.
+    fn colliding_keys(set: &LineSet, n: usize) -> Vec<u64> {
+        let last = set.keys.len() - 1;
+        (0..=u64::MAX)
+            .flat_map(|k| [k, u64::MAX - k])
+            .filter(|&k| matches!(set.home(k), h if h + 1 >= last || h == 0))
+            .take(n)
+            .collect()
+    }
+
+    proptest! {
+        /// The presence filter agrees with `HashSet` on every key after
+        /// each insert and remove, with at most `capacity` keys held.
+        #[test]
+        fn line_set_matches_hash_set(
+            ops in proptest::collection::vec((any::<bool>(), 0usize..12), 1..200),
+        ) {
+            let capacity = 8;
+            let mut set = LineSet::with_capacity(capacity);
+            let keys = colliding_keys(&set, 12);
+            let mut model = HashSet::new();
+            for (insert, k) in ops {
+                let key = keys[k];
+                if !insert {
+                    set.remove(key);
+                    model.remove(&key);
+                } else if model.len() < capacity || model.contains(&key) {
+                    set.insert(key);
+                    model.insert(key);
+                }
+                for key in &keys {
+                    prop_assert_eq!(set.contains(*key), model.contains(key), "key {:#x}", key);
+                }
+            }
+            prop_assert_eq!(set.used.iter().filter(|&&u| u).count(), model.len());
+            prop_assert_eq!(set.len, model.len());
         }
     }
 
