@@ -1,21 +1,33 @@
 //! The online profile collector.
 //!
 //! Hot-path note: the collector runs once per retired instruction, inlined
-//! into the interpreter loop. What it needs to know about the record's
-//! instruction it reads from the program's [`InstrMetaTable`], and the ids
-//! it interns per pc (SFG node, stream, branch record) sit in one dense
-//! pc-indexed slot table, so neither costs an enum match or a hash. The
-//! `(pred, cur)` context map (probed once per block entry), the store-chunk
-//! `mem_writer` table and the per-stream stride/run maps are keyed by
-//! run-time values and stay hashed, with the deterministic multiply-rotate
-//! [`FxHashMap`]: their keys are small integers the profiler itself
-//! produces, never attacker-controlled data. Profile output is unaffected:
-//! every map either has hash-independent insertion logic or is sorted (or
-//! reduced by a total order) before it reaches the [`WorkloadProfile`].
+//! into the interpreter loop, so per record it does only what depends on
+//! the record's dynamic values. Register dependences do not, except at a
+//! block's live-in uses: when an SFG node is created, [`BlockDeps`]
+//! summarizes its block from the program's [`InstrMetaTable`] (the
+//! dependences inside the block, its live-in uses and each register's last
+//! definition). A block end then reads the register-writer table only for
+//! the live-ins and writes only the last definitions, and
+//! [`Profiler::finish`] adds each context's inner dependences as its count
+//! times the summary. A block the window or a fault cut short gets the
+//! summary of its retired prefix instead.
+//!
+//! The ids interned per pc (SFG node, stream, branch record) sit in one
+//! dense pc-indexed slot table. Three maps are keyed by run-time values
+//! and stay hashed, with the deterministic multiply-rotate [`FxHashMap`]:
+//! the `(pred, cur)` context map, probed at a block entry only when the
+//! node's last context differs; the store-chunk `mem_writer` table, probed
+//! per load and store; and each stream's per-stride run totals, probed only
+//! when a constant-stride run breaks. Their keys are small integers the
+//! profiler itself produces, never attacker-controlled data. Profile output
+//! is unaffected: every map either has hash-independent insertion logic or
+//! is reduced by a total order before it reaches the [`WorkloadProfile`].
+
+use std::cmp::Reverse;
 
 use rustc_hash::FxHashMap;
 
-use perfclone_isa::{InstrClass, InstrMetaTable, Program};
+use perfclone_isa::{InstrClass, InstrMeta, InstrMetaTable, Program};
 use perfclone_sim::{DynInstr, MemAccess, Observer, Simulator};
 
 use crate::error::ProfileError;
@@ -24,7 +36,7 @@ use crate::model::{
     BlockProfile, BranchProfile, ContextProfile, EdgeProfile, StreamProfile, WorkloadProfile,
 };
 
-/// Cap on distinct strides tracked per static memory instruction; a real
+/// Cap on distinct strides counted per static memory instruction; a real
 /// profiler bounds its tables the same way.
 const MAX_STRIDES: usize = 128;
 
@@ -33,6 +45,74 @@ const ENTRY: u32 = u32::MAX;
 
 /// A slot id not interned yet.
 const UNSEEN: u32 = u32::MAX;
+
+/// Store-writer chunk numbers (8-byte chunks) wrap at the top of the
+/// address space, as addresses do.
+const CHUNK_MASK: u64 = u64::MAX >> 3;
+
+/// Next state of a 2-bit saturating direction counter, by direction (not
+/// taken, taken) and current state.
+const NEXT_COUNTER: [[u8; 4]; 2] = [[0, 0, 1, 2], [1, 2, 3, 3]];
+
+/// Whether an instruction ends its block: every control transfer, and
+/// `halt` (class `Jump`).
+#[inline]
+fn ends_block(meta: &InstrMeta) -> bool {
+    matches!(meta.class, InstrClass::Branch | InstrClass::Jump)
+}
+
+/// The register dependences of one block, fixed by its text. Offsets count
+/// records from the block's first.
+#[derive(Debug, Default)]
+struct BlockDeps {
+    /// Dependences whose producer lies earlier in the block: the same in
+    /// every complete execution.
+    inner: DepHistogram,
+    /// `(register, offset)` of each use with no producer earlier in the
+    /// block.
+    live_ins: Vec<(u8, u32)>,
+    /// `(register, offset)` of each register's last definition.
+    last_defs: Vec<(u8, u32)>,
+}
+
+impl BlockDeps {
+    /// Summarizes the block starting at `start`: up to its first
+    /// block-ending instruction, or to the end of the text.
+    fn of(metas: &[InstrMeta], start: u32) -> BlockDeps {
+        let mut deps = BlockDeps::default();
+        let mut last_def = [None::<u32>; 64];
+        for (off, meta) in (0u32..).zip(&metas[start as usize..]) {
+            // Uses read the writers before the instruction's own defs.
+            for &u in meta.uses() {
+                match last_def[usize::from(u)] {
+                    Some(def) => deps.inner.record(u64::from(off - def)),
+                    None => deps.live_ins.push((u, off)),
+                }
+            }
+            for &d in meta.defs() {
+                last_def[usize::from(d)] = Some(off);
+            }
+            if ends_block(meta) {
+                break;
+            }
+        }
+        deps.last_defs = (0u8..).zip(last_def).filter_map(|(r, off)| Some((r, off?))).collect();
+        deps
+    }
+
+    /// Records the dependences of the live-in uses into `hist`, for an
+    /// execution whose first record sits at position `base`, on the
+    /// register writers as of its entry.
+    #[inline]
+    fn record_live_ins(&self, hist: &mut DepHistogram, reg_writer: &[u64; 64], base: u64) {
+        for &(u, off) in &self.live_ins {
+            let w = reg_writer[usize::from(u)];
+            if w != 0 {
+                hist.record(base + u64::from(off) - w);
+            }
+        }
+    }
+}
 
 #[derive(Debug, Default)]
 struct NodeCollect {
@@ -43,6 +123,9 @@ struct NodeCollect {
     mem_ops: Vec<u32>,
     branch: Option<u32>,
     collecting: bool,
+    deps: BlockDeps,
+    /// The `(pred, context id)` of the node's last entry.
+    last_ctx: Option<(u32, u32)>,
 }
 
 #[derive(Debug, Default)]
@@ -54,20 +137,32 @@ struct CtxCollect {
     mem_deps: DepHistogram,
 }
 
+/// The finished constant-stride runs of one stride.
+#[derive(Clone, Copy, Debug, Default)]
+struct StrideRuns {
+    runs: u64,
+    /// Accesses in those runs: every access after a stream's first
+    /// extends or starts a run, so this is the stride's count.
+    accesses: u64,
+    /// Among the stream's first [`MAX_STRIDES`] distinct strides, the only
+    /// ones counted. A stride's first access always starts a run, so the
+    /// map sees strides in first-access order.
+    counted: bool,
+}
+
 #[derive(Debug)]
 struct StreamCollect {
     pc: u32,
     is_store: bool,
     width: u8,
     execs: u64,
-    last_addr: Option<u64>,
+    last_addr: u64,
     min_addr: u64,
     max_addr: u64,
-    stride_counts: FxHashMap<i64, u64>,
-    overflow: u64,
-    cur_stride: Option<i64>,
+    /// The current run's stride and length (0 before the second access).
+    cur_stride: i64,
     cur_run: u64,
-    run_stats: FxHashMap<i64, (u64, u64)>,
+    runs: FxHashMap<i64, StrideRuns>,
     fwd_breaks: u64,
     back_breaks: u64,
     back_jump_sum: u64,
@@ -80,61 +175,66 @@ impl StreamCollect {
             is_store,
             width,
             execs: 0,
-            last_addr: None,
+            last_addr: 0,
             min_addr: u64::MAX,
             max_addr: 0,
-            stride_counts: FxHashMap::default(),
-            overflow: 0,
-            cur_stride: None,
+            cur_stride: 0,
             cur_run: 0,
-            run_stats: FxHashMap::default(),
+            runs: FxHashMap::default(),
             fwd_breaks: 0,
             back_breaks: 0,
             back_jump_sum: 0,
         }
     }
 
+    #[inline]
     fn access(&mut self, addr: u64) {
+        let stride = addr.wrapping_sub(self.last_addr) as i64;
+        let first = self.execs == 0;
         self.execs += 1;
         self.min_addr = self.min_addr.min(addr);
         self.max_addr = self.max_addr.max(addr);
-        if let Some(last) = self.last_addr {
-            let stride = addr.wrapping_sub(last) as i64;
-            if self.stride_counts.len() < MAX_STRIDES || self.stride_counts.contains_key(&stride) {
-                *self.stride_counts.entry(stride).or_insert(0) += 1;
+        self.last_addr = addr;
+        if first {
+            return;
+        }
+        // With no run yet (`cur_run` 0), an equal stride starts one of
+        // length 1 just as a break would.
+        if stride == self.cur_stride {
+            self.cur_run += 1;
+        } else {
+            self.break_run(stride);
+        }
+    }
+
+    /// Ends the current run at an access of another stride.
+    fn break_run(&mut self, stride: i64) {
+        // Classify the breaking jump's direction. Singleton runs are
+        // excursions (e.g. the jump itself); exiting one back onto the
+        // dominant stride is a resume, not a structural break, so only
+        // multi-access runs classify.
+        if self.cur_run > 1 {
+            if stride < 0 {
+                self.back_breaks += 1;
+                self.back_jump_sum += stride.unsigned_abs();
             } else {
-                self.overflow += 1;
-            }
-            match self.cur_stride {
-                Some(s) if s == stride => self.cur_run += 1,
-                _ => {
-                    // A run break: classify the breaking jump's direction.
-                    // Singleton runs are excursions (e.g. the jump itself);
-                    // exiting one back onto the dominant stride is a resume,
-                    // not a structural break, so only multi-access runs
-                    // classify.
-                    if self.cur_stride.is_some() && self.cur_run > 1 {
-                        if stride < 0 {
-                            self.back_breaks += 1;
-                            self.back_jump_sum += stride.unsigned_abs();
-                        } else {
-                            self.fwd_breaks += 1;
-                        }
-                    }
-                    self.end_run();
-                    self.cur_stride = Some(stride);
-                    self.cur_run = 1;
-                }
+                self.fwd_breaks += 1;
             }
         }
-        self.last_addr = Some(addr);
+        self.end_run();
+        self.cur_stride = stride;
+        self.cur_run = 1;
     }
 
     fn end_run(&mut self) {
-        if let Some(s) = self.cur_stride.take() {
-            let e = self.run_stats.entry(s).or_insert((0, 0));
-            e.0 += 1;
-            e.1 += self.cur_run;
+        if self.cur_run > 0 {
+            let counted = self.runs.len() < MAX_STRIDES;
+            let totals = self
+                .runs
+                .entry(self.cur_stride)
+                .or_insert(StrideRuns { counted, ..StrideRuns::default() });
+            totals.runs += 1;
+            totals.accesses += self.cur_run;
             self.cur_run = 0;
         }
     }
@@ -144,24 +244,25 @@ impl StreamCollect {
         // Total order: highest count, then smallest magnitude, then
         // positive before negative — so profiles are deterministic even
         // when stride counts tie (e.g. a length-2 ping-pong stream).
-        let (dominant_stride, dominant_count) = self
-            .stride_counts
+        let (dominant_stride, dominant) = self
+            .runs
             .iter()
-            .max_by_key(|(s, c)| (**c, std::cmp::Reverse(s.unsigned_abs()), **s >= 0))
-            .map(|(s, c)| (*s, *c))
-            .unwrap_or((0, 0));
-        let mean_run_len = match self.run_stats.get(&dominant_stride) {
-            Some(&(runs, len_sum)) if runs > 0 => len_sum as f64 / runs as f64,
-            _ => 1.0,
-        };
+            .filter(|(_, t)| t.counted)
+            .max_by_key(|(s, t)| (t.accesses, Reverse(s.unsigned_abs()), **s >= 0))
+            .map(|(s, t)| (*s, *t))
+            .unwrap_or_default();
         StreamProfile {
             pc: self.pc,
             is_store: self.is_store,
             execs: self.execs,
             dominant_stride,
-            dominant_count,
-            mean_run_len,
-            distinct_strides: self.stride_counts.len() as u32,
+            dominant_count: dominant.accesses,
+            mean_run_len: if dominant.runs > 0 {
+                dominant.accesses as f64 / dominant.runs as f64
+            } else {
+                1.0
+            },
+            distinct_strides: self.runs.len().min(MAX_STRIDES) as u32,
             width: self.width,
             min_addr: if self.min_addr == u64::MAX { 0 } else { self.min_addr },
             max_addr: self.max_addr,
@@ -182,22 +283,44 @@ struct BranchCollect {
     execs: u64,
     taken: u64,
     transitions: u64,
-    last_dir: Option<bool>,
-    counters: Vec<u8>,
+    /// The last direction (0 or 1), or 2 before the first execution, so
+    /// that `last_dir ^ dir == 1` exactly when the direction switched.
+    last_dir: u8,
+    /// A 2-bit direction counter per global-history pattern.
+    counters: Box<[u8; 256]>,
     history_hits: u64,
 }
 
-impl Default for BranchCollect {
-    fn default() -> BranchCollect {
+impl BranchCollect {
+    fn new(pc: u32) -> BranchCollect {
         BranchCollect {
-            pc: 0,
+            pc,
             execs: 0,
             taken: 0,
             transitions: 0,
-            last_dir: None,
-            counters: vec![1; 256],
+            last_dir: 2,
+            counters: Box::new([1; 256]),
             history_hits: 0,
         }
+    }
+
+    /// Counts one execution in direction `taken` after the global
+    /// direction history `history`.
+    #[inline]
+    fn update(&mut self, taken: bool, history: u8) {
+        let dir = u8::from(taken);
+        self.execs += 1;
+        self.taken += u64::from(dir);
+        self.transitions += u64::from(self.last_dir ^ dir == 1);
+        self.last_dir = dir;
+        // Global-history direction model (a sequence-structure attribute,
+        // not a hardware predictor): predict each branch from the last
+        // eight directions of *any* branch, capturing both self-structure
+        // and inter-branch correlation (the two predictability sources of
+        // paper 3.1.5); then update.
+        let c = &mut self.counters[usize::from(history)];
+        self.history_hits += u64::from(*c >> 1 == dir);
+        *c = NEXT_COUNTER[usize::from(dir)][usize::from(*c & 3)];
     }
 }
 
@@ -217,7 +340,9 @@ struct Slot {
 /// instruction stream — the paper's "workload profiler" box (Figure 1).
 ///
 /// A profiler is bound to the [`Program`] it was created for and must be
-/// fed that program's retired records, as the interpreter produces them.
+/// fed that program's retired records, as the interpreter produces them:
+/// its per-block dependence summaries assume each block's records follow
+/// the block's text.
 ///
 /// # Panics
 ///
@@ -228,13 +353,18 @@ pub struct Profiler {
     name: String,
     meta: InstrMetaTable,
     slots: Vec<Slot>,
+    /// Records retired so far; a record's 1-based position is one more.
     pos: u64,
     nodes: Vec<NodeCollect>,
     ctx_ids: FxHashMap<(u32, u32), u32>,
     contexts: Vec<CtxCollect>,
     cur_node: Option<u32>,
+    /// Position of the current block's first record.
+    block_pos: u64,
     prev_node: u32,
     cur_ctx: usize,
+    /// Position of each register's last writer, as of the last block end
+    /// (0 = none).
     reg_writer: [u64; 64],
     mem_writer: FxHashMap<u64, u64>,
     streams: Vec<StreamCollect>,
@@ -255,6 +385,7 @@ impl Profiler {
             ctx_ids: FxHashMap::default(),
             contexts: Vec::new(),
             cur_node: None,
+            block_pos: 0,
             prev_node: ENTRY,
             cur_ctx: 0,
             reg_writer: [0; 64],
@@ -273,6 +404,7 @@ impl Profiler {
             self.nodes.push(NodeCollect {
                 start_pc: pc,
                 collecting: true,
+                deps: BlockDeps::of(self.meta.as_slice(), pc),
                 ..NodeCollect::default()
             });
         }
@@ -294,13 +426,82 @@ impl Profiler {
         let slot = &mut self.slots[pc as usize];
         if slot.site == UNSEEN {
             slot.site = self.branches.len() as u32;
-            self.branches.push(BranchCollect { pc, ..BranchCollect::default() });
+            self.branches.push(BranchCollect::new(pc));
         }
         slot.site
     }
 
+    /// Enters the block starting at `pc`, whose first record sits at `pos`,
+    /// and counts its `(pred, cur)` context, looked up through the node's
+    /// last one.
+    #[inline]
+    fn enter_block(&mut self, pc: u32, pos: u64) -> u32 {
+        let n = self.node_at(pc);
+        self.cur_node = Some(n);
+        self.block_pos = pos;
+        let pred = self.prev_node;
+        let node = &mut self.nodes[n as usize];
+        node.execs += 1;
+        let ctx = match node.last_ctx {
+            Some((p, c)) if p == pred => c,
+            _ => {
+                let contexts = &mut self.contexts;
+                let c = *self.ctx_ids.entry((pred, n)).or_insert_with(|| {
+                    contexts.push(CtxCollect { pred, node: n, ..CtxCollect::default() });
+                    (contexts.len() - 1) as u32
+                });
+                node.last_ctx = Some((pred, c));
+                c
+            }
+        };
+        self.cur_ctx = ctx as usize;
+        self.contexts[self.cur_ctx].count += 1;
+        n
+    }
+
+    /// Ends the current block at its last record `d`: branch statistics,
+    /// then the live-in dependences and the last definitions.
+    #[inline]
+    fn end_block(&mut self, node: u32, meta: &InstrMeta, d: &DynInstr) {
+        if meta.cond_branch {
+            let bid = self.branch_at(d.pc);
+            let n = &mut self.nodes[node as usize];
+            if n.collecting {
+                n.branch = Some(bid);
+            }
+            self.branches[bid as usize].update(d.taken, self.global_history);
+            self.global_history = self.global_history.wrapping_shl(1) | u8::from(d.taken);
+        }
+        let n = &mut self.nodes[node as usize];
+        let base = self.block_pos;
+        n.deps.record_live_ins(&mut self.contexts[self.cur_ctx].reg_deps, &self.reg_writer, base);
+        for &(r, off) in &n.deps.last_defs {
+            self.reg_writer[usize::from(r)] = base + u64::from(off);
+        }
+        n.collecting = false;
+        self.prev_node = node;
+        self.cur_node = None;
+    }
+
     /// Finalizes collection into a [`WorkloadProfile`].
-    pub fn finish(self) -> WorkloadProfile {
+    pub fn finish(mut self) -> WorkloadProfile {
+        // The block the window or a fault cut short counted in its context,
+        // but only the summary of its retired prefix applies to it. The
+        // prefix holds no block-ending instruction, so a summary over the
+        // text cut where the prefix ends covers all of it.
+        let unfinished = self.cur_node.map(|node| {
+            let start = self.nodes[node as usize].start_pc;
+            let end = start as usize + (self.pos + 1 - self.block_pos) as usize;
+            let prefix = BlockDeps::of(&self.meta.as_slice()[..end], start);
+            let ctx = &mut self.contexts[self.cur_ctx];
+            prefix.record_live_ins(&mut ctx.reg_deps, &self.reg_writer, self.block_pos);
+            ctx.reg_deps.merge(&prefix.inner);
+            self.cur_ctx
+        });
+        for (i, c) in self.contexts.iter_mut().enumerate() {
+            let complete = c.count - u64::from(unfinished == Some(i));
+            c.reg_deps.add_times(&self.nodes[c.node as usize].deps.inner, complete);
+        }
         let nodes = self
             .nodes
             .into_iter()
@@ -366,112 +567,48 @@ impl Observer for Profiler {
     #[inline]
     fn on_retire(&mut self, d: &DynInstr) {
         let meta = *self.meta.at(d.pc);
-
-        // Block entry: the `(pred, cur)` context is resolved here, once
-        // per block, and indexed directly by every record of the block.
+        let pos = self.pos + 1;
         let node = match self.cur_node {
             Some(n) => n,
-            None => {
-                let n = self.node_at(d.pc);
-                self.cur_node = Some(n);
-                self.nodes[n as usize].execs += 1;
-                let (pred, contexts) = (self.prev_node, &mut self.contexts);
-                let ctx = *self.ctx_ids.entry((pred, n)).or_insert_with(|| {
-                    contexts.push(CtxCollect { pred, node: n, ..CtxCollect::default() });
-                    (contexts.len() - 1) as u32
-                });
-                self.cur_ctx = ctx as usize;
-                self.contexts[self.cur_ctx].count += 1;
-                n
-            }
+            None => self.enter_block(d.pc, pos),
         };
+        debug_assert_eq!(
+            u64::from(d.pc),
+            u64::from(self.nodes[node as usize].start_pc) + (pos - self.block_pos),
+            "a record strayed from its block's text"
+        );
 
-        // Static block composition (first complete visit only). Interpreter
-        // records carry a memory access exactly for memory instructions.
-        let stream_id = d.mem.map(|m| self.stream_at(d.pc, &m));
+        // Static block composition (first visit only). Interpreter records
+        // carry a memory access exactly for memory instructions.
         let n = &mut self.nodes[node as usize];
         let collecting = n.collecting;
         if collecting {
             n.size += 1;
             n.class_counts[meta.class.index()] += 1;
-            if let Some(sid) = stream_id {
-                n.mem_ops.push(sid);
-            }
         }
 
-        // Dependency distances (per context).
-        let pos = self.pos + 1; // 1-based writer positions; 0 = none
-        let ctx = &mut self.contexts[self.cur_ctx];
-        for &u in meta.uses() {
-            let w = self.reg_writer[usize::from(u)];
-            if w != 0 {
-                ctx.reg_deps.record(pos - w);
-            }
-        }
         if let Some(m) = d.mem {
-            if !m.is_store {
-                if let Some(&w) = self.mem_writer.get(&(m.addr >> 3)) {
-                    ctx.mem_deps.record(pos - w);
-                }
-            }
-        }
-        for &def in meta.defs() {
-            self.reg_writer[usize::from(def)] = pos;
-        }
-        if let Some(m) = d.mem {
-            if m.is_store {
-                let first = m.addr >> 3;
-                let last = (m.addr + u64::from(m.bytes) - 1) >> 3;
-                for chunk in first..=last {
-                    self.mem_writer.insert(chunk, pos);
-                }
-            }
-            // Stream stride tracking.
-            if let Some(sid) = stream_id {
-                self.streams[sid as usize].access(m.addr);
-            }
-        }
-
-        // Branch direction statistics.
-        if meta.cond_branch {
-            let bid = self.branch_at(d.pc);
+            let sid = self.stream_at(d.pc, &m);
             if collecting {
-                self.nodes[node as usize].branch = Some(bid);
+                self.nodes[node as usize].mem_ops.push(sid);
             }
-            let b = &mut self.branches[bid as usize];
-            b.execs += 1;
-            if d.taken {
-                b.taken += 1;
-            }
-            if let Some(prev) = b.last_dir {
-                if prev != d.taken {
-                    b.transitions += 1;
+            if m.is_store {
+                // One chunk per 8 bytes touched, wrapping past the top of
+                // the address space as the interpreter's memory does.
+                let first = m.addr >> 3;
+                for i in 0..((m.addr & 7) + u64::from(m.bytes) + 7) >> 3 {
+                    self.mem_writer.insert((first + i) & CHUNK_MASK, pos);
                 }
+            } else if let Some(&w) = self.mem_writer.get(&(m.addr >> 3)) {
+                self.contexts[self.cur_ctx].mem_deps.record(pos - w);
             }
-            b.last_dir = Some(d.taken);
-            // Global-history direction model (a sequence-structure
-            // attribute, not a hardware predictor): predict each branch
-            // from the last eight directions of *any* branch, capturing
-            // both self-structure and inter-branch correlation (the two
-            // predictability sources of paper 3.1.5); then update.
-            let idx = self.global_history as usize;
-            let predicted = b.counters[idx] >= 2;
-            if predicted == d.taken {
-                b.history_hits += 1;
-            }
-            let c = &mut b.counters[idx];
-            *c = if d.taken { (*c + 1).min(3) } else { c.saturating_sub(1) };
-            self.global_history = self.global_history.wrapping_shl(1) | u8::from(d.taken);
+            self.streams[sid as usize].access(m.addr);
         }
 
-        // Block end: every control transfer, and `halt` (class `Jump`).
-        if matches!(meta.class, InstrClass::Branch | InstrClass::Jump) {
-            self.nodes[node as usize].collecting = false;
-            self.prev_node = node;
-            self.cur_node = None;
+        if ends_block(&meta) {
+            self.end_block(node, &meta, d);
         }
-
-        self.pos += 1;
+        self.pos = pos;
     }
 }
 
@@ -602,6 +739,8 @@ mod tests {
         assert!((alt.taken_rate() - 0.5).abs() < 0.02);
     }
 
+    /// Run to `halt`, and with windows that cut the one block short, where
+    /// only the records that retired count.
     #[test]
     fn register_dependency_distances() {
         // add consumes the value produced by the instruction 1 earlier.
@@ -612,14 +751,17 @@ mod tests {
         b.nop();
         b.add(r(3), r(2), r(1)); // distances 3 and 4
         b.halt();
-        let prof = profile_program(&b.build(), 100).unwrap();
-        let mut merged = DepHistogram::new();
-        for c in &prof.contexts {
-            merged.merge(&c.reg_deps);
+        let p = b.build();
+        // The counts of the distance-1, <=2 and <=4 buckets.
+        for (limit, want) in [(100, [1, 0, 2]), (5, [1, 0, 2]), (4, [1, 0, 0]), (1, [0, 0, 0])] {
+            let prof = profile_program(&p, limit).unwrap();
+            let mut merged = DepHistogram::new();
+            for c in &prof.contexts {
+                merged.merge(&c.reg_deps);
+            }
+            assert_eq!(merged.total(), want.iter().sum::<u64>(), "limit {limit}");
+            assert_eq!(merged.counts()[..3], want, "limit {limit}");
         }
-        assert_eq!(merged.total(), 3);
-        assert_eq!(merged.counts()[0], 1); // distance 1
-        assert_eq!(merged.counts()[2], 2); // distances 3, 4 in <=4 bucket
     }
 
     #[test]
@@ -639,6 +781,24 @@ mod tests {
         }
         assert_eq!(merged.total(), 1);
         assert_eq!(merged.counts()[1], 1); // <=2 bucket
+    }
+
+    /// A store that wraps past the top of the address space writes chunk 0
+    /// too, so the load of the same address depends on it.
+    #[test]
+    fn store_wrapping_the_address_space_is_a_writer() {
+        let mut b = ProgramBuilder::new("wrap");
+        b.li(r(1), -4);
+        b.li(r(2), 7);
+        b.sd(r(2), r(1), 0);
+        b.ld(r(3), r(1), 0); // store->load distance 1
+        b.halt();
+        let prof = profile_program(&b.build(), 100).unwrap();
+        let mut merged = DepHistogram::new();
+        for c in &prof.contexts {
+            merged.merge(&c.mem_deps);
+        }
+        assert_eq!((merged.total(), merged.counts()[0]), (1, 1));
     }
 
     #[test]

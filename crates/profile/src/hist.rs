@@ -57,6 +57,13 @@ impl DepHistogram {
         self.counts[Self::bucket(distance)] += 1;
     }
 
+    /// Adds `times` copies of `other`.
+    pub(crate) fn add_times(&mut self, other: &DepHistogram, times: u64) {
+        for (a, b) in self.counts.iter_mut().zip(other.counts) {
+            *a += b * times;
+        }
+    }
+
     /// The raw bucket counts.
     pub fn counts(&self) -> &[u64; NUM_DEP_BUCKETS] {
         &self.counts

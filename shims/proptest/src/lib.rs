@@ -435,7 +435,8 @@ macro_rules! prop_assert {
     };
 }
 
-/// Fails the current case unless the operands compare equal.
+/// Fails the current case unless the operands compare equal. A custom
+/// message follows both operands' values, as in upstream proptest.
 #[macro_export]
 macro_rules! prop_assert_eq {
     ($a:expr, $b:expr $(,)?) => {
@@ -452,7 +453,11 @@ macro_rules! prop_assert_eq {
     ($a:expr, $b:expr, $($fmt:tt)+) => {
         match (&$a, &$b) {
             (__l, __r) => {
-                $crate::prop_assert!(*__l == *__r, $($fmt)+);
+                $crate::prop_assert!(
+                    *__l == *__r,
+                    "assertion failed: `(left == right)`\n  left: `{:?}`,\n right: `{:?}`: {}",
+                    __l, __r, format!($($fmt)+)
+                );
             }
         }
     };
@@ -563,6 +568,15 @@ mod tests {
             Ok(())
         });
         assert_eq!(first, second);
+    }
+
+    #[test]
+    #[should_panic(expected = "left: `1`,\n right: `2`: geometry 7")]
+    fn eq_with_a_message_reports_both_values() {
+        crate::run_cases("eq_message", &ProptestConfig::with_cases(1), |_rng| {
+            prop_assert_eq!(1, 2, "geometry {}", 7);
+            Ok(())
+        });
     }
 
     #[test]

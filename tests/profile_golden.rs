@@ -5,8 +5,7 @@
 //! profile. The `serde_json` of both profiles and the `to_bits` of the
 //! gate's attribute deltas are FNV-1a hashed and compared with constants
 //! recorded from the hash-map profiler that the table-driven collector
-//! replaced. No second profiler is kept as an oracle, so these constants
-//! are the proof that the rewrite changed no output.
+//! replaced.
 
 use perfclone_kernels::{catalog, Scale};
 use perfclone_repro::prelude::*;
