@@ -259,13 +259,18 @@ struct RobEntry {
     num_defs: u8,
 }
 
+/// Whether the non-empty byte ranges `[a, a + la)` and `[b, b + lb)`
+/// share a byte, where a range may wrap past the top of the address
+/// space: one range's start lies in the other. Without a wrap this is
+/// `a < b + lb && b < a + la`.
+#[inline]
+fn ranges_overlap(a: u64, la: u8, b: u64, lb: u8) -> bool {
+    b.wrapping_sub(a) < u64::from(la) || a.wrapping_sub(b) < u64::from(lb)
+}
+
 impl RobEntry {
     fn overlaps(&self, other: &RobEntry) -> bool {
-        let a0 = self.addr;
-        let a1 = self.addr + u64::from(self.bytes);
-        let b0 = other.addr;
-        let b1 = other.addr + u64::from(other.bytes);
-        a0 < b1 && b0 < a1
+        ranges_overlap(self.addr, self.bytes, other.addr, other.bytes)
     }
 
     /// Slab filler for [`Window`]; never observed by the model.
@@ -976,8 +981,6 @@ impl Pipeline {
     /// overlapping Done store still in the ROB, forward in one cycle. With
     /// no store anywhere in the window the scan cannot match — skip it.
     fn load_latency(&mut self, seq: u64, addr: u64, bytes: u8) -> u32 {
-        let b0 = addr;
-        let b1 = addr + u64::from(bytes);
         let mut fwd = false;
         if self.store_count > 0 {
             for i in 0..self.rob.len() {
@@ -985,7 +988,7 @@ impl Pipeline {
                 if o.seq == seq {
                     break;
                 }
-                if o.is_store && o.addr < b1 && b0 < o.addr + u64::from(o.bytes) {
+                if o.is_store && ranges_overlap(o.addr, o.bytes, addr, bytes) {
                     fwd = true;
                     break;
                 }
@@ -1445,6 +1448,27 @@ mod tests {
         b.blt(i, lim, top);
         b.halt();
         b.build()
+    }
+
+    #[test]
+    fn a_store_wrapping_the_address_space_forwards_to_its_load() {
+        // An 8-byte store at -4 covers the top four and the bottom four
+        // bytes of the address space; the load of the same bytes must
+        // wait for it and forward from it exactly as it does at 0x1000.
+        let run_at = |addr: i64| {
+            let mut b = ProgramBuilder::new("wrap");
+            b.li(r(1), addr);
+            b.li(r(2), 7);
+            b.sd(r(2), r(1), 0);
+            b.ld(r(3), r(1), 0);
+            b.halt();
+            run_program(&b.build(), base_config())
+        };
+        assert_eq!(run_at(-4), run_at(0x1000));
+        assert!(ranges_overlap(u64::MAX - 3, 8, 2, 1));
+        assert!(ranges_overlap(2, 1, u64::MAX - 3, 8));
+        assert!(!ranges_overlap(u64::MAX - 3, 8, 4, 8));
+        assert!(!ranges_overlap(0x1000, 8, 0x1008, 8));
     }
 
     #[test]

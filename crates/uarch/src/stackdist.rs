@@ -14,9 +14,11 @@
 //! to it. An access therefore hits iff its *stack distance* — its position
 //! in its set's LRU stack, counting from 0 at the MRU end — is `< A`.
 //! Configurations with the same set count `2^j` share one set mapping (the
-//! low `j` bits of the line address), so one stack per set and one
-//! distance histogram per level serve every associativity at that set
-//! count at once.
+//! low `j` bits of the line address), so one stack per set serves every
+//! associativity at that set count at once. Only the way counts swept at
+//! a level need telling apart, so each level counts its hits per
+//! *segment*, the distances between two consecutive way counts: an
+//! `A`-way geometry's hits are the segments below `A`.
 //!
 //! **Truncated stacks.** Distances at or beyond the largest way count any
 //! configuration uses at a level (its *cap*) are misses for all of them,
@@ -38,18 +40,31 @@
 //!
 //! **Shallow and deep levels.** A level of cap at most 4 (every
 //! set-associative level of the paper sweep) keeps each set's lines inline
-//! with its fill count, so an access touches one slot. A deeper level (the
-//! paper's 512-line fully-associative one) keeps flat stacks plus a
-//! presence filter, an open-addressing set of the lines it holds. A line
-//! absent from its stack then skips the walk: it costs one shift of the
-//! stack, one insert into the filter and, on a full stack, one removal of
-//! the line that falls off.
+//! with its fill count, so an access touches one slot, and counts each
+//! distance as a segment of its own. A deeper level (the paper's 512-line
+//! fully-associative one, swept at 8 to 512 ways) keeps each set as a
+//! marker-segmented LRU list (Kim, Hill & Wood, "Implementing Stack
+//! Simulation for Highly-Associative Memories", 1991): a doubly linked
+//! recency list over a pool of `sets × cap` nodes, one line→node map per
+//! level, a segment tag on each node and a marker on each segment's last
+//! node. A hit reads its segment from its node's tag and moves the node to
+//! the front. Every segment above it then gains one node at the top and
+//! loses its last node to the next segment, so each of their markers moves
+//! one node up. A miss reuses the LRU node: every set's list holds all
+//! `cap` of its nodes from the start, the ones it has not filled yet at
+//! the LRU end, so a miss is one step of the circular list. No access walks
+//! its list, and none learns its exact distance, which no swept geometry
+//! needs. That is what sets this apart from the first engine's global
+//! recency list, which walked from the front to find each distance.
 //!
-//! **Cost.** An access walks each visited level's set to the line's
-//! distance, `O(Σ caps)` in the worst case. On the paper sweep over the 23
+//! **Cost.** A shallow access is `O(cap)`; a deep one is one map probe
+//! plus one marker move per segment bound the line crosses, at most the
+//! number of way counts swept at the level. On the paper sweep over the 23
 //! kernels' and their clones' 200 K-instruction windows, a reference
-//! visits 5.3 of the 10 levels on average, and the 7.7% that miss the
-//! 512-deep level skip their walk there.
+//! visits 5.3 of the 10 levels on average. Every reference visits the
+//! 512-deep level, and the 85.6% that do not stop there move 1.33 markers
+//! on average, where the flat stack it replaced walked each of the 77.8%
+//! that hit below the top to an average distance of 26.4.
 //!
 //! Grouping rule: one pass handles every configuration sharing a line
 //! size (the line size fixes the address→line mapping); configurations
@@ -152,6 +167,16 @@ impl AddressTrace {
 /// level of the paper sweep has cap 1, 2 or 4).
 const SHALLOW_CAP: usize = 4;
 
+/// Where an access found its line in its set's stack.
+enum Touch {
+    /// At the front, where the access changes nothing.
+    Top,
+    /// Below the front, in this segment.
+    Hit(usize),
+    /// Nowhere: a cold line, or one that fell off the truncated stack.
+    Miss,
+}
+
 /// One set of a shallow level: its lines, MRU first, held inline so that
 /// an access touches one slot.
 #[derive(Clone, Copy, Default)]
@@ -163,10 +188,10 @@ struct ShallowSet {
 }
 
 impl ShallowSet {
-    /// Moves `line` to the front and returns its old stack distance, or
-    /// `None` when it was absent (a full stack's LRU line then drops off).
+    /// Moves `line` to the front. A shallow level's segments are single
+    /// distances, so a hit's segment is its old stack distance.
     #[inline]
-    fn touch(&mut self, line: u64, cap: usize) -> Option<usize> {
+    fn touch(&mut self, line: u64, cap: usize) -> Touch {
         let fill = usize::from(self.fill);
         // Move to front in one pass: each slot takes the line above it
         // until the accessed line's old slot is overwritten.
@@ -174,82 +199,163 @@ impl ShallowSet {
         for (d, slot) in self.lines[..fill].iter_mut().enumerate() {
             carry = std::mem::replace(slot, carry);
             if carry == line {
-                return Some(d);
+                return if d == 0 { Touch::Top } else { Touch::Hit(d) };
             }
         }
         if fill < cap {
             self.lines[fill] = carry;
             self.fill += 1;
         }
-        None
+        Touch::Miss
     }
 }
 
-/// The sets of a deep level: flat stacks plus a presence filter over all
-/// of them, so that a line absent from its stack skips the walk.
-struct DeepSets {
-    /// `lines[s * cap..][..fill[s]]` holds set `s`'s lines, MRU first.
-    lines: Vec<u64>,
-    fill: Vec<usize>,
-    /// Exactly the lines the stacks hold.
-    present: LineSet,
+/// An empty [`LineMap`] slot's node.
+const NIL: u32 = u32::MAX;
+
+/// A node of a deep level's recency lists.
+#[derive(Clone, Copy)]
+struct Node {
+    line: u64,
+    /// Neighbours towards the MRU and the LRU end. Each list is circular,
+    /// so its MRU node's `prev` is its LRU node.
+    prev: u32,
+    next: u32,
+    /// The segment the node's stack distance falls in.
+    seg: u32,
 }
 
-impl DeepSets {
-    /// [`ShallowSet::touch`] for set `set`.
-    #[inline]
-    fn touch(&mut self, set: usize, line: u64, cap: usize) -> Option<usize> {
-        let stack = &mut self.lines[set * cap..][..cap];
-        let fill = &mut self.fill[set];
-        if *fill > 0 && stack[0] == line {
-            return Some(0);
-        }
-        if self.present.contains(line) {
-            // The filter is exact, so this walk finds the line.
-            let mut carry = line;
-            for (d, slot) in stack[..*fill].iter_mut().enumerate() {
-                carry = std::mem::replace(slot, carry);
-                if carry == line {
-                    return Some(d);
+/// The sets of a deep level as marker-segmented LRU lists (Kim, Hill &
+/// Wood, "Implementing Stack Simulation for Highly-Associative Memories",
+/// 1991): each node carries its segment and each segment's last node is
+/// marked, so that a hit moves one marker per bound it crossed instead of
+/// walking to its distance.
+struct MarkerLists {
+    /// Set `s` owns nodes `s * cap..(s + 1) * cap`, all of them always on
+    /// its list: the lines it holds first, then the nodes it has not
+    /// filled yet.
+    nodes: Vec<Node>,
+    /// Each set's MRU node.
+    heads: Vec<u32>,
+    /// How many lines each set holds.
+    lens: Vec<u32>,
+    /// `markers[s * segments + t]` is the last node of set `s`'s segment
+    /// `t`, the node at position `bounds[t] - 1`.
+    markers: Vec<u32>,
+    /// Exactly the lines the lists hold, each with its node.
+    map: LineMap,
+}
+
+impl MarkerLists {
+    fn new(sets: usize, bounds: &[usize]) -> MarkerLists {
+        let cap = bounds[bounds.len() - 1];
+        assert!(sets * cap < NIL as usize, "deep level of {sets} × {cap} lines");
+        let node = |set: usize, pos: usize| (set * cap + pos % cap) as u32;
+        let nodes = (0..sets * cap)
+            .map(|i| {
+                let (set, pos) = (i / cap, i % cap);
+                Node {
+                    line: 0,
+                    prev: node(set, pos + cap - 1),
+                    next: node(set, pos + 1),
+                    seg: bounds.partition_point(|&b| b <= pos) as u32,
                 }
+            })
+            .collect();
+        MarkerLists {
+            nodes,
+            heads: (0..sets).map(|set| node(set, 0)).collect(),
+            lens: vec![0; sets],
+            markers: (0..sets)
+                .flat_map(|set| bounds.iter().map(move |&b| node(set, b - 1)))
+                .collect(),
+            map: LineMap::with_capacity(sets * cap),
+        }
+    }
+
+    /// Moves `line` to the front of set `set`'s list. Segment `t` holds
+    /// the stack distances `bounds[t - 1]..bounds[t]` (from 0 for
+    /// `t = 0`), and the last bound is the cap.
+    #[inline]
+    fn touch(&mut self, set: usize, line: u64, bounds: &[usize]) -> Touch {
+        let segments = bounds.len();
+        let markers = &mut self.markers[set * segments..][..segments];
+        let nodes = &mut self.nodes;
+        let head = self.heads[set];
+        let (node, touch, crossed) = match self.map.get(line) {
+            Some(n) if n == head => return Touch::Top,
+            Some(n) => {
+                let Node { prev, next, seg, .. } = nodes[n as usize];
+                if markers[seg as usize] == n {
+                    markers[seg as usize] = prev;
+                }
+                // Unlink, then relink between the LRU node and the head.
+                nodes[prev as usize].next = next;
+                nodes[next as usize].prev = prev;
+                let tail = nodes[head as usize].prev;
+                nodes[tail as usize].next = n;
+                nodes[head as usize].prev = n;
+                nodes[n as usize].prev = tail;
+                nodes[n as usize].next = head;
+                (n, Touch::Hit(seg as usize), seg as usize)
             }
+            None => {
+                // The LRU node, the last segment's marker, takes the line
+                // (evicting its own once the set is full), and the
+                // circular list turns one step to put it in front.
+                let tail = nodes[head as usize].prev;
+                if self.lens[set] as usize == bounds[segments - 1] {
+                    self.map.remove(nodes[tail as usize].line);
+                } else {
+                    self.lens[set] += 1;
+                }
+                self.map.insert(line, tail);
+                nodes[tail as usize].line = line;
+                markers[segments - 1] = nodes[tail as usize].prev;
+                (tail, Touch::Miss, segments - 1)
+            }
+        };
+        // Each node above `node` moved down one place, so the last node of
+        // every segment it crossed moves into the next segment and that
+        // segment's marker moves up to its predecessor.
+        for (t, marker) in markers[..crossed].iter_mut().enumerate() {
+            let m = &mut nodes[*marker as usize];
+            m.seg = t as u32 + 1;
+            *marker = m.prev;
         }
-        // Absent: shift the stack down one slot without a walk; the LRU
-        // line of a full stack drops off and leaves the filter.
-        if *fill == cap {
-            self.present.remove(stack[cap - 1]);
-        } else {
-            *fill += 1;
-        }
-        stack.copy_within(..*fill - 1, 1);
-        stack[0] = line;
-        self.present.insert(line);
-        None
+        nodes[node as usize].seg = 0;
+        self.heads[set] = node;
+        touch
     }
 }
 
-/// A set of lines: open addressing with linear probing and deletion by
-/// backward shift. Occupancy is kept in flags of its own because every
-/// `u64` can be a line. The hash is not keyed, so lines crafted to
-/// collide can make a probe scan the whole table; it is at most a quarter
-/// full, so every probe ends.
-struct LineSet {
-    keys: Vec<u64>,
-    used: Vec<bool>,
-    /// Number of keys held.
+/// One slot of a [`LineMap`], empty when its node is [`NIL`].
+#[derive(Clone, Copy)]
+struct Slot {
+    line: u64,
+    node: u32,
+}
+
+/// A map from lines to nodes: open addressing with linear probing and
+/// deletion by backward shift. A slot's occupancy is its node rather
+/// than its line, because every `u64` can be a line. The hash is not
+/// keyed, so lines crafted to collide can make a probe scan the whole
+/// table; it is at most a quarter full, so every probe ends.
+struct LineMap {
+    slots: Vec<Slot>,
+    /// Number of lines held.
     len: usize,
-    /// `64 - log2(keys.len())`: a key's home slot is the top bits of its
+    /// `64 - log2(slots.len())`: a line's home slot is the top bits of its
     /// Fibonacci hash.
     shift: u32,
 }
 
-impl LineSet {
-    /// An empty set for up to `capacity` lines, at most a quarter full.
-    fn with_capacity(capacity: usize) -> LineSet {
+impl LineMap {
+    /// An empty map for up to `capacity` lines, at most a quarter full.
+    fn with_capacity(capacity: usize) -> LineMap {
         let slots = (4 * capacity).next_power_of_two().max(2);
-        LineSet {
-            keys: vec![0; slots],
-            used: vec![false; slots],
+        LineMap {
+            slots: vec![Slot { line: 0, node: NIL }; slots],
             len: 0,
             shift: 64 - slots.trailing_zeros(),
         }
@@ -261,32 +367,39 @@ impl LineSet {
 
     /// The slot holding `line`, or else the empty slot that ends its
     /// probe run, and whether `line` was found.
+    #[inline]
     fn probe(&self, line: u64) -> (usize, bool) {
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut i = self.home(line);
-        while self.used[i] {
-            if self.keys[i] == line {
+        loop {
+            let slot = self.slots[i];
+            if slot.node == NIL {
+                return (i, false);
+            }
+            if slot.line == line {
                 return (i, true);
             }
             i = (i + 1) & mask;
         }
-        (i, false)
     }
 
-    fn contains(&self, line: u64) -> bool {
-        self.probe(line).1
-    }
-
-    fn insert(&mut self, line: u64) {
-        let (i, found) = self.probe(line);
-        if !found {
-            // A level that lost track of its lines would fill the table,
-            // and then a probe would never meet an empty slot.
-            assert!(self.len < self.keys.len() / 4, "line filter over capacity");
-            self.keys[i] = line;
-            self.used[i] = true;
-            self.len += 1;
+    #[inline]
+    fn get(&self, line: u64) -> Option<u32> {
+        match self.probe(line) {
+            (i, true) => Some(self.slots[i].node),
+            _ => None,
         }
+    }
+
+    /// Maps `line`, which must be absent, to `node`.
+    fn insert(&mut self, line: u64, node: u32) {
+        // A level that lost track of its nodes would fill the table, and
+        // then a probe would never meet an empty slot.
+        assert!(self.len < self.slots.len() / 4, "line map over capacity");
+        let (i, found) = self.probe(line);
+        debug_assert!(!found, "line {line:#x} mapped twice");
+        self.slots[i] = Slot { line, node };
+        self.len += 1;
     }
 
     fn remove(&mut self, line: u64) {
@@ -294,22 +407,22 @@ impl LineSet {
         if !found {
             return;
         }
-        // Backward shift: pull each later key of the run into the hole
+        // Backward shift: pull each later line of the run into the hole
         // when the hole lies on its probe path from its home slot.
-        let mask = self.keys.len() - 1;
+        let mask = self.slots.len() - 1;
         let mut i = hole;
         loop {
             i = (i + 1) & mask;
-            if !self.used[i] {
+            if self.slots[i].node == NIL {
                 break;
             }
-            let home = self.home(self.keys[i]);
+            let home = self.home(self.slots[i].line);
             if i.wrapping_sub(home) & mask >= i.wrapping_sub(hole) & mask {
-                self.keys[hole] = self.keys[i];
+                self.slots[hole] = self.slots[i];
                 hole = i;
             }
         }
-        self.used[hole] = false;
+        self.slots[hole].node = NIL;
         self.len -= 1;
     }
 }
@@ -319,56 +432,60 @@ enum Stacks {
     /// Cap at most [`SHALLOW_CAP`].
     Shallow(Vec<ShallowSet>),
     /// Any deeper cap.
-    Deep(DeepSets),
+    Deep(MarkerLists),
 }
 
 /// One set-count level of a pass: a truncated LRU stack per set plus the
-/// level's stack-distance histogram.
+/// level's hits per segment.
 struct Level {
     sets: u64,
-    /// Deepest distance any configuration at this level distinguishes
-    /// (its maximum way count), and so each stack's length.
+    /// Segment bounds, ascending: segment `t` holds the stack distances
+    /// `bounds[t - 1]..bounds[t]` (from 0 for `t = 0`). A deep level's
+    /// bounds are its distinct way counts; a shallow level's are
+    /// `1..=cap`, one segment per distance. Either way every way count
+    /// swept at the level is a bound.
+    bounds: Vec<usize>,
+    /// The last bound: each stack's length.
     cap: usize,
     stacks: Stacks,
-    /// `hist[d]` counts accesses at stack distance `0 < d < cap` (a
-    /// distance-0 access is an exit instead, so `hist[0]` stays 0).
-    hist: Vec<u64>,
+    /// `hits[t]` counts accesses that found their line in segment `t`
+    /// below the front (a distance-0 access is an exit instead).
+    hits: Vec<u64>,
     /// Accesses that found their line at distance 0 here and stopped: a
     /// distance-0 hit at this level and at every finer one.
     exits: u64,
 }
 
 impl Level {
-    fn new(sets: u64, cap: usize) -> Level {
-        let stacks = if cap <= SHALLOW_CAP {
-            Stacks::Shallow(vec![ShallowSet::default(); sets as usize])
+    /// `ways` are the distinct way counts swept at `sets` sets, ascending.
+    fn new(sets: u64, ways: Vec<usize>) -> Level {
+        let cap = ways[ways.len() - 1];
+        let (bounds, stacks) = if cap <= SHALLOW_CAP {
+            ((1..=cap).collect(), Stacks::Shallow(vec![ShallowSet::default(); sets as usize]))
         } else {
-            Stacks::Deep(DeepSets {
-                lines: vec![0; sets as usize * cap],
-                fill: vec![0; sets as usize],
-                present: LineSet::with_capacity(sets as usize * cap),
-            })
+            let deep = MarkerLists::new(sets as usize, &ways);
+            (ways, Stacks::Deep(deep))
         };
-        Level { sets, cap, stacks, hist: vec![0; cap], exits: 0 }
+        Level { sets, hits: vec![0; bounds.len()], bounds, cap, stacks, exits: 0 }
     }
 
-    /// Moves `line` to the front of its set's stack and records its
-    /// distance. Returns `true` when the line was already at the front,
-    /// where the access changes nothing.
+    /// Moves `line` to the front of its set's stack and counts the
+    /// segment it was found in. Returns `true` when the line was already
+    /// at the front, where the access changes nothing.
     #[inline]
     fn access(&mut self, line: u64) -> bool {
         let set = (line & (self.sets - 1)) as usize;
-        let distance = match &mut self.stacks {
+        let touch = match &mut self.stacks {
             Stacks::Shallow(sets) => sets[set].touch(line, self.cap),
-            Stacks::Deep(deep) => deep.touch(set, line, self.cap),
+            Stacks::Deep(deep) => deep.touch(set, line, &self.bounds),
         };
-        match distance {
-            Some(0) => {
+        match touch {
+            Touch::Top => {
                 self.exits += 1;
                 return true;
             }
-            Some(d) => self.hist[d] += 1,
-            None => {}
+            Touch::Hit(seg) => self.hits[seg] += 1,
+            Touch::Miss => {}
         }
         false
     }
@@ -394,15 +511,13 @@ struct AllAssocPass {
 impl AllAssocPass {
     /// `geometries` are the `(sets, ways)` pairs of the group's configs.
     fn new(line_bytes: u32, geometries: &[(u64, u64)]) -> AllAssocPass {
-        let mut caps: Vec<(u64, usize)> = Vec::new();
-        for &(sets, ways) in geometries {
-            match caps.iter_mut().find(|(s, _)| *s == sets) {
-                Some((_, cap)) => *cap = (*cap).max(ways as usize),
-                None => caps.push((sets, ways as usize)),
-            }
-        }
-        caps.sort_unstable();
-        let levels = caps.into_iter().map(|(sets, cap)| Level::new(sets, cap)).collect();
+        let mut geometries = geometries.to_vec();
+        geometries.sort_unstable();
+        geometries.dedup();
+        let levels = geometries
+            .chunk_by(|a, b| a.0 == b.0)
+            .map(|level| Level::new(level[0].0, level.iter().map(|&(_, w)| w as usize).collect()))
+            .collect();
         AllAssocPass { line_shift: line_bytes.trailing_zeros(), levels, accesses: 0 }
     }
 
@@ -420,13 +535,16 @@ impl AllAssocPass {
     }
 
     /// Exact LRU miss count of a `(sets, ways)` geometry: distance-0 hits
-    /// are the exits at this level and every coarser one.
+    /// are the exits at this level and every coarser one, and the deeper
+    /// hits are the segments below the bound `ways`.
     fn misses(&self, sets: u64, ways: u64) -> u64 {
         let Some(j) = self.levels.iter().position(|l| l.sets == sets) else {
             return self.accesses;
         };
+        let level = &self.levels[j];
         let exits: u64 = self.levels[..=j].iter().map(|l| l.exits).sum();
-        let deeper: u64 = self.levels[j].hist[..ways as usize].iter().sum();
+        let below = level.bounds.partition_point(|&b| b as u64 <= ways);
+        let deeper: u64 = level.hits[..below].iter().sum();
         self.accesses - exits - deeper
     }
 
@@ -518,7 +636,7 @@ mod tests {
     use crate::sweep::sweep_dcache_replay;
     use perfclone_isa::{MemWidth, ProgramBuilder, Reg, StreamDesc};
     use proptest::prelude::*;
-    use std::collections::HashSet;
+    use std::collections::HashMap;
 
     fn streaming_program(stride: i64, length: u32, n: i64) -> Program {
         let mut b = ProgramBuilder::new("stream");
@@ -643,43 +761,105 @@ mod tests {
         assert!(work.level_visits <= pass.accesses * pass.levels.len() as u64);
     }
 
-    /// Keys whose home slot is one of the last two slots of `set` or its
+    /// Keys whose home slot is one of the last two slots of `map` or its
     /// first, so that their probe runs collide and wrap past the end.
-    fn colliding_keys(set: &LineSet, n: usize) -> Vec<u64> {
-        let last = set.keys.len() - 1;
+    fn colliding_keys(map: &LineMap, n: usize) -> Vec<u64> {
+        let last = map.slots.len() - 1;
         (0..=u64::MAX)
             .flat_map(|k| [k, u64::MAX - k])
-            .filter(|&k| matches!(set.home(k), h if h + 1 >= last || h == 0))
+            .filter(|&k| matches!(map.home(k), h if h + 1 >= last || h == 0))
             .take(n)
             .collect()
     }
 
+    /// Checks every deep level of `pass`: each set's list is circular over
+    /// all its nodes, each node's segment tag matches its position, each
+    /// marker is its segment's last node, and the map holds exactly the
+    /// lines of each list's first `lens[set]` nodes, each with its node.
+    fn check_deep_levels(pass: &AllAssocPass) -> Result<(), TestCaseError> {
+        for level in &pass.levels {
+            let Stacks::Deep(deep) = &level.stacks else { continue };
+            let segments = level.bounds.len();
+            let mut held = 0;
+            for set in 0..level.sets as usize {
+                let len = deep.lens[set] as usize;
+                let mut list = Vec::new();
+                let mut n = deep.heads[set];
+                for pos in 0..level.cap {
+                    let node = deep.nodes[n as usize];
+                    prop_assert_eq!(deep.nodes[node.next as usize].prev, n, "set {}", set);
+                    let seg = level.bounds.partition_point(|&b| b <= pos);
+                    prop_assert_eq!(node.seg as usize, seg, "set {} position {}", set, pos);
+                    let mapped = deep.map.get(node.line) == Some(n);
+                    prop_assert_eq!(mapped, pos < len, "set {} position {}", set, pos);
+                    if mapped {
+                        prop_assert_eq!(node.line & (level.sets - 1), set as u64);
+                    }
+                    list.push(n);
+                    n = node.next;
+                }
+                prop_assert_eq!(n, deep.heads[set], "set {} is not one circle", set);
+                let markers = &deep.markers[set * segments..][..segments];
+                for (t, &bound) in level.bounds.iter().enumerate() {
+                    prop_assert_eq!(markers[t], list[bound - 1], "set {} segment {}", set, t);
+                }
+                held += len;
+            }
+            prop_assert_eq!(deep.map.len, held);
+            prop_assert_eq!(deep.map.slots.iter().filter(|s| s.node != NIL).count(), held);
+        }
+        Ok(())
+    }
+
     proptest! {
-        /// The presence filter agrees with `HashSet` on every key after
-        /// each insert and remove, with at most `capacity` keys held.
+        /// The line map agrees with `HashMap` on every key after each
+        /// insert and remove, with at most `capacity` keys held.
         #[test]
-        fn line_set_matches_hash_set(
+        fn line_map_matches_hash_map(
             ops in proptest::collection::vec((any::<bool>(), 0usize..12), 1..200),
         ) {
             let capacity = 8;
-            let mut set = LineSet::with_capacity(capacity);
-            let keys = colliding_keys(&set, 12);
-            let mut model = HashSet::new();
-            for (insert, k) in ops {
+            let mut map = LineMap::with_capacity(capacity);
+            let keys = colliding_keys(&map, 12);
+            let mut model = HashMap::new();
+            for (i, (insert, k)) in ops.into_iter().enumerate() {
                 let key = keys[k];
                 if !insert {
-                    set.remove(key);
+                    map.remove(key);
                     model.remove(&key);
-                } else if model.len() < capacity || model.contains(&key) {
-                    set.insert(key);
-                    model.insert(key);
+                } else if model.len() < capacity && !model.contains_key(&key) {
+                    map.insert(key, i as u32);
+                    model.insert(key, i as u32);
                 }
                 for key in &keys {
-                    prop_assert_eq!(set.contains(*key), model.contains(key), "key {:#x}", key);
+                    prop_assert_eq!(map.get(*key), model.get(key).copied(), "key {:#x}", key);
                 }
             }
-            prop_assert_eq!(set.used.iter().filter(|&&u| u).count(), model.len());
-            prop_assert_eq!(set.len, model.len());
+            prop_assert_eq!(map.slots.iter().filter(|s| s.node != NIL).count(), model.len());
+            prop_assert_eq!(map.len, model.len());
+        }
+
+        /// After every access of a random stream, the marker lists of a
+        /// one-set level at 8/16/64/128 ways and a two-set level at
+        /// 1/2/8/16/32 ways keep their tags, markers and map exact.
+        #[test]
+        fn marker_lists_keep_their_invariants(
+            lines in proptest::collection::vec(
+                (any::<bool>(), 0u64..320).prop_map(|(hot, l)| if hot { l % 24 } else { l }),
+                1..700,
+            ),
+        ) {
+            let geometries: Vec<(u64, u64)> = [8, 16, 64, 128]
+                .into_iter()
+                .map(|w| (1, w))
+                .chain([1, 2, 8, 16, 32].into_iter().map(|w| (2, w)))
+                .collect();
+            let mut pass = AllAssocPass::new(1, &geometries);
+            prop_assert!(pass.levels.iter().all(|l| matches!(l.stacks, Stacks::Deep(_))));
+            for line in lines {
+                pass.access(line);
+                check_deep_levels(&pass)?;
+            }
         }
     }
 

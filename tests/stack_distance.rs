@@ -33,24 +33,26 @@ fn config_matrix() -> Vec<CacheConfig> {
     out
 }
 
-/// Geometries whose stacks are deep or shallow at their extremes: the
-/// paper's 16 KB FA (one 512-deep stack) and 256 B 4-way (2 sets), and a
-/// deep stack above the one-set level (2 sets × 64 ways).
-fn cap_geometries() -> [CacheConfig; 3] {
-    [
-        CacheConfig::new(16 * 1024, Assoc::Full, 32),
-        CacheConfig::new(256, Assoc::Ways(4), 32),
-        CacheConfig::new(2 * 64 * 32, Assoc::Ways(64), 32),
-    ]
+/// Geometries whose stacks are deep or shallow at their extremes, with
+/// several way counts at each deep level: fully associative at 8, 16, 64,
+/// 128 and 512 ways (the paper's 16 KB FA is one 512-deep stack), and two
+/// sets at 1, 2, 4, 8, 16, 32 and 64 ways (the 4-way one is the paper's
+/// 256 B 4-way, a shallow stack alone).
+fn cap_geometries() -> Vec<CacheConfig> {
+    let fully = [8u64, 16, 64, 128, 512].map(|ways| CacheConfig::new(ways * 32, Assoc::Full, 32));
+    let two_sets = [1u32, 2, 4, 8, 16, 32, 64]
+        .map(|ways| CacheConfig::new(2 * u64::from(ways) * 32, Assoc::Ways(ways), 32));
+    fully.into_iter().chain(two_sets).collect()
 }
 
 /// Streams of segments, each cycling over `ways + delta + 1` distinct
 /// lines of one set of one [`cap_geometries`] entry, so that every
 /// re-access in the segment has reuse distance `ways + delta` for
-/// `delta` in `-1..=1`: just inside, at, and just past each cap.
+/// `delta` in `-1..=1`: just inside, at, and just past each way count.
 fn cap_straddling_stream() -> impl Strategy<Value = Vec<DataRef>> {
-    let segment = (0usize..3, -1i64..=1, 0u64..2, 1u64..4, any::<bool>());
-    proptest::collection::vec(segment, 1..6).prop_map(|segments| {
+    let geometries = cap_geometries().len();
+    let segment = (0..geometries, -1i64..=1, 0u64..2, 1u64..4, any::<bool>());
+    proptest::collection::vec(segment, 1..8).prop_map(|segments| {
         let geometries = cap_geometries();
         let mut refs = Vec::new();
         for (i, (g, delta, set, rounds, is_store)) in segments.into_iter().enumerate() {
@@ -130,10 +132,11 @@ proptest! {
         }
     }
 
-    /// Reuse distances one below, at, and one above every stack cap,
-    /// evaluated both with the three geometries in one pass (one level
-    /// per set count, caps 512 and 64) and with each alone (caps 512, 4
-    /// and 64).
+    /// Reuse distances one below, at, and one above every way count,
+    /// evaluated both with all geometries in one pass (a one-set level
+    /// whose segments end at 8, 16, 64, 128 and 512, and a two-set level
+    /// whose segments end at 1, 2, 4, 8, 16, 32 and 64) and with each
+    /// alone (one segment per deep level; the 4-way one is shallow).
     #[test]
     fn engine_matches_replay_across_stack_caps(refs in cap_straddling_stream()) {
         let trace = AddressTrace::from_refs(refs.len() as u64, refs.clone());
