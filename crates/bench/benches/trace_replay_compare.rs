@@ -5,13 +5,14 @@
 //! replay-many (`PackedTrace::capture` once per program +
 //! `run_timing_store` per cell). Asserts bit-identical `PipelineReport`
 //! and `PowerReport` values before timing, and prints the wall-clock
-//! speedup replay delivers, plus the stream-regeneration microcosts
-//! (interpret vs replay) that drive it.
+//! speedup replay delivers, plus the trace-supply costs (interpret vs
+//! capture + replay) that drive it. Writes the replay path's wall clock
+//! and peak RSS to `BENCH_replay.json` at the workspace root.
 
+use std::hint::black_box;
 use std::path::Path;
 use std::time::Instant;
 
-use criterion::{criterion_group, criterion_main, Criterion};
 use perfclone::{
     run_timing, run_timing_store, InstrMetaTable, MachineConfig, PackedTrace, TimingResult,
     TraceStore,
@@ -22,8 +23,14 @@ use perfclone_bench::{
 use perfclone_isa::Program;
 use perfclone_kernels::by_name;
 use perfclone_obs::rss::peak_rss_kib;
+use perfclone_sim::Simulator;
 
 const KERNEL: &str = "susan";
+
+/// Timed rounds. Each round times all four measurements once, in turn,
+/// so a burst of host load lands on every one alike; each reports its
+/// minimum.
+const ROUNDS: usize = 5;
 
 /// The oracle: one functional execution per (program × config) cell.
 fn sweep_interpret(programs: &[&Program], configs: &[MachineConfig]) -> Vec<TimingResult> {
@@ -48,15 +55,41 @@ fn sweep_replay(programs: &[&Program], configs: &[MachineConfig]) -> Vec<TimingR
         .collect()
 }
 
-fn bench_replay_vs_interpret(c: &mut Criterion) {
+/// Trace supply across an `n`-config sweep, the part replay replaces:
+/// the interpreter regenerates the dynamic stream once per config.
+/// Returns the records supplied.
+fn supply_interpret(program: &Program, n: usize) -> usize {
+    (0..n).map(|_| Simulator::trace(program, u64::MAX).count()).sum()
+}
+
+/// The replay path's trace supply: capture once, re-decode per config.
+fn supply_replay(program: &Program, n: usize) -> usize {
+    let packed = TraceStore::Mem(PackedTrace::capture(program, u64::MAX));
+    (0..n).map(|_| packed.replay(program).count()).sum()
+}
+
+/// Wall-clock seconds of one call.
+fn secs<T>(f: impl FnOnce() -> T) -> f64 {
+    let t = Instant::now();
+    black_box(f());
+    t.elapsed().as_secs_f64()
+}
+
+fn main() {
     let kernel = by_name(KERNEL).expect("kernel exists");
     let scale = scale_from_env();
     let bench = prepare(kernel, scale, &experiment_params);
     let programs = [&bench.program, &bench.clone];
     let configs = design_sweep_configs();
+    let n = configs.len();
+    let (instrs, packed_bytes) = {
+        let packed = PackedTrace::capture(&bench.program, u64::MAX);
+        (packed.len(), packed.packed_bytes())
+    };
 
-    // Correctness gate first: every cell's PipelineReport and PowerReport
-    // must be bit-identical between the two paths.
+    // Correctness gate first, which is also the untimed warm-up: every
+    // cell's PipelineReport and PowerReport must be bit-identical between
+    // the two paths, and both supply paths must yield every record.
     let interp = sweep_interpret(&programs, &configs);
     let replay = sweep_replay(&programs, &configs);
     assert_eq!(interp.len(), replay.len());
@@ -68,60 +101,32 @@ fn bench_replay_vs_interpret(c: &mut Criterion) {
             "cell {i}: PowerReport must be bit-identical"
         );
     }
+    let records = n * instrs as usize;
+    assert_eq!(supply_interpret(&bench.program, n), records);
+    assert_eq!(supply_replay(&bench.program, n), records);
 
-    let mut group = c.benchmark_group(format!("dsweep12/{KERNEL}"));
-    group.sample_size(10);
-    group.bench_function("per_config_interpret", |b| {
-        b.iter(|| sweep_interpret(&programs, &configs))
-    });
-    group.bench_function("capture_once_replay", |b| b.iter(|| sweep_replay(&programs, &configs)));
-    // The stream-regeneration microcosts that the sweep amortizes away.
-    group.bench_function("interpret_stream_only", |b| {
-        b.iter(|| perfclone_sim::Simulator::trace(&bench.program, u64::MAX).count())
-    });
-    let trace = TraceStore::Mem(PackedTrace::capture(&bench.program, u64::MAX));
-    group.bench_function("replay_stream_only", |b| b.iter(|| trace.replay(&bench.program).count()));
-    group.finish();
-
-    // Headline numbers: one timed run each, so the harness prints explicit
-    // speedup lines for EXPERIMENTS.md / CI logs.
-    //
-    // (1) Trace supply across the sweep: what replay replaces. The
-    // interpreter path regenerates the dynamic stream once per config; the
-    // replay path captures once and re-decodes per config.
-    let n = configs.len();
-    let t0 = Instant::now();
-    let mut sink = 0usize;
-    for _ in 0..n {
-        sink += perfclone_sim::Simulator::trace(&bench.program, u64::MAX).count();
+    let mut supply_interp_s = f64::INFINITY;
+    let mut supply_replay_s = f64::INFINITY;
+    let mut interp_s = f64::INFINITY;
+    let mut replay_s = f64::INFINITY;
+    for _ in 0..ROUNDS {
+        supply_interp_s = supply_interp_s.min(secs(|| supply_interpret(&bench.program, n)));
+        supply_replay_s = supply_replay_s.min(secs(|| supply_replay(&bench.program, n)));
+        // End-to-end sweep wall clock (timing-model-bound: the pipeline
+        // dominates, so this ratio is far smaller than the supply ratio).
+        interp_s = interp_s.min(secs(|| sweep_interpret(&programs, &configs)));
+        replay_s = replay_s.min(secs(|| sweep_replay(&programs, &configs)));
     }
-    let supply_interp_s = std::hint::black_box(t0.elapsed().as_secs_f64());
-    let t1 = Instant::now();
-    let packed = TraceStore::Mem(PackedTrace::capture(&bench.program, u64::MAX));
-    for _ in 0..n {
-        sink += packed.replay(&bench.program).count();
-    }
-    let supply_replay_s = t1.elapsed().as_secs_f64();
-    assert_eq!(sink, 2 * n * packed.len() as usize);
 
-    // (2) End-to-end sweep wall clock (timing-model-bound: the pipeline
-    // dominates, so this ratio is far smaller than the supply ratio).
-    let t2 = Instant::now();
-    let a = sweep_interpret(&programs, &configs);
-    let interp_s = t2.elapsed().as_secs_f64();
-    let t3 = Instant::now();
-    let b = sweep_replay(&programs, &configs);
-    let replay_s = t3.elapsed().as_secs_f64();
-    assert_eq!(a.len(), b.len());
     println!(
         "\n{KERNEL}: {n}-config trace supply  interpret {:.1}ms  capture+replay {:.1}ms  \
          speedup {:.1}x  ({} instrs, packed {} B = {:.2} B/instr)",
         supply_interp_s * 1e3,
         supply_replay_s * 1e3,
         supply_interp_s / supply_replay_s,
-        packed.len(),
-        packed.stored_bytes(),
-        packed.stored_bytes() as f64 / packed.len() as f64
+        instrs,
+        packed_bytes,
+        packed_bytes as f64 / instrs as f64
     );
     println!(
         "{KERNEL}: {n}-config end-to-end sweep  interpret {interp_s:.3}s  replay {replay_s:.3}s  \
@@ -151,10 +156,3 @@ fn bench_replay_vs_interpret(c: &mut Criterion) {
         Err(e) => eprintln!("perfclone-bench: cannot write {}: {e}", dest.display()),
     }
 }
-
-criterion_group! {
-    name = benches;
-    config = Criterion::default();
-    targets = bench_replay_vs_interpret
-}
-criterion_main!(benches);

@@ -6,16 +6,18 @@
 //! clones it, runs the experiment, and prints the same rows/series the
 //! paper reports.
 //!
-//! Environment knobs:
+//! Environment knobs (unset or blank selects the default; any other value
+//! the knob cannot use panics, naming the variable and the value):
 //!
 //! * `PERFCLONE_SCALE` — `tiny` (fast smoke runs) or `small` (default; the
 //!   paper-scale inputs, ~0.5-2 M dynamic instructions per kernel),
 //! * `PERFCLONE_KERNELS` — comma-separated kernel names to restrict the
-//!   population (default: all 23; an unknown name is an error),
-//! * `PERFCLONE_JOBS` — worker threads for the parallel experiment paths
-//!   (default: all cores; results are identical at any thread count),
-//! * `PERFCLONE_SEED` — root seed from which each kernel's synthesis seed
-//!   is derived (default: the synthesizer's default seed),
+//!   population (default: all 23),
+//! * `PERFCLONE_JOBS` — worker threads for the parallel experiment paths,
+//!   a positive integer (default: all cores; results are identical at any
+//!   thread count),
+//! * `PERFCLONE_SEED` — decimal root seed from which each kernel's
+//!   synthesis seed is derived (default: the synthesizer's default seed),
 //! * `PERFCLONE_REPORT` — destination for a machine-readable [`RunReport`]
 //!   of the experiment (`-` = stdout); same schema as the CLI's `--report`.
 
@@ -41,30 +43,72 @@ pub struct PreparedBench {
 }
 
 /// Reads the input scale from `PERFCLONE_SCALE` (default: small).
+///
+/// # Panics
+///
+/// Panics, naming the value, on anything but `tiny` or `small`: a typo
+/// would otherwise run the minutes-long Small population without a word.
 pub fn scale_from_env() -> Scale {
-    match std::env::var("PERFCLONE_SCALE").as_deref() {
-        Ok("tiny") | Ok("Tiny") | Ok("TINY") => Scale::Tiny,
-        _ => Scale::Small,
-    }
+    knob("PERFCLONE_SCALE", parse_scale)
 }
 
 /// Reads the worker-thread count from `PERFCLONE_JOBS` (default: the
 /// machine's available parallelism).
+///
+/// # Panics
+///
+/// Panics, naming the value, when it is not a positive integer.
 pub fn jobs_from_env() -> usize {
-    std::env::var("PERFCLONE_JOBS")
-        .ok()
-        .and_then(|v| v.parse::<usize>().ok())
-        .filter(|&n| n >= 1)
-        .unwrap_or_else(|| std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1))
+    knob("PERFCLONE_JOBS", parse_jobs)
 }
 
 /// Reads the experiments' root seed from `PERFCLONE_SEED` (default: the
 /// synthesizer's default seed). Per-kernel seeds are derived from it.
+///
+/// # Panics
+///
+/// Panics, naming the value, when it is not a decimal `u64`.
 pub fn root_seed_from_env() -> u64 {
-    std::env::var("PERFCLONE_SEED")
-        .ok()
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(SynthesisParams::default().seed)
+    knob("PERFCLONE_SEED", parse_seed)
+}
+
+/// Parses environment variable `name` (unset reads as blank), panicking
+/// with the variable's name on a value `parse` rejects.
+fn knob<T>(name: &str, parse: fn(&str) -> Result<T, String>) -> T {
+    let value = match std::env::var(name) {
+        Ok(value) => value,
+        Err(std::env::VarError::NotPresent) => String::new(),
+        Err(std::env::VarError::NotUnicode(value)) => panic!("{name}: not UTF-8: {value:?}"),
+    };
+    parse(&value).unwrap_or_else(|e| panic!("{name}: {e}"))
+}
+
+/// A scale name in any case; blank is small.
+fn parse_scale(value: &str) -> Result<Scale, String> {
+    match value.trim().to_ascii_lowercase().as_str() {
+        "" | "small" => Ok(Scale::Small),
+        "tiny" => Ok(Scale::Tiny),
+        _ => Err(format!("unknown scale {value:?} (use tiny or small)")),
+    }
+}
+
+/// A positive thread count; blank is the machine's available parallelism.
+fn parse_jobs(value: &str) -> Result<usize, String> {
+    match value.trim() {
+        "" => Ok(std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)),
+        v => match v.parse::<usize>() {
+            Ok(n) if n >= 1 => Ok(n),
+            _ => Err(format!("expected a positive integer, got {value:?}")),
+        },
+    }
+}
+
+/// A decimal `u64` seed; blank is the synthesizer's default seed.
+fn parse_seed(value: &str) -> Result<u64, String> {
+    match value.trim() {
+        "" => Ok(SynthesisParams::default().seed),
+        v => v.parse().map_err(|_| format!("expected a decimal integer, got {value:?}")),
+    }
 }
 
 /// Makes `PERFCLONE_JOBS` the ambient parallelism for the experiment run.
@@ -80,8 +124,7 @@ pub fn init_parallelism() {
 /// Panics, naming them, when the list holds names the catalog lacks: a
 /// typo would otherwise shrink the population without a word.
 pub fn kernels_from_env() -> Vec<&'static Kernel> {
-    let list = std::env::var("PERFCLONE_KERNELS").unwrap_or_default();
-    select_kernels(&list).unwrap_or_else(|e| panic!("PERFCLONE_KERNELS: {e}"))
+    knob("PERFCLONE_KERNELS", select_kernels)
 }
 
 /// The catalog kernels a comma-separated list names, in catalog order; a
@@ -99,8 +142,8 @@ fn select_kernels(list: &str) -> Result<Vec<&'static Kernel>, String> {
     Ok(catalog().iter().filter(|k| wanted.contains(&k.name())).collect())
 }
 
-/// The replay benches' shared configuration set: base, the five Table-3
-/// design changes, and six further single-parameter variants — 12
+/// The `trace_replay_compare` bench's configuration set: base, the five
+/// Table-3 design changes, and six further single-parameter variants — 12
 /// configurations, the shape of a real design-space exploration.
 pub fn design_sweep_configs() -> Vec<MachineConfig> {
     let base = perfclone::base_config();
@@ -283,6 +326,35 @@ mod tests {
         assert_eq!(select_kernels(" ").unwrap().len(), 23);
         let err = select_kernels("crc32,crc3,shaa").map(|_| ()).unwrap_err();
         assert!(err.contains(r#"["crc3", "shaa"]"#), "{err}");
+    }
+
+    #[test]
+    fn scale_knob_names_a_bad_value() {
+        assert_eq!(parse_scale(""), Ok(Scale::Small));
+        assert_eq!(parse_scale(" TINY "), Ok(Scale::Tiny));
+        assert_eq!(parse_scale("Small"), Ok(Scale::Small));
+        let err = parse_scale("tiy").unwrap_err();
+        assert!(err.contains(r#""tiy""#), "{err}");
+    }
+
+    #[test]
+    fn jobs_knob_names_a_bad_value() {
+        assert!(parse_jobs(" ").unwrap() >= 1);
+        assert_eq!(parse_jobs("4"), Ok(4));
+        for bad in ["0", "four", "-1"] {
+            let err = parse_jobs(bad).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
+    }
+
+    #[test]
+    fn seed_knob_names_a_bad_value() {
+        assert_eq!(parse_seed(""), Ok(SynthesisParams::default().seed));
+        assert_eq!(parse_seed("7"), Ok(7));
+        for bad in ["0x1", "-1", "seven"] {
+            let err = parse_seed(bad).unwrap_err();
+            assert!(err.contains(&format!("{bad:?}")), "{err}");
+        }
     }
 
     #[test]

@@ -50,6 +50,5 @@ pub use pipeline::{Activity, Pipeline, PipelineError, PipelineReport};
 pub use predictor::{BranchPredictor, PredictorKind, PredictorStats};
 pub use stackdist::{sweep_trace, AddressTrace, DataRef};
 pub use sweep::{
-    simulate_dcache, simulate_hierarchy_trace, sweep_dcache, sweep_dcache_replay, DcacheSweepPoint,
-    HierarchyPoint,
+    simulate_dcache, simulate_hierarchy_trace, sweep_dcache, DcacheSweepPoint, HierarchyPoint,
 };

@@ -73,11 +73,11 @@
 //! throughout, so the whole sweep is literally one pass.
 //!
 //! The counts are **bit-identical** to per-configuration [`Cache`]
-//! replay (`sweep_dcache_replay` keeps that path as the correctness
-//! oracle): the cache model is write-allocate with strict LRU victims, so
-//! hit/miss per access is a pure function of stack distance, and stores
-//! differ from loads only in dirty bookkeeping, which never affects
-//! recency order.
+//! replay (`simulate_dcache` per configuration is the correctness oracle
+//! the tests hold the engine against): the cache model is write-allocate
+//! with strict LRU victims, so hit/miss per access is a pure function of
+//! stack distance, and stores differ from loads only in dirty
+//! bookkeeping, which never affects recency order.
 //!
 //! [`Cache`]: crate::cache::Cache
 
@@ -633,7 +633,7 @@ mod tests {
     use super::*;
     use crate::cache::{Assoc, Cache};
     use crate::config::cache_sweep;
-    use crate::sweep::sweep_dcache_replay;
+    use crate::sweep::simulate_dcache;
     use perfclone_isa::{MemWidth, ProgramBuilder, Reg, StreamDesc};
     use proptest::prelude::*;
     use std::collections::HashMap;
@@ -666,7 +666,7 @@ mod tests {
         let p = streaming_program(48, 96, 3_000);
         let configs = cache_sweep();
         let engine = sweep_trace(&AddressTrace::extract(&p, u64::MAX), &configs);
-        let oracle = sweep_dcache_replay(&p, &configs, u64::MAX);
+        let oracle: Vec<_> = configs.iter().map(|c| simulate_dcache(&p, *c, u64::MAX)).collect();
         assert_eq!(engine, oracle);
     }
 

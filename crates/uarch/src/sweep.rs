@@ -99,8 +99,8 @@ pub fn simulate_hierarchy_trace(
 /// Evaluates every configuration with the single-pass stack-distance
 /// engine: the program's data references are extracted once and one
 /// Mattson stack-distance pass per line-size group produces exact LRU miss
-/// counts, bit-identical to per-configuration replay (see
-/// [`sweep_dcache_replay`], the correctness oracle, and the
+/// counts, bit-identical to per-configuration [`simulate_dcache`] replay
+/// (the correctness oracle the property tests hold it against; see the
 /// [`stackdist`](crate::stackdist) module docs for why).
 pub fn sweep_dcache(
     program: &Program,
@@ -108,18 +108,6 @@ pub fn sweep_dcache(
     limit: u64,
 ) -> Vec<DcacheSweepPoint> {
     sweep_trace(&AddressTrace::extract(program, limit), configs)
-}
-
-/// Runs [`simulate_dcache`] over a set of configurations — one full
-/// functional replay per configuration. This is the pre-engine path, kept
-/// as the correctness oracle the property tests and the
-/// `sweep_engine_compare` bench hold [`sweep_dcache`] against.
-pub fn sweep_dcache_replay(
-    program: &Program,
-    configs: &[CacheConfig],
-    limit: u64,
-) -> Vec<DcacheSweepPoint> {
-    configs.iter().map(|c| simulate_dcache(program, *c, limit)).collect()
 }
 
 #[cfg(test)]
@@ -172,10 +160,8 @@ mod tests {
     fn engine_sweep_equals_replay_oracle() {
         let p = streaming_program(24, 512, 2_000);
         let configs = crate::config::cache_sweep();
-        assert_eq!(
-            sweep_dcache(&p, &configs, u64::MAX),
-            sweep_dcache_replay(&p, &configs, u64::MAX)
-        );
+        let oracle: Vec<_> = configs.iter().map(|c| simulate_dcache(&p, *c, u64::MAX)).collect();
+        assert_eq!(sweep_dcache(&p, &configs, u64::MAX), oracle);
     }
 
     #[test]

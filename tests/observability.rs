@@ -1,8 +1,9 @@
 //! Integration tests of the telemetry subsystem's cross-crate contracts:
 //! counter and histogram totals are a pure function of the work performed
 //! (identical at any thread count for the same seed), spans recorded
-//! across rayon pools nest under the driving stage, and a live snapshot
-//! round-trips through the [`RunReport`] JSON schema.
+//! across rayon pools nest under the driving stage, a live snapshot
+//! round-trips through the [`RunReport`] JSON schema, and switching
+//! telemetry off changes no result.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -13,6 +14,7 @@ use perfclone::{
 };
 use perfclone_kernels::{by_name, Scale};
 use perfclone_obs::{RunReport, TelemetrySnapshot};
+use perfclone_uarch::sweep_dcache;
 use proptest::prelude::*;
 
 /// The registry is process-global and these tests reset it, so they
@@ -104,6 +106,24 @@ fn sweep_spans_nest_across_the_pool() {
     for group in named("sweep.group") {
         assert_eq!(group.parent, pass.id, "group span not parented to the pass");
     }
+}
+
+/// The registry and event tracing observe the cache sweep without
+/// steering it: the 28-config miss counts are the same with both on as
+/// with both off.
+#[test]
+fn telemetry_does_not_change_sweep_results() {
+    let _g = registry_lock();
+    let program = by_name("crc32").expect("kernel").build(Scale::Tiny).program;
+    let configs = cache_sweep();
+    perfclone_obs::set_enabled(true);
+    perfclone_obs::set_trace_enabled(true);
+    let on = sweep_dcache(&program, &configs, u64::MAX);
+    perfclone_obs::set_enabled(false);
+    perfclone_obs::set_trace_enabled(false);
+    let off = sweep_dcache(&program, &configs, u64::MAX);
+    perfclone_obs::set_enabled(true);
+    assert_eq!(on, off, "telemetry must not change sweep results");
 }
 
 /// A report built from a live pipeline snapshot survives the JSON round

@@ -16,7 +16,7 @@ use perfclone::{
 };
 use perfclone_isa::{Program, ProgramBuilder};
 use perfclone_kernels::{catalog, Scale};
-use perfclone_uarch::sweep_dcache_replay;
+use perfclone_uarch::simulate_dcache;
 use rayon::prelude::*;
 
 /// Everything handed to a rayon task must cross threads.
@@ -52,7 +52,7 @@ fn bits(t: &TimingResult) -> String {
 
 /// Every sweep returns, at width 1 and at widths 4 and 8, exactly
 /// what an independent path computes: per-configuration
-/// `sweep_dcache_replay` for the cache sweep, and one live `run_timing`
+/// `simulate_dcache` replay for the cache sweep, and one live `run_timing`
 /// per (program × configuration) cell for the design-change sweep.
 #[test]
 fn core_parallel_drivers_are_bit_identical_to_serial() {
@@ -61,7 +61,7 @@ fn core_parallel_drivers_are_bit_identical_to_serial() {
     let clone = Cloner::with_params(params).clone_program(&program, u64::MAX).expect("clone").clone;
     let configs = cache_sweep();
     let mpi = |p: &Program| -> Vec<u64> {
-        sweep_dcache_replay(p, &configs, u64::MAX).iter().map(|pt| pt.mpi().to_bits()).collect()
+        configs.iter().map(|c| simulate_dcache(p, *c, u64::MAX).mpi().to_bits()).collect()
     };
     let (real_mpi, synth_mpi) = (mpi(&program), mpi(&clone));
     let mut design_configs = vec![base_config()];

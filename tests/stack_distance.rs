@@ -6,7 +6,7 @@
 
 use perfclone_kernels::{by_name, Scale};
 use perfclone_uarch::{
-    cache_sweep, sweep_dcache, sweep_dcache_replay, sweep_trace, AddressTrace, Assoc, Cache,
+    cache_sweep, simulate_dcache, sweep_dcache, sweep_trace, AddressTrace, Assoc, Cache,
     CacheConfig, DataRef,
 };
 use proptest::prelude::*;
@@ -150,15 +150,15 @@ proptest! {
     }
 }
 
-/// Acceptance-criterion check on a real kernel: the engine-backed
-/// [`sweep_dcache`] equals per-configuration [`sweep_dcache_replay`] for
-/// every configuration of the paper's Figure-4/5 sweep set.
+/// Acceptance check on a real kernel: the engine-backed [`sweep_dcache`]
+/// equals per-configuration [`simulate_dcache`] replay for every
+/// configuration of the paper's Figure-4/5 sweep set.
 #[test]
 fn engine_matches_replay_on_fig04_sweep() {
     let program = by_name("crc32").expect("kernel exists").build(Scale::Tiny).program;
     let configs = cache_sweep();
     assert_eq!(configs.len(), 28);
     let engine = sweep_dcache(&program, &configs, u64::MAX);
-    let oracle = sweep_dcache_replay(&program, &configs, u64::MAX);
+    let oracle: Vec<_> = configs.iter().map(|c| simulate_dcache(&program, *c, u64::MAX)).collect();
     assert_eq!(engine, oracle, "single-pass engine diverged from per-config replay");
 }

@@ -12,7 +12,7 @@ use proptest::prelude::*;
 use rayon::prelude::*;
 
 /// Every bundled kernel's clone passes the fidelity gate at the default
-/// tolerances (the headline acceptance criterion for the gate's
+/// tolerances (the headline acceptance test for the gate's
 /// calibration).
 #[test]
 fn all_bundled_kernels_pass_the_default_gate() {
