@@ -1,10 +1,10 @@
 //! # perfclone-bench
 //!
-//! Shared machinery for the bench targets that regenerate every table and
-//! figure of the paper's evaluation (§5). Each `benches/*.rs` binary is a
-//! plain `harness = false` main that builds the benchmark population,
-//! clones it, runs the experiment, and prints the same rows/series the
-//! paper reports.
+//! The bench targets: `paper`, which regenerates every table and figure of
+//! the paper's evaluation (§5) plus the ablations, extensions and gate
+//! verdicts EXPERIMENTS.md records (see [`paper`]), and three timing mains
+//! (`grid_sweep`, `trace_replay_compare`, `obs_overhead`). Each is a plain
+//! `harness = false` main.
 //!
 //! Environment knobs (unset or blank selects the default; any other value
 //! the knob cannot use panics, naming the variable and the value):
@@ -21,13 +21,13 @@
 //! * `PERFCLONE_REPORT` — destination for a machine-readable [`RunReport`]
 //!   of the experiment (`-` = stdout); same schema as the CLI's `--report`.
 
-use perfclone::{
-    derive_cell_seed, run_timing_trace, Cloner, MachineConfig, SynthesisParams, TimingResult,
-    WorkloadCache, WorkloadProfile,
-};
+use perfclone::{derive_cell_seed, Cloner, MachineConfig, SynthesisParams, WorkloadProfile};
 use perfclone_isa::Program;
 use perfclone_kernels::{catalog, Kernel, Scale};
 use perfclone_obs::{Metric, RunReport};
+use rayon::prelude::*;
+
+pub mod paper;
 
 /// One prepared benchmark: the original program, its profile, and its
 /// synthesized clone.
@@ -40,6 +40,8 @@ pub struct PreparedBench {
     pub profile: WorkloadProfile,
     /// The synthetic benchmark clone.
     pub clone: Program,
+    /// The parameters the clone was synthesized with.
+    pub params: SynthesisParams,
 }
 
 /// Reads the input scale from `PERFCLONE_SCALE` (default: small).
@@ -58,7 +60,7 @@ pub fn scale_from_env() -> Scale {
 /// # Panics
 ///
 /// Panics, naming the value, when it is not a positive integer.
-pub fn jobs_from_env() -> usize {
+fn jobs_from_env() -> usize {
     knob("PERFCLONE_JOBS", parse_jobs)
 }
 
@@ -68,7 +70,7 @@ pub fn jobs_from_env() -> usize {
 /// # Panics
 ///
 /// Panics, naming the value, when it is not a decimal `u64`.
-pub fn root_seed_from_env() -> u64 {
+pub(crate) fn root_seed_from_env() -> u64 {
     knob("PERFCLONE_SEED", parse_seed)
 }
 
@@ -112,8 +114,8 @@ fn parse_seed(value: &str) -> Result<u64, String> {
 }
 
 /// Makes `PERFCLONE_JOBS` the ambient parallelism for the experiment run.
-/// Call once at the top of a bench `main`.
-pub fn init_parallelism() {
+/// Call once, before the first parallel map.
+pub(crate) fn init_parallelism() {
     let _ = rayon::ThreadPoolBuilder::new().num_threads(jobs_from_env()).build_global();
 }
 
@@ -123,7 +125,7 @@ pub fn init_parallelism() {
 ///
 /// Panics, naming them, when the list holds names the catalog lacks: a
 /// typo would otherwise shrink the population without a word.
-pub fn kernels_from_env() -> Vec<&'static Kernel> {
+pub(crate) fn kernels_from_env() -> Vec<&'static Kernel> {
     knob("PERFCLONE_KERNELS", select_kernels)
 }
 
@@ -197,32 +199,20 @@ pub fn prepare(
     let clone = Cloner::with_params(params)
         .clone_program_from(&profile)
         .expect("bundled kernel profiles synthesize cleanly");
-    PreparedBench { kernel, program, profile, clone }
+    PreparedBench { kernel, program, profile, clone, params }
 }
 
-/// Builds the whole population with the default experiment parameters,
-/// printing progress to stderr.
-pub fn prepare_all() -> Vec<PreparedBench> {
-    let scale = scale_from_env();
-    kernels_from_env()
-        .into_iter()
-        .map(|k| {
-            eprintln!("  preparing {} ...", k.name());
-            prepare(k, scale, &experiment_params)
-        })
-        .collect()
-}
-
-/// Parallel [`prepare_all`]: kernels fan over the ambient thread pool
-/// (see [`init_parallelism`]), each profiled and synthesized with a seed
-/// derived from the root seed and the kernel's name. Per-kernel seeds
-/// depend only on the (root, kernel) cell, and results come back in
-/// catalog order, so the population is identical at any thread count.
-pub fn prepare_all_par() -> Vec<PreparedBench> {
-    use rayon::prelude::*;
-    let scale = scale_from_env();
-    let root = root_seed_from_env();
-    let kernels = kernels_from_env();
+/// Builds, profiles and clones `kernels` at `scale`: the one clone
+/// population the [`paper`] sections read. Each kernel's synthesis seed is
+/// `derive_cell_seed(root, name, 0)`, as perfbench derives it, and its clone
+/// length is matched to the original's ([`experiment_params`]). Kernels fan
+/// over the ambient thread pool and come back in input order, so the
+/// population is identical at any thread count.
+pub(crate) fn prepare_population(
+    kernels: &[&'static Kernel],
+    scale: Scale,
+    root: u64,
+) -> Vec<PreparedBench> {
     kernels
         .par_iter()
         .map(|k| {
@@ -235,52 +225,13 @@ pub fn prepare_all_par() -> Vec<PreparedBench> {
         .collect()
 }
 
-/// Times every (benchmark × configuration) cell of a two-configuration
-/// study in parallel. For each prepared benchmark the four cells are
-/// `[real@base, real@alt, clone@base, clone@alt]`; the flat cell list
-/// fans over the ambient thread pool and results reassemble in benchmark
-/// order, bit-identical at any thread count. Each program's retired
-/// stream is captured once as a packed trace through a shared
-/// [`WorkloadCache`] and replayed by both configurations' cells (an
-/// over-`PERFCLONE_TRACE_CAP` capture spills to disk and replays via
-/// mmap; only a failed spill re-interprets — same results either way).
-pub fn grid_timing_par(
-    benches: &[PreparedBench],
-    base: &MachineConfig,
-    alt: &MachineConfig,
-) -> Vec<[TimingResult; 4]> {
-    use rayon::prelude::*;
-    let cache = WorkloadCache::new();
-    let cells: Vec<(usize, usize)> =
-        (0..benches.len()).flat_map(|b| (0..4).map(move |c| (b, c))).collect();
-    let results: Vec<TimingResult> = cells
-        .par_iter()
-        .map(|&(b, c)| {
-            let bench = &benches[b];
-            let name = bench.kernel.name();
-            let (key, program, config) = match c {
-                0 => (name.to_string(), &bench.program, base),
-                1 => (name.to_string(), &bench.program, alt),
-                2 => (format!("{name}.clone"), &bench.clone, base),
-                _ => (format!("{name}.clone"), &bench.clone, alt),
-            };
-            run_timing_trace(&key, program, config, u64::MAX, &cache)
-                .expect("bundled kernels run cleanly")
-        })
-        .collect();
-    results
-        .chunks_exact(4)
-        .map(|c| [c[0].clone(), c[1].clone(), c[2].clone(), c[3].clone()])
-        .collect()
-}
-
 /// Emits this experiment's [`RunReport`] when `PERFCLONE_REPORT` names a
 /// destination (`-` = stdout): the current telemetry snapshot plus the
 /// experiment's headline numbers as metric rows. Benches and the CLI
 /// share one schema, so the same tooling consumes both. A missing or
 /// empty variable is a no-op; write failures are reported to stderr
 /// rather than failing the experiment.
-pub fn emit_run_report(command: &str, workload: &str, metrics: &[(String, f64)]) {
+pub(crate) fn emit_run_report(command: &str, workload: &str, metrics: &[(String, f64)]) {
     let dest = match std::env::var("PERFCLONE_REPORT") {
         Ok(d) if !d.trim().is_empty() => d,
         _ => return,
@@ -299,7 +250,7 @@ pub fn emit_run_report(command: &str, workload: &str, metrics: &[(String, f64)])
 }
 
 /// Geometric-free arithmetic mean helper.
-pub fn mean(xs: &[f64]) -> f64 {
+pub(crate) fn mean(xs: &[f64]) -> f64 {
     if xs.is_empty() {
         0.0
     } else {

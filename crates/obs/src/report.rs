@@ -263,7 +263,7 @@ pub struct Metric {
 pub struct RunReport {
     /// Schema version; see [`REPORT_VERSION`].
     pub report_version: u32,
-    /// The command that produced the report, e.g. `clone` or `bench.fig06`.
+    /// The command that produced the report, e.g. `clone` or `bench.paper`.
     pub command: String,
     /// Workload (kernel) name, or a comma list / `suite` for multi-kernel
     /// runs.

@@ -11,8 +11,8 @@
 //! it cannot be compiled, shipped, or run on real hardware. The synthetic
 //! *clone* (see `perfclone-synth`) is an executable program. This crate
 //! provides the trace path so the repository covers both points of the
-//! design space — and so the two can be compared (the
-//! `ablation_statsim` bench).
+//! design space — and so the two can be compared (ablation A4 of the
+//! `paper` bench).
 //!
 //! The generated trace is a stream of [`DynInstr`] records, directly
 //! consumable by `perfclone_uarch::Pipeline::run`. Unlike interpreter
