@@ -217,22 +217,70 @@ fn abs_error(real: f64, other: f64) -> f64 {
     ((other - real) / real).abs()
 }
 
-/// `r()` unless the real program's curve is flat: its values vary by less
-/// than 15% of their peak over the sweep, or stay at zero. Pearson on a
-/// flat curve (a pure streaming working set) is numerically meaningless,
-/// so such a kernel is left out of correlation averages and judged by its
-/// absolute error instead. The paper's population was chosen to be
-/// cache-sensitive over its sweep, so every one of its points is the
-/// correlated kind.
-fn unless_flat(real: &[f64], r: impl FnOnce() -> f64) -> Option<f64> {
-    let (lo, hi) = real.iter().fold((f64::INFINITY, 0.0f64), |(l, h), &v| (l.min(v), h.max(v)));
-    let flat = hi <= 1e-9 || (hi - lo) / hi < 0.15;
-    (!flat).then(r)
+/// One kernel's correlation of its real and clone curves, or why it has
+/// none.
+#[derive(Clone, Copy, Debug, PartialEq)]
+enum Corr {
+    /// The real program's curve is flat (see [`unless_flat`]).
+    Flat,
+    /// The clone's curve is constant over the correlated points: Pearson
+    /// has no variance to divide by and reads 0.0, which is not a
+    /// correlation.
+    CloneFlat,
+    /// Pearson r.
+    R(f64),
 }
 
-/// An [`unless_flat`] correlation as printed.
-fn r_cell(r: Option<f64>) -> String {
-    r.map_or_else(|| "flat".into(), |r| format!("{r:.3}"))
+impl Corr {
+    /// The correlation, for averages: `None` unless there is one.
+    fn r(self) -> Option<f64> {
+        match self {
+            Corr::R(r) => Some(r),
+            Corr::Flat | Corr::CloneFlat => None,
+        }
+    }
+}
+
+/// `r()` unless either curve is flat. The real curve is flat when its
+/// values vary by less than 15% of their peak over the sweep, or stay at
+/// zero: Pearson on it (a pure streaming working set) is numerically
+/// meaningless, so such a kernel is judged by its absolute error instead.
+/// The clone curve is flat when `synth`, the clone's values at the points
+/// `r` correlates, are all equal. Either way the kernel is left out of
+/// correlation averages. The paper's population was chosen to be
+/// cache-sensitive over its sweep, so every one of its points is the
+/// correlated kind.
+fn unless_flat(real: &[f64], synth: &[f64], r: impl FnOnce() -> f64) -> Corr {
+    let (lo, hi) = real.iter().fold((f64::INFINITY, 0.0f64), |(l, h), &v| (l.min(v), h.max(v)));
+    if hi <= 1e-9 || (hi - lo) / hi < 0.15 {
+        Corr::Flat
+    } else if synth.windows(2).all(|w| w[0] == w[1]) {
+        Corr::CloneFlat
+    } else {
+        Corr::R(r())
+    }
+}
+
+/// [`unless_flat`] over an L1-D sweep's miss curves, at the points
+/// [`CacheSweepComparison::correlation`] correlates.
+fn sweep_r(sweep: &CacheSweepComparison) -> Corr {
+    unless_flat(&sweep.real_mpi, &sweep.synth_mpi[1..], || sweep.correlation())
+}
+
+/// A [`Corr`] as printed.
+fn r_cell(r: Corr) -> String {
+    match r {
+        Corr::Flat => "flat".into(),
+        Corr::CloneFlat => "clone flat".into(),
+        Corr::R(r) => format!("{r:.3}"),
+    }
+}
+
+/// The average of the kernels' correlations that exist, with how many of
+/// the kernels it covers.
+fn r_mean(rs: &[Corr]) -> String {
+    let r: Vec<f64> = rs.iter().filter_map(|r| r.r()).collect();
+    format!("{:.3} ({} of {})", mean(&r), r.len(), rs.len())
 }
 
 /// `f` over each kernel's population entry and shared cells, fanned over
@@ -288,8 +336,8 @@ fn fig04(pop: &[PreparedBench], cells: &[Cells]) -> Section {
         let sweep = &cells.sweep;
         let mae = mean_abs_diff(&sweep.real_mpi, &sweep.synth_mpi);
         maes.push(mae);
-        let r = unless_flat(&sweep.real_mpi, || sweep.correlation());
-        rs.extend(r);
+        let r = sweep_r(sweep);
+        rs.push(r);
         table.row(vec![
             bench.kernel.name().into(),
             r_cell(r),
@@ -299,7 +347,7 @@ fn fig04(pop: &[PreparedBench], cells: &[Cells]) -> Section {
     }
     table.row(vec![
         "average (non-flat)".into(),
-        format!("{:.3}", mean(&rs)),
+        r_mean(&rs),
         format!("{:.5}", mean(&maes)),
         "-".into(),
     ]);
@@ -476,7 +524,7 @@ fn a1(pop: &[PreparedBench], cells: &[Cells]) -> Section {
     let reference = base.l1d;
     // Per kernel: r of the population clone, r of the µarch-dependent
     // clone, and their misprediction-rate errors under the base predictor.
-    let rows: Vec<(Option<f64>, Option<f64>, f64, f64)> = per_kernel(pop, cells, |bench, cells| {
+    let rows: Vec<(Corr, Corr, f64, f64)> = per_kernel(pop, cells, |bench, cells| {
         // Calibrate the prior-work baseline on the reference cache.
         let ref_point = simulate_dcache(&bench.program, reference, u64::MAX);
         let miss_rate = if ref_point.accesses == 0 {
@@ -500,8 +548,8 @@ fn a1(pop: &[PreparedBench], cells: &[Cells]) -> Section {
         let real_bp = bp(&cells.design.base_real);
         let dep_bp = bp(&run_timing(&dep_clone, &base, u64::MAX).expect("timing"));
         (
-            unless_flat(&sweep.real_mpi, || sweep.correlation()),
-            unless_flat(&dep.real_mpi, || dep.correlation()),
+            sweep_r(sweep),
+            sweep_r(&dep),
             (bp(&cells.design.base_synth) - real_bp).abs(),
             (dep_bp - real_bp).abs(),
         )
@@ -517,12 +565,12 @@ fn a1(pop: &[PreparedBench], cells: &[Cells]) -> Section {
             format!("{bd:.3}"),
         ]);
     }
-    let r_indep: Vec<f64> = rows.iter().filter_map(|r| r.0).collect();
-    let r_dep: Vec<f64> = rows.iter().filter_map(|r| r.1).collect();
+    let r_indep: Vec<Corr> = rows.iter().map(|r| r.0).collect();
+    let r_dep: Vec<Corr> = rows.iter().map(|r| r.1).collect();
     table.row(vec![
         "average (r non-flat)".into(),
-        format!("{:.3}", mean(&r_indep)),
-        format!("{:.3}", mean(&r_dep)),
+        r_mean(&r_indep),
+        r_mean(&r_dep),
         format!("{:.3}", column_mean(&rows, |r| r.2)),
         format!("{:.3}", column_mean(&rows, |r| r.3)),
     ]);
@@ -557,16 +605,11 @@ fn a2(pop: &[PreparedBench], cells: &[Cells]) -> Section {
 }
 
 fn a3(pop: &[PreparedBench], cells: &[Cells]) -> Section {
-    let mut rows: Vec<(usize, Option<f64>, &str)> = pop
+    let mut rows: Vec<(usize, Corr, &str)> = pop
         .iter()
         .zip(cells)
         .map(|(bench, cells)| {
-            let sweep = &cells.sweep;
-            (
-                bench.profile.unique_streams(),
-                unless_flat(&sweep.real_mpi, || sweep.correlation()),
-                bench.kernel.name(),
-            )
+            (bench.profile.unique_streams(), sweep_r(&cells.sweep), bench.kernel.name())
         })
         .collect();
     rows.sort_by_key(|r| r.0);
@@ -575,9 +618,14 @@ fn a3(pop: &[PreparedBench], cells: &[Cells]) -> Section {
         table.row(vec![name.into(), streams.to_string(), r_cell(r)]);
     }
     let (xs, ys): (Vec<f64>, Vec<f64>) =
-        rows.iter().filter_map(|&(streams, r, _)| Some((streams as f64, r?))).unzip();
+        rows.iter().filter_map(|&(streams, r, _)| Some((streams as f64, r.r()?))).unzip();
     Section::new("Ablation A3 — cache correlation vs number of unique streams", table)
-        .note(format!("correlation(streams, r), non-flat rows = {:.3}", pearson(&xs, &ys)))
+        .note(format!(
+            "correlation(streams, r), non-flat rows ({} of {}) = {:.3}",
+            xs.len(),
+            rows.len(),
+            pearson(&xs, &ys)
+        ))
         .note("(paper: programs needing more unique streams clone less accurately)")
 }
 
@@ -747,20 +795,20 @@ fn e1(pop: &[PreparedBench]) -> Section {
         let trace = AddressTrace::extract(program, u64::MAX);
         configs.iter().map(|c| simulate_hierarchy_trace(&trace, l1, *c).l2_mpi()).collect()
     };
-    let rows: Vec<(Option<f64>, f64)> = pop
+    let rows: Vec<(Corr, f64)> = pop
         .par_iter()
         .map(|bench| {
             let real = l2_mpi(&bench.program);
             let synth = l2_mpi(&bench.clone);
-            (unless_flat(&real, || pearson(&real, &synth)), mean_abs_diff(&real, &synth))
+            (unless_flat(&real, &synth, || pearson(&real, &synth)), mean_abs_diff(&real, &synth))
         })
         .collect();
     let mut table = table(&["benchmark", "pearson r", "sweep MAE"]);
     for (bench, &(r, mae)) in pop.iter().zip(&rows) {
         table.row(vec![bench.kernel.name().into(), r_cell(r), format!("{mae:.5}")]);
     }
-    let rs: Vec<f64> = rows.iter().filter_map(|r| r.0).collect();
-    table.row(vec!["average (non-flat)".into(), format!("{:.3}", mean(&rs)), "-".into()]);
+    let rs: Vec<Corr> = rows.iter().map(|r| r.0).collect();
+    table.row(vec!["average (non-flat)".into(), r_mean(&rs), "-".into()]);
     Section::new(
         format!("Extension E1 — L2 sweep ({} configurations, L1 fixed at Table 2)", configs.len()),
         table,
@@ -903,6 +951,21 @@ mod tests {
         let row = text.lines().find(|l| l.split_whitespace().next() == Some(name));
         let row = row.unwrap_or_else(|| panic!("no {name} row in {}", section.title));
         row.split_whitespace().map(String::from).collect()
+    }
+
+    /// A clone whose curve does not move has no correlation: it prints as
+    /// `clone flat` and stays out of the average, which counts the kernels
+    /// it covers.
+    #[test]
+    fn a_constant_clone_curve_is_left_out_of_the_average() {
+        let real = [0.0187, 0.0150, 0.0111];
+        let synth = [0.00776; 3];
+        let r = unless_flat(&real, &synth, || pearson(&real, &synth));
+        assert_eq!(r, Corr::CloneFlat);
+        assert_eq!(r_cell(r), "clone flat");
+        assert_eq!(unless_flat(&synth, &real, || 1.0), Corr::Flat);
+        assert_eq!(unless_flat(&real, &real, || 1.0), Corr::R(1.0));
+        assert_eq!(r_mean(&[Corr::R(0.9), r, Corr::Flat, Corr::R(0.7)]), "0.800 (2 of 4)");
     }
 
     /// The shared cells equal what `design_change_sweep`, `run_timing` and

@@ -139,9 +139,13 @@ pub struct AccessResult {
 #[derive(Clone, Debug)]
 pub struct Cache {
     config: CacheConfig,
-    sets: Vec<Vec<Line>>,
+    /// Every line, set-major: set `s` is `lines[s * ways..(s + 1) * ways]`.
+    lines: Box<[Line]>,
+    ways: usize,
     line_shift: u32,
     set_mask: u64,
+    /// `log2` of the set count: the shift from a line address to its tag.
+    set_bits: u32,
     tick: u64,
     stats: CacheStats,
 }
@@ -153,9 +157,11 @@ impl Cache {
         let ways = config.ways();
         Cache {
             config,
-            sets: vec![vec![Line::default(); ways as usize]; sets as usize],
+            lines: vec![Line::default(); (sets * ways) as usize].into_boxed_slice(),
+            ways: ways as usize,
             line_shift: config.line_bytes.trailing_zeros(),
             set_mask: sets - 1,
+            set_bits: sets.trailing_zeros(),
             tick: 0,
             stats: CacheStats::default(),
         }
@@ -173,13 +179,12 @@ impl Cache {
 
     /// Accesses the byte address, allocating on miss. `is_write` marks the
     /// line dirty.
+    #[inline]
     pub fn access(&mut self, addr: u64, is_write: bool) -> AccessResult {
         self.tick += 1;
         self.stats.accesses += 1;
-        let line_addr = addr >> self.line_shift;
-        let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.sets.len().trailing_zeros();
-        let set = &mut self.sets[set_idx];
+        let (set_idx, tag) = self.locate(addr);
+        let set = &mut self.lines[set_idx * self.ways..(set_idx + 1) * self.ways];
 
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.stamp = self.tick;
@@ -205,10 +210,17 @@ impl Cache {
 
     /// Probes for presence without updating state or statistics.
     pub fn probe(&self, addr: u64) -> bool {
+        let (set_idx, tag) = self.locate(addr);
+        self.lines[set_idx * self.ways..(set_idx + 1) * self.ways]
+            .iter()
+            .any(|l| l.valid && l.tag == tag)
+    }
+
+    /// The set `addr` maps to, and its tag there.
+    #[inline]
+    fn locate(&self, addr: u64) -> (usize, u64) {
         let line_addr = addr >> self.line_shift;
-        let set_idx = (line_addr & self.set_mask) as usize;
-        let tag = line_addr >> self.sets.len().trailing_zeros();
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        ((line_addr & self.set_mask) as usize, line_addr >> self.set_bits)
     }
 }
 

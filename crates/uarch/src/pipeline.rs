@@ -12,7 +12,7 @@
 use std::error::Error as StdError;
 use std::fmt;
 
-use perfclone_isa::{InstrClass, InstrMeta};
+use perfclone_isa::{Instr, InstrClass, InstrMeta};
 use perfclone_sim::{BatchReplay, DynInstr, MemAccess, ReplayChunk};
 
 use crate::cache::{Cache, CacheStats};
@@ -64,13 +64,15 @@ enum EntryState {
 /// Readiness is checked lazily at issue time ([`Pipeline::deps_satisfied`])
 /// instead of by broadcasting wakeups through the window, so the list is
 /// immutable once built.
-#[derive(Clone, Copy, Debug, Default)]
+#[derive(Clone, Copy, Debug)]
 struct DepList {
     seqs: [u64; 3],
     len: u8,
 }
 
 impl DepList {
+    const EMPTY: DepList = DepList { seqs: [0; 3], len: 0 };
+
     #[inline]
     fn contains(&self, seq: u64) -> bool {
         self.seqs[..usize::from(self.len)].contains(&seq)
@@ -88,90 +90,84 @@ impl DepList {
     }
 }
 
-/// One retired record with its static facts pre-resolved — the common
-/// currency of the pipeline's two front ends. The iterator front end
-/// derives it per record via [`InstrMeta::of`]; the batched front end reads
-/// the pre-interned per-pc table, so neither touches the instruction enum
-/// on the fetch hot path.
+/// The record at the head of a [`RecordSource`], read where it lies: its
+/// dynamic fields, and the static facts of its instruction. The iterator
+/// front end derives those per record via [`InstrMeta::of`]; the batched
+/// front end reads the pre-interned per-pc table, so neither touches the
+/// instruction enum on the fetch hot path.
 #[derive(Clone, Copy, Debug)]
-struct FetchRec {
+struct Head<'a> {
+    meta: &'a InstrMeta,
     pc: u32,
+    next_pc: u32,
     taken: bool,
-    redirected: bool,
-    cond_branch: bool,
-    class: InstrClass,
-    num_uses: u8,
-    num_defs: u8,
-    use_idx: [u8; 3],
-    def_idx: [u8; 3],
-    is_load: bool,
-    is_store: bool,
-    addr: u64,
-    bytes: u8,
+    mem: Option<MemAccess>,
 }
 
-impl FetchRec {
-    #[inline]
-    fn new(m: &InstrMeta, pc: u32, next_pc: u32, taken: bool, mem: Option<MemAccess>) -> FetchRec {
-        let (is_load, is_store, addr, bytes) = match mem {
-            Some(a) => (!a.is_store, a.is_store, a.addr, a.bytes),
-            None => (false, false, 0, 0),
-        };
-        FetchRec {
-            pc,
-            taken,
-            redirected: next_pc != pc.wrapping_add(1),
-            cond_branch: m.cond_branch,
-            class: m.class,
-            num_uses: m.num_uses,
-            num_defs: m.num_defs,
-            use_idx: m.use_idx,
-            def_idx: m.def_idx,
-            is_load,
-            is_store,
-            addr,
-            bytes,
-        }
-    }
-
-    #[inline]
-    fn from_dyn(d: &DynInstr) -> FetchRec {
-        FetchRec::new(&InstrMeta::of(&d.instr), d.pc, d.next_pc, d.taken, d.mem)
-    }
-
-    /// Flat rename-table indices of source registers, in `Instr::uses` order.
-    #[inline]
-    fn uses(&self) -> &[u8] {
-        &self.use_idx[..usize::from(self.num_uses)]
-    }
-
-    /// Flat rename-table indices of destination registers.
-    #[inline]
-    fn defs(&self) -> &[u8] {
-        &self.def_idx[..usize::from(self.num_defs)]
-    }
-}
-
-/// Record supply for [`Pipeline::run_inner`]: pulls one [`FetchRec`] at a
-/// time from whichever front end backs it.
+/// Record supply for [`Pipeline::run_inner`]: a cursor over whichever
+/// front end backs it. Fetch asks [`ready`](RecordSource::ready) whether a
+/// record is left, reads it in place through [`view`](RecordSource::view),
+/// and consumes it with [`advance`](RecordSource::advance) once it has
+/// entered the window — a record that waits on an I-cache miss stays at
+/// the head, so no lookahead copy is needed.
 trait RecordSource {
-    fn pull(&mut self) -> Option<FetchRec>;
+    /// `true` while a record is left, loading the next one if needed.
+    fn ready(&mut self) -> bool;
+
+    /// The head record; meaningful only after `ready` returned `true`.
+    fn view(&self) -> Head<'_>;
+
+    /// Consumes the head record.
+    fn advance(&mut self);
 }
 
 /// Record-at-a-time front end over any [`DynInstr`] iterator (interpreter
-/// output, statsim synthetic traces, or the replay oracle).
-struct IterSource<I>(I);
+/// output, statsim synthetic traces, or the replay oracle). It holds one
+/// record, with its static facts, while fetch has not consumed it.
+struct IterSource<I> {
+    iter: I,
+    head: (InstrMeta, DynInstr),
+    /// `head` holds a record fetch has not consumed yet.
+    full: bool,
+}
+
+impl<I> IterSource<I> {
+    fn new(iter: I) -> IterSource<I> {
+        // A placeholder until the first record arrives; never viewed
+        // while `full` is false.
+        let nop = DynInstr { pc: 0, instr: Instr::Nop, next_pc: 1, taken: false, mem: None };
+        IterSource { iter, head: (InstrMeta::of(&nop.instr), nop), full: false }
+    }
+}
 
 impl<I: Iterator<Item = DynInstr>> RecordSource for IterSource<I> {
     #[inline]
-    fn pull(&mut self) -> Option<FetchRec> {
-        self.0.next().map(|d| FetchRec::from_dyn(&d))
+    fn ready(&mut self) -> bool {
+        if !self.full {
+            if let Some(d) = self.iter.next() {
+                self.head = (InstrMeta::of(&d.instr), d);
+                self.full = true;
+            }
+        }
+        self.full
+    }
+
+    #[inline]
+    fn view(&self) -> Head<'_> {
+        let (meta, d) = &self.head;
+        Head { meta, pc: d.pc, next_pc: d.next_pc, taken: d.taken, mem: d.mem }
+    }
+
+    #[inline]
+    fn advance(&mut self) {
+        self.full = false;
     }
 }
 
 /// Batched front end: drains a [`BatchReplay`] chunk-by-chunk, re-entering
 /// the decoder once per [`ReplayChunk`](perfclone_sim::ReplayChunk) instead
-/// of once per record. Publishes `replay.batch.*` counters when dropped.
+/// of once per record, and hands fetch each record's fields straight from
+/// the chunk's arrays. Publishes `replay.batch.*` counters when dropped.
 struct BatchSource<'a> {
     replay: BatchReplay<'a>,
     chunk: Box<ReplayChunk>,
@@ -188,24 +184,39 @@ impl<'a> BatchSource<'a> {
 
 impl RecordSource for BatchSource<'_> {
     #[inline]
-    fn pull(&mut self) -> Option<FetchRec> {
-        if self.pos == self.chunk.len() {
-            let n = self.replay.fill(&mut self.chunk);
-            // A drained fill resets the chunk to empty; reset the cursor
-            // with it so re-polling (the run loop peeks every cycle while
-            // the window drains) keeps hitting this refill path.
-            self.pos = 0;
-            if n == 0 {
-                return None;
-            }
-            self.chunks += 1;
-            self.records += n as u64;
+    fn ready(&mut self) -> bool {
+        if self.pos < self.chunk.len() {
+            return true;
         }
+        let n = self.replay.fill(&mut self.chunk);
+        // A drained fill resets the chunk to empty; reset the cursor with
+        // it so re-polling (the run loop asks every cycle while the window
+        // drains) keeps hitting this refill path.
+        self.pos = 0;
+        if n == 0 {
+            return false;
+        }
+        self.chunks += 1;
+        self.records += n as u64;
+        true
+    }
+
+    #[inline]
+    fn view(&self) -> Head<'_> {
         let i = self.pos;
-        self.pos += 1;
         let pc = self.chunk.pc(i);
-        let m = &self.replay.meta()[pc as usize];
-        Some(FetchRec::new(m, pc, self.chunk.next_pc(i), self.chunk.taken(i), self.chunk.mem(i)))
+        Head {
+            meta: &self.replay.meta()[pc as usize],
+            pc,
+            next_pc: self.chunk.next_pc(i),
+            taken: self.chunk.taken(i),
+            mem: self.chunk.mem(i),
+        }
+    }
+
+    #[inline]
+    fn advance(&mut self) {
+        self.pos += 1;
     }
 }
 
@@ -215,32 +226,6 @@ impl Drop for BatchSource<'_> {
             perfclone_obs::count!("replay.batch.chunks", self.chunks);
             perfclone_obs::count!("replay.batch.records", self.records);
         }
-    }
-}
-
-/// One-slot lookahead on top of a [`RecordSource`], giving fetch the
-/// peek/consume protocol without `Peekable`'s per-record iterator dispatch.
-struct Feed<S: RecordSource> {
-    src: S,
-    look: Option<FetchRec>,
-}
-
-impl<S: RecordSource> Feed<S> {
-    fn new(src: S) -> Feed<S> {
-        Feed { src, look: None }
-    }
-
-    #[inline]
-    fn peek(&mut self) -> Option<&FetchRec> {
-        if self.look.is_none() {
-            self.look = self.src.pull();
-        }
-        self.look.as_ref()
-    }
-
-    #[inline]
-    fn take(&mut self) -> Option<FetchRec> {
-        self.look.take().or_else(|| self.src.pull())
     }
 }
 
@@ -278,7 +263,7 @@ impl RobEntry {
         seq: 0,
         class: InstrClass::IntAlu,
         state: EntryState::Waiting,
-        deps: DepList { seqs: [0; 3], len: 0 },
+        deps: DepList::EMPTY,
         is_store: false,
         is_load: false,
         addr: 0,
@@ -327,12 +312,14 @@ impl Window {
         (self.len > 0).then(|| &self.slab[self.head])
     }
 
+    /// Appends an entry at the back and returns its slot, still holding
+    /// whatever entry last left it, for the caller to overwrite in place.
     #[inline]
-    fn push_back(&mut self, e: RobEntry) {
+    fn push_slot(&mut self) -> &mut RobEntry {
         debug_assert!(self.len <= self.mask, "window sized for ROB + fetch queue");
         let i = (self.head + self.len) & self.mask;
-        self.slab[i] = e;
         self.len += 1;
+        &mut self.slab[i]
     }
 
     #[inline]
@@ -789,7 +776,7 @@ impl Pipeline {
     /// Runs the pipeline over a correct-path trace until every instruction
     /// has committed, returning the report.
     pub fn run<I: IntoIterator<Item = DynInstr>>(self, trace: I) -> PipelineReport {
-        self.run_fast(Feed::new(IterSource(trace.into_iter())), u64::MAX).report
+        self.run_fast(IterSource::new(trace.into_iter()), u64::MAX).report
     }
 
     /// Runs the pipeline over a batched trace decoder until every
@@ -799,7 +786,7 @@ impl Pipeline {
     /// [`run`](Pipeline::run) over the replay oracle, bit-identically
     /// (property-tested in the workspace replay suites).
     pub fn run_batched(self, replay: BatchReplay<'_>) -> PipelineReport {
-        self.run_fast(Feed::new(BatchSource::new(replay)), u64::MAX).report
+        self.run_fast(BatchSource::new(replay), u64::MAX).report
     }
 
     /// [`run_batched`](Pipeline::run_batched) with a cycle budget, mirroring
@@ -813,7 +800,7 @@ impl Pipeline {
         replay: BatchReplay<'_>,
         max_cycles: u64,
     ) -> Result<PipelineReport, PipelineError> {
-        self.run_fast(Feed::new(BatchSource::new(replay)), max_cycles).into_result(max_cycles)
+        self.run_fast(BatchSource::new(replay), max_cycles).into_result(max_cycles)
     }
 
     /// [`run`](Pipeline::run) with a cycle budget: if the trace has not
@@ -829,11 +816,11 @@ impl Pipeline {
         trace: I,
         max_cycles: u64,
     ) -> Result<PipelineReport, PipelineError> {
-        self.run_fast(Feed::new(IterSource(trace.into_iter())), max_cycles).into_result(max_cycles)
+        self.run_fast(IterSource::new(trace.into_iter()), max_cycles).into_result(max_cycles)
     }
 
     /// The model with every shortcut on; publishes its work counters.
-    fn run_fast<S: RecordSource>(self, trace: Feed<S>, max_cycles: u64) -> Outcome {
+    fn run_fast<S: RecordSource>(self, trace: S, max_cycles: u64) -> Outcome {
         let out = self.run_inner::<true, _>(trace, max_cycles);
         out.work.publish();
         out
@@ -846,13 +833,13 @@ impl Pipeline {
     /// crate's tests run it, as the oracle the fast one must equal.
     fn run_inner<const FAST: bool, S: RecordSource>(
         mut self,
-        mut trace: Feed<S>,
+        mut trace: S,
         max_cycles: u64,
     ) -> Outcome {
         let mut exhausted = false;
         let mut stepped = 0;
         loop {
-            let trace_empty = trace.peek().is_none();
+            let trace_empty = !trace.ready();
             if trace_empty && self.rob.is_empty() {
                 break;
             }
@@ -913,7 +900,7 @@ impl Pipeline {
     ///
     /// When there is no next event although work remains: nothing can
     /// ever move again, so the run would otherwise spin forever.
-    fn skip<S: RecordSource>(&mut self, trace: &mut Feed<S>, max_cycles: u64) {
+    fn skip<S: RecordSource>(&mut self, trace: &mut S, max_cycles: u64) {
         let mut ev = self.next_done_at;
         // A line that arrives this very cycle (a zero-latency refill) is
         // fetched on the next one: an event, not a wedge.
@@ -929,7 +916,7 @@ impl Pipeline {
                 ev = ev.min(self.fp_div_busy_until);
             }
         }
-        if ev == u64::MAX && (!self.rob.is_empty() || trace.peek().is_some()) {
+        if ev == u64::MAX && (!self.rob.is_empty() || trace.ready()) {
             panic!(
                 "pipeline wedged at cycle {}: {} instructions committed, {} in the ROB, \
                  and no event left to wake it",
@@ -1001,6 +988,7 @@ impl Pipeline {
         }
     }
 
+    #[inline]
     fn commit(&mut self) {
         for _ in 0..self.config.commit_width {
             if self.rob_len == 0 {
@@ -1036,6 +1024,7 @@ impl Pipeline {
     }
 
     /// Promotes the completions due this cycle, returning whether any was.
+    #[inline]
     fn writeback(&mut self) -> bool {
         let cycle = self.cycle;
         if self.next_done_at > cycle {
@@ -1148,6 +1137,7 @@ impl Pipeline {
     /// group is used up this cycle is passed over on its tag alone; the
     /// scan ends when the issue width is spent or no group has a free
     /// unit.
+    #[inline]
     fn issue(&mut self) {
         if self.waiting.len == 0 {
             return;
@@ -1328,7 +1318,12 @@ impl Pipeline {
         }
     }
 
-    fn fetch<S: RecordSource>(&mut self, trace: &mut Feed<S>) {
+    /// Fetches up to `fetch_width` records into the fetch queue. Each
+    /// entry is built in its window slot and renamed straight into its
+    /// dependence list: an entry built on the stack and copied in is read
+    /// back with wider loads than the stores that just wrote its list,
+    /// which defeats store-to-load forwarding.
+    fn fetch<S: RecordSource>(&mut self, trace: &mut S) {
         if self.fetch_blocked_on.is_some() {
             // Blocked until the mispredicted branch resolves; writeback
             // clears the block.
@@ -1341,7 +1336,10 @@ impl Pipeline {
         }
         let mut budget = self.config.fetch_width;
         while budget > 0 && self.rob.len() - self.rob_len < self.config.fetch_queue as usize {
-            let Some(&d) = trace.peek() else { break };
+            if !trace.ready() {
+                break;
+            }
+            let d = trace.view();
             // I-cache access, one per new line.
             let addr = perfclone_isa::Program::instr_addr(d.pc);
             let line = addr >> self.l1i_line_shift;
@@ -1359,55 +1357,56 @@ impl Pipeline {
                     return; // instruction fetched once the line arrives
                 }
             }
-            let Some(d) = trace.take() else { break };
             let seq = self.next_seq;
             self.next_seq += 1;
             self.activity.fetches += 1;
+            budget -= 1;
 
+            let m = d.meta;
+            let (mispredicted, stop) = if m.cond_branch {
+                let pred = self.bpred.predict_and_update(d.pc, d.taken);
+                // A taken branch breaks the fetch group too.
+                (pred != d.taken, pred != d.taken || d.taken)
+            } else {
+                // So does any other redirect (a jump).
+                (false, d.next_pc != d.pc.wrapping_add(1))
+            };
+            if mispredicted {
+                self.fetch_blocked_on = Some(seq);
+            }
+            let (is_load, is_store, addr, bytes) = match d.mem {
+                Some(a) => (!a.is_store, a.is_store, a.addr, a.bytes),
+                None => (false, false, 0, 0),
+            };
+            let e = self.rob.push_slot();
+            *e = RobEntry {
+                seq,
+                class: m.class,
+                state: EntryState::Waiting,
+                deps: DepList::EMPTY,
+                is_store,
+                is_load,
+                addr,
+                bytes,
+                mispredicted,
+                num_uses: m.num_uses,
+                num_defs: m.num_defs,
+            };
             // Rename: record the last writer of each source register.
             // Whether that producer is still in flight is resolved lazily
             // at issue time ([`deps_satisfied`](Pipeline::deps_satisfied)).
-            let mut deps = DepList::default();
-            for &u in d.uses() {
+            for &u in m.uses() {
                 if let Some(w) = self.last_writer[usize::from(u)] {
-                    if !deps.contains(w) {
-                        deps.push(w);
+                    if !e.deps.contains(w) {
+                        e.deps.push(w);
                     }
                 }
             }
-            let mut entry = RobEntry {
-                seq,
-                class: d.class,
-                state: EntryState::Waiting,
-                deps,
-                is_store: d.is_store,
-                is_load: d.is_load,
-                addr: d.addr,
-                bytes: d.bytes,
-                mispredicted: false,
-                num_uses: d.num_uses,
-                num_defs: d.num_defs,
-            };
             // Record this instruction as the latest writer of its defs.
-            for &def in d.defs() {
+            for &def in m.defs() {
                 self.last_writer[usize::from(def)] = Some(seq);
             }
-            budget -= 1;
-
-            let mut stop = false;
-            if d.cond_branch {
-                let pred = self.bpred.predict_and_update(d.pc, d.taken);
-                if pred != d.taken {
-                    entry.mispredicted = true;
-                    self.fetch_blocked_on = Some(seq);
-                    stop = true;
-                } else if d.taken {
-                    stop = true; // taken-branch fetch break
-                }
-            } else if d.redirected {
-                stop = true; // jumps break the fetch group
-            }
-            self.rob.push_back(entry);
+            trace.advance();
             if stop {
                 self.last_fetch_line = u64::MAX;
                 break;
@@ -1709,7 +1708,7 @@ mod tests {
         max_cycles: u64,
     ) -> Outcome {
         Pipeline::new(config)
-            .run_inner::<FAST, _>(Feed::new(IterSource(trace.iter().copied())), max_cycles)
+            .run_inner::<FAST, _>(IterSource::new(trace.iter().copied()), max_cycles)
     }
 
     /// Asserts the fast model equals the naive one on `trace`, run to

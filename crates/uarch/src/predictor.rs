@@ -171,6 +171,7 @@ impl BranchPredictor {
 
     /// Predicts the direction of the branch at `pc`, then updates the
     /// predictor with the actual `taken` outcome. Returns the prediction.
+    #[inline]
     pub fn predict_and_update(&mut self, pc: u32, taken: bool) -> bool {
         self.stats.lookups += 1;
         let pred = match self.kind {
