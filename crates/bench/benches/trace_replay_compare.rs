@@ -49,7 +49,7 @@ fn sweep_replay(programs: &[&Program], configs: &[MachineConfig]) -> Vec<TimingR
             let meta = InstrMetaTable::new(p);
             configs
                 .iter()
-                .map(|c| run_timing_store(p, &trace, &meta, c, None).expect("timing"))
+                .map(|c| run_timing_store(p, &trace, &meta, c).expect("timing"))
                 .collect::<Vec<_>>()
         })
         .collect()

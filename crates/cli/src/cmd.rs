@@ -68,8 +68,9 @@ OPTIONS:
                           shards complete (human output moves to stderr)
   --max-retries N         transient-failure retries per grid cell
                           (default 2; backoff is seeded and exponential)
-  --cell-deadline N       pipeline cycle budget per grid cell; a cell over
-                          budget fails permanently (default: unbounded)
+  --cell-deadline N       simulated-cycle deadline per grid cell; a cell
+                          whose run takes more cycles fails permanently
+                          (default: none)
   --keep-going            quarantine permanently-failing grid cells (typed
                           quarantine-*.json records in the journal) and
                           complete the sweep with degraded coverage

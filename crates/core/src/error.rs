@@ -5,9 +5,11 @@
 //! typed error; [`Error`] folds them into one enum so facade-level APIs
 //! ([`Cloner`](crate::Cloner), [`run_timing`](crate::run_timing), the
 //! suite and experiment drivers) return a single error type. Runaway
-//! guards from any layer fold into [`Error::BudgetExhausted`], so "this
-//! did not terminate within its budget" looks the same to a caller no
-//! matter which stage tripped it.
+//! guards from any layer, and a grid cell over its deadline, fold into
+//! [`Error::BudgetExhausted`], so "this did not terminate within its
+//! budget" looks the same to a caller no matter which stage tripped it.
+//! The timing model has no budget to exhaust: it bounds every run itself
+//! and panics if it ever breaks that bound, a defect of the model.
 
 use std::error::Error as StdError;
 use std::fmt;
@@ -16,7 +18,6 @@ use perfclone_profile::ProfileError;
 use perfclone_sim::SimError;
 use perfclone_sim::TraceError as SpillError;
 use perfclone_synth::SynthError;
-use perfclone_uarch::PipelineError;
 use perfclone_validate::ValidateError;
 
 use crate::journal::JournalError;
@@ -33,8 +34,9 @@ pub enum Error {
     Synth(SynthError),
     /// The fidelity gate rejected a clone (or could not evaluate it).
     Validate(ValidateError),
-    /// A stage's runaway guard tripped: the named stage did not terminate
-    /// within its instruction/cycle/instance budget.
+    /// A stage's runaway guard tripped, or a grid cell's run took more
+    /// cycles than its deadline: the named stage did not terminate within
+    /// its instruction/cycle/instance budget.
     BudgetExhausted {
         /// Which stage exhausted its budget (`"sim"`, `"synth"`,
         /// `"pipeline"`, `"validate"`).
@@ -160,7 +162,7 @@ impl fmt::Display for Error {
             Error::Synth(e) => write!(f, "synthesis failed: {e}"),
             Error::Validate(e) => write!(f, "validation failed: {e}"),
             Error::BudgetExhausted { stage, budget } => {
-                write!(f, "{stage} stage did not terminate within its budget of {budget}")
+                write!(f, "{stage} stage exceeded its budget of {budget}")
             }
             Error::EmptySuite { name } => write!(f, "suite '{name}' has no members"),
             Error::NonPositiveWeight { name, weight } => {
@@ -250,16 +252,6 @@ impl From<ValidateError> for Error {
                 Error::BudgetExhausted { stage: "validate", budget }
             }
             other => Error::Validate(other),
-        }
-    }
-}
-
-impl From<PipelineError> for Error {
-    fn from(e: PipelineError) -> Error {
-        match e {
-            PipelineError::BudgetExhausted { max_cycles, .. } => {
-                Error::BudgetExhausted { stage: "pipeline", budget: max_cycles }
-            }
         }
     }
 }

@@ -34,7 +34,7 @@ impl<'a> Captured<'a> {
 
     /// One timing cell; replay and live fallback are bit-identical.
     fn time(&self, config: &MachineConfig, limit: u64) -> Result<TimingResult, Error> {
-        time_capture(self.program, self.capture.as_ref(), &self.meta, config, limit, None)
+        time_capture(self.program, self.capture.as_ref(), &self.meta, config, limit)
     }
 }
 

@@ -289,8 +289,11 @@ pub struct GridPolicy {
     pub backoff_base_ms: u64,
     /// Backoff ceiling in milliseconds.
     pub backoff_cap_ms: u64,
-    /// Per-cell pipeline cycle budget: a cell that exceeds it fails with
-    /// [`Error::BudgetExhausted`] (permanent). `None` = unbounded.
+    /// Per-cell deadline in simulated cycles: a cell whose run takes more
+    /// cycles fails with [`Error::BudgetExhausted`] (stage `"pipeline"`,
+    /// permanent). The supervisor checks it once the run has finished, so
+    /// the run itself is bounded only by the model's own commit bound.
+    /// `None` = no deadline.
     pub cell_deadline: Option<u64>,
     /// `true`: quarantine permanently-failing cells and complete the
     /// sweep with degraded coverage. `false` (default): abort on the
@@ -397,8 +400,9 @@ fn shard_delay() -> Option<Duration> {
 
 /// Executes one cell under supervision: transient failures (see
 /// [`Error::classify`]) are retried with seeded backoff up to the
-/// policy's budget. Returns the timing plus the retries spent, or the
-/// final error plus the attempts made (≥ 1).
+/// policy's budget, and a run over the policy's `cell_deadline` fails
+/// permanently. Returns the timing plus the retries spent, or the final
+/// error plus the attempts made (≥ 1).
 #[allow(clippy::too_many_arguments)]
 fn supervise_cell(
     program: &Program,
@@ -414,7 +418,14 @@ fn supervise_cell(
     loop {
         let outcome = match injector.and_then(|inject| inject(cell, attempt)) {
             Some(err) => Err(err),
-            None => time_capture(program, capture, meta, config, spec.limit, policy.cell_deadline),
+            None => time_capture(program, capture, meta, config, spec.limit).and_then(|timing| {
+                match policy.cell_deadline {
+                    Some(budget) if timing.report.cycles > budget => {
+                        Err(Error::BudgetExhausted { stage: "pipeline", budget })
+                    }
+                    _ => Ok(timing),
+                }
+            }),
         };
         match outcome {
             Ok(timing) => return Ok((timing, u64::from(attempt))),

@@ -71,7 +71,7 @@ pub use perfclone_synth::{
 };
 pub use perfclone_uarch::{
     base_config, cache_sweep, design_changes, sweep_trace, AddressTrace, CacheConfig, GridAxes,
-    MachineConfig, Pipeline, PipelineError, PipelineReport,
+    MachineConfig, Pipeline, PipelineReport,
 };
 pub use perfclone_validate::{
     Attribute, AttributeCheck, Fault, FaultPlan, Gate, Tolerance, Tolerances, ValidateError,
@@ -190,20 +190,9 @@ pub fn run_timing(
     config: &MachineConfig,
     limit: u64,
 ) -> Result<TimingResult, Error> {
-    run_timing_budgeted(program, config, limit, None)
-}
-
-/// [`run_timing`] with an optional pipeline cycle budget — the live
-/// fallback of a grid cell that has a deadline.
-pub(crate) fn run_timing_budgeted(
-    program: &Program,
-    config: &MachineConfig,
-    limit: u64,
-    deadline: Option<u64>,
-) -> Result<TimingResult, Error> {
     let _span = perfclone_obs::span!("uarch.pipeline.run");
     let mut trace = Simulator::trace(program, limit);
-    let report = Pipeline::new(*config).run_budgeted(&mut trace, deadline.unwrap_or(u64::MAX))?;
+    let report = Pipeline::new(*config).run(&mut trace);
     timing_result(config, report, trace.fault())
 }
 
@@ -215,18 +204,11 @@ pub(crate) fn run_timing_budgeted(
 /// configuration. The result is bit-identical to [`run_timing`] at the
 /// capture limit, for both storage classes.
 ///
-/// `deadline` is a pipeline cycle budget, the per-cell deadline of
-/// supervised sweeps ([`GridPolicy`]`::cell_deadline`);
-/// `None` runs to completion.
-///
 /// # Errors
 ///
 /// Returns [`Error::Sim`] carrying the fault recorded at capture time, if
 /// any — a fault replays as the same typed error the interpreter path
-/// surfaces — and [`Error::BudgetExhausted`] (stage `"pipeline"`) when the
-/// replay has not drained within `deadline` cycles, a permanent failure
-/// under the supervisor's [classification](Error::classify), since
-/// re-running the same cell re-derives the same cycle count.
+/// surfaces.
 ///
 /// # Panics
 ///
@@ -238,12 +220,9 @@ pub fn run_timing_store(
     store: &TraceStore,
     meta: &InstrMetaTable,
     config: &MachineConfig,
-    deadline: Option<u64>,
 ) -> Result<TimingResult, Error> {
     let _span = perfclone_obs::span!("uarch.pipeline.run");
-    let replay = store.replay_batched(program, meta);
-    let report =
-        Pipeline::new(*config).run_batched_budgeted(replay, deadline.unwrap_or(u64::MAX))?;
+    let report = Pipeline::new(*config).run_batched(store.replay_batched(program, meta));
     let timing = timing_result(config, report, store.fault())?;
     perfclone_obs::count!("trace.replays", 1);
     perfclone_obs::count!("replay.batch.runs", 1);
@@ -279,11 +258,10 @@ pub(crate) fn time_capture(
     meta: &InstrMetaTable,
     config: &MachineConfig,
     limit: u64,
-    deadline: Option<u64>,
 ) -> Result<TimingResult, Error> {
     match capture {
-        Ok(store) => run_timing_store(program, store, meta, config, deadline),
-        Err(Error::Spill(_)) => run_timing_budgeted(program, config, limit, deadline),
+        Ok(store) => run_timing_store(program, store, meta, config),
+        Err(Error::Spill(_)) => run_timing(program, config, limit),
         Err(e) => Err(e.clone()),
     }
 }
@@ -310,7 +288,7 @@ pub fn run_timing_trace(
 ) -> Result<TimingResult, Error> {
     let capture = cache.packed_trace(workload, program, limit);
     let meta = cache.instr_meta(workload, program);
-    time_capture(program, capture.as_deref(), &meta, config, limit, None)
+    time_capture(program, capture.as_deref(), &meta, config, limit)
 }
 
 /// Side-by-side comparison of a real program and its clone on one machine.

@@ -46,7 +46,7 @@ mod sweep;
 pub use cache::{AccessResult, Assoc, Cache, CacheConfig, CacheStats};
 pub use config::{base_config, cache_sweep, design_changes, IssuePolicy, MachineConfig};
 pub use grid::GridAxes;
-pub use pipeline::{Activity, Pipeline, PipelineError, PipelineReport};
+pub use pipeline::{Activity, Pipeline, PipelineReport};
 pub use predictor::{BranchPredictor, PredictorKind, PredictorStats};
 pub use stackdist::{sweep_trace, AddressTrace, DataRef};
 pub use sweep::{

@@ -9,9 +9,6 @@
 //! the mispredicted branch until it resolves, modelling the wrong-path
 //! bubble without executing wrong-path instructions.
 
-use std::error::Error as StdError;
-use std::fmt;
-
 use perfclone_isa::{Instr, InstrClass, InstrMeta};
 use perfclone_sim::{BatchReplay, DynInstr, MemAccess, ReplayChunk};
 
@@ -30,6 +27,32 @@ fn exec_latency(class: InstrClass) -> u32 {
         InstrClass::FpDiv => 12,
         InstrClass::Load | InstrClass::Store => 1, // address generation
     }
+}
+
+/// The longest I-line fill: an L2 miss, served by memory and the line's
+/// burst over the bus.
+#[inline]
+fn max_fill(config: &MachineConfig) -> u64 {
+    u64::from(config.l2_latency)
+        + u64::from(config.mem_latency)
+        + u64::from(config.l2.line_bytes / config.mem_bus_bytes)
+}
+
+/// The longest latency an issue can schedule: a load that misses to
+/// memory (address generation, the L1 access, then a fill), or a divide.
+#[inline]
+fn max_latency(config: &MachineConfig) -> u64 {
+    (2 + max_fill(config)).max(u64::from(exec_latency(InstrClass::IntDiv)))
+}
+
+/// `W`, the most cycles that can pass between two consecutive commits, or
+/// from the start to the first, while work remains (derived in DESIGN
+/// §4h). The oldest uncommitted instruction waits on at most one of an
+/// I-line fill or a busy divider, then on its own latency, and on one
+/// cycle each to be fetched, dispatched, issued and committed.
+#[inline]
+fn commit_bound(config: &MachineConfig) -> u64 {
+    max_fill(config).max(u64::from(exec_latency(InstrClass::IntDiv))) + max_latency(config) + 4
 }
 
 /// Functional-unit groups: the pool each class issues to. Multiply and
@@ -572,36 +595,6 @@ impl PipelineReport {
     }
 }
 
-/// Errors surfaced by a budgeted pipeline run.
-#[derive(Clone, Debug)]
-pub enum PipelineError {
-    /// The run reached its cycle budget before the trace drained — the
-    /// runaway guard for pathological inputs. Carries the partial report
-    /// accumulated up to the budget, so callers can still inspect how far
-    /// the run got.
-    BudgetExhausted {
-        /// The cycle budget that was exhausted.
-        max_cycles: u64,
-        /// Statistics accumulated before the budget tripped.
-        report: Box<PipelineReport>,
-    },
-}
-
-impl fmt::Display for PipelineError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PipelineError::BudgetExhausted { max_cycles, report } => write!(
-                f,
-                "pipeline did not drain within the {max_cycles}-cycle budget \
-                 ({} instructions committed)",
-                report.instrs
-            ),
-        }
-    }
-}
-
-impl StdError for PipelineError {}
-
 /// The pipeline simulator. Construct with a [`MachineConfig`], then feed a
 /// trace with [`run`](Pipeline::run).
 #[derive(Debug)]
@@ -695,6 +688,7 @@ struct Work {
 }
 
 impl Work {
+    #[inline]
     fn publish(&self) {
         perfclone_obs::count!("uarch.pipeline.cycles_skipped", self.skipped);
         perfclone_obs::count!("uarch.issue.scans", self.scans);
@@ -704,35 +698,9 @@ impl Work {
     }
 }
 
-/// A finished or budget-tripped run: the report, the model's work, and
-/// whether the budget tripped.
-struct Outcome {
-    report: PipelineReport,
-    work: Work,
-    exhausted: bool,
-}
-
-impl Outcome {
-    fn into_result(self, max_cycles: u64) -> Result<PipelineReport, PipelineError> {
-        if self.exhausted {
-            Err(PipelineError::BudgetExhausted { max_cycles, report: Box::new(self.report) })
-        } else {
-            Ok(self.report)
-        }
-    }
-}
-
 impl Pipeline {
     /// Creates a pipeline with cold caches and predictor.
     pub fn new(config: MachineConfig) -> Pipeline {
-        let mem_burst_cycles = config.l2.line_bytes / config.mem_bus_bytes;
-        // The longest latency an issue can schedule: a load that misses
-        // to memory (agen, then L1, L2 and memory), or a divide.
-        let load_miss = 2
-            + u64::from(config.l2_latency)
-            + u64::from(config.mem_latency)
-            + u64::from(mem_burst_cycles);
-        let max_latency = load_miss.max(u64::from(exec_latency(InstrClass::IntDiv)));
         let window = Window::new((config.rob_size + config.fetch_queue) as usize);
         let slots = window.slab.len();
         let units =
@@ -746,7 +714,7 @@ impl Pipeline {
             l2: Cache::new(config.l2),
             bpred: BranchPredictor::new(config.predictor),
             cycle: 0,
-            wheel: Wheel::new(slots, max_latency),
+            wheel: Wheel::new(slots, max_latency(&config)),
             rob: window,
             rob_len: 0,
             lsq_count: 0,
@@ -755,7 +723,7 @@ impl Pipeline {
             icache_ready_at: 0,
             last_fetch_line: u64::MAX,
             l1i_line_shift: config.l1i.line_bytes.trailing_zeros(),
-            mem_burst_cycles,
+            mem_burst_cycles: config.l2.line_bytes / config.mem_bus_bytes,
             int_div_busy_until: 0,
             fp_div_busy_until: 0,
             last_writer: [None; 64],
@@ -775,8 +743,15 @@ impl Pipeline {
 
     /// Runs the pipeline over a correct-path trace until every instruction
     /// has committed, returning the report.
+    ///
+    /// # Panics
+    ///
+    /// In every build, when no instruction commits within `W` cycles while
+    /// work remains. DESIGN §4h proves that bound for any configuration
+    /// with at least one unit of each kind the trace uses, so breaking it
+    /// is a defect of the model.
     pub fn run<I: IntoIterator<Item = DynInstr>>(self, trace: I) -> PipelineReport {
-        self.run_fast(IterSource::new(trace.into_iter()), u64::MAX).report
+        self.run_fast(IterSource::new(trace.into_iter()))
     }
 
     /// Runs the pipeline over a batched trace decoder until every
@@ -785,45 +760,19 @@ impl Pipeline {
     /// inspection — but models the *same* record stream as
     /// [`run`](Pipeline::run) over the replay oracle, bit-identically
     /// (property-tested in the workspace replay suites).
+    ///
+    /// # Panics
+    ///
+    /// As [`run`](Pipeline::run), when the model breaks its commit bound.
     pub fn run_batched(self, replay: BatchReplay<'_>) -> PipelineReport {
-        self.run_fast(BatchSource::new(replay), u64::MAX).report
-    }
-
-    /// [`run_batched`](Pipeline::run_batched) with a cycle budget, mirroring
-    /// [`run_budgeted`](Pipeline::run_budgeted).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BudgetExhausted`] when the budget trips.
-    pub fn run_batched_budgeted(
-        self,
-        replay: BatchReplay<'_>,
-        max_cycles: u64,
-    ) -> Result<PipelineReport, PipelineError> {
-        self.run_fast(BatchSource::new(replay), max_cycles).into_result(max_cycles)
-    }
-
-    /// [`run`](Pipeline::run) with a cycle budget: if the trace has not
-    /// drained within `max_cycles`, returns
-    /// [`PipelineError::BudgetExhausted`] carrying the partial report —
-    /// the runaway guard for pathological (e.g. synthesized) inputs.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`PipelineError::BudgetExhausted`] when the budget trips.
-    pub fn run_budgeted<I: IntoIterator<Item = DynInstr>>(
-        self,
-        trace: I,
-        max_cycles: u64,
-    ) -> Result<PipelineReport, PipelineError> {
-        self.run_fast(IterSource::new(trace.into_iter()), max_cycles).into_result(max_cycles)
+        self.run_fast(BatchSource::new(replay))
     }
 
     /// The model with every shortcut on; publishes its work counters.
-    fn run_fast<S: RecordSource>(self, trace: S, max_cycles: u64) -> Outcome {
-        let out = self.run_inner::<true, _>(trace, max_cycles);
-        out.work.publish();
-        out
+    fn run_fast<S: RecordSource>(self, trace: S) -> PipelineReport {
+        let (report, work) = self.run_inner::<true, _>(trace);
+        work.publish();
+        report
     }
 
     /// The model. `FAST` selects its shortcuts: the stall skip, the
@@ -831,22 +780,30 @@ impl Pipeline {
     /// instantiation (`FAST = false`) steps every cycle, scans the whole
     /// ROB for issue and for writeback, and never sleeps; only this
     /// crate's tests run it, as the oracle the fast one must equal.
+    ///
+    /// Both enforce [`commit_bound`]: a run that goes `W` cycles without a
+    /// commit while work remains panics, so no run can loop forever.
     fn run_inner<const FAST: bool, S: RecordSource>(
         mut self,
         mut trace: S,
-        max_cycles: u64,
-    ) -> Outcome {
-        let mut exhausted = false;
+    ) -> (PipelineReport, Work) {
+        let bound = commit_bound(&self.config);
+        // The last cycle by which the next instruction must commit.
+        let mut commit_by = bound;
         let mut stepped = 0;
         loop {
             let trace_empty = !trace.ready();
             if trace_empty && self.rob.is_empty() {
                 break;
             }
-            if self.cycle >= max_cycles {
-                exhausted = true;
-                break;
-            }
+            assert!(
+                self.cycle < commit_by,
+                "pipeline broke its commit bound: no instruction committed in the {bound} \
+                 cycles to cycle {}; {} committed, {} in the ROB",
+                self.cycle,
+                self.committed,
+                self.rob_len
+            );
             self.cycle += 1;
             stepped += 1;
             let committed = self.committed;
@@ -854,6 +811,9 @@ impl Pipeline {
             let dispatches = self.activity.dispatches;
             let fetches = self.activity.fetches;
             self.commit();
+            if self.committed != committed {
+                commit_by = self.cycle + bound;
+            }
             let wrote_back = if FAST { self.writeback() } else { self.writeback_scan() };
             if FAST {
                 self.issue();
@@ -871,7 +831,7 @@ impl Pipeline {
                 && dispatches == self.activity.dispatches
                 && fetches == self.activity.fetches;
             if quiescent {
-                self.skip(&mut trace, max_cycles);
+                self.skip(commit_by);
             }
         }
         let report = PipelineReport {
@@ -883,7 +843,7 @@ impl Pipeline {
             bpred: self.bpred.stats(),
             activity: self.activity,
         };
-        Outcome { report, work: Work { stepped, ..self.work }, exhausted }
+        (report, Work { stepped, ..self.work })
     }
 
     /// Stall skip, after a quiescent cycle (no stage moved anything): the
@@ -894,13 +854,11 @@ impl Pipeline {
     /// capped wheel may report a completion's bucket a lap early, which
     /// costs one stepped cycle), so jumping there and accumulating the
     /// per-cycle statistics in bulk is bit-identical to stepping cycle by
-    /// cycle.
-    ///
-    /// # Panics
-    ///
-    /// When there is no next event although work remains: nothing can
-    /// ever move again, so the run would otherwise spin forever.
-    fn skip<S: RecordSource>(&mut self, trace: &mut S, max_cycles: u64) {
+    /// cycle. The jump never passes `commit_by`, the cycle by which the
+    /// next commit is due: with no event before it (none at all, in a
+    /// wedged model), the run loop's bound check trips there.
+    #[inline]
+    fn skip(&mut self, commit_by: u64) {
         let mut ev = self.next_done_at;
         // A line that arrives this very cycle (a zero-latency refill) is
         // fetched on the next one: an event, not a wedge.
@@ -916,19 +874,11 @@ impl Pipeline {
                 ev = ev.min(self.fp_div_busy_until);
             }
         }
-        if ev == u64::MAX && (!self.rob.is_empty() || trace.ready()) {
-            panic!(
-                "pipeline wedged at cycle {}: {} instructions committed, {} in the ROB, \
-                 and no event left to wake it",
-                self.cycle, self.committed, self.rob_len
-            );
-        }
         if ev > self.cycle + 1 {
             // Land one cycle short of the event so the normal loop body
-            // executes the event cycle itself; never skip past the budget
-            // (its last cycle must run, then trip).
-            let target = (ev - 1).min(max_cycles);
-            let k = target.saturating_sub(self.cycle);
+            // executes the event cycle itself.
+            let target = (ev - 1).min(commit_by);
+            let k = target - self.cycle;
             self.cycle = target;
             self.work.skipped += k;
             self.activity.rob_occupancy_sum += k * self.rob_len as u64;
@@ -946,6 +896,7 @@ impl Pipeline {
     }
 
     /// Walks the data hierarchy for one access, returning its latency.
+    #[inline]
     fn data_latency(&mut self, addr: u64, is_write: bool) -> u32 {
         let r1 = self.l1d.access(addr, is_write);
         if r1.hit {
@@ -967,6 +918,7 @@ impl Pipeline {
     /// store was detected at issue-readiness time; if we got here with an
     /// overlapping Done store still in the ROB, forward in one cycle. With
     /// no store anywhere in the window the scan cannot match — skip it.
+    #[inline]
     fn load_latency(&mut self, seq: u64, addr: u64, bytes: u8) -> u32 {
         let mut fwd = false;
         if self.store_count > 0 {
@@ -1612,29 +1564,6 @@ mod tests {
         assert!(rep.l1d_mpi() < 0.05);
     }
 
-    #[test]
-    fn budgeted_run_errors_with_partial_report() {
-        let p = alu_loop(500);
-        let err = Pipeline::new(base_config())
-            .run_budgeted(Simulator::trace(&p, u64::MAX), 50)
-            .unwrap_err();
-        let PipelineError::BudgetExhausted { max_cycles, report } = err;
-        assert_eq!(max_cycles, 50);
-        assert!(report.cycles <= 50);
-        assert!(report.instrs < 2 + 3000 + 1);
-    }
-
-    #[test]
-    fn budgeted_run_matches_unbudgeted_when_budget_suffices() {
-        let p = alu_loop(100);
-        let full = run_program(&p, base_config());
-        let budgeted = Pipeline::new(base_config())
-            .run_budgeted(Simulator::trace(&p, u64::MAX), u64::MAX)
-            .unwrap();
-        assert_eq!(budgeted.instrs, full.instrs);
-        assert_eq!(budgeted.cycles, full.cycles);
-    }
-
     /// A mixed workload exercising loads, stores, forwarding, branches,
     /// and jumps — the record shapes the batched front end must carry.
     fn mixed_program() -> perfclone_isa::Program {
@@ -1676,64 +1605,30 @@ mod tests {
         }
     }
 
-    #[test]
-    fn batched_budgeted_matches_iterator_budgeted() {
-        use perfclone_isa::InstrMetaTable;
-        use perfclone_sim::{PackedTrace, TraceStore};
-        let p = mixed_program();
-        let packed = TraceStore::Mem(PackedTrace::capture(&p, u64::MAX));
-        let meta = InstrMetaTable::new(&p);
-        // Ample budget: both succeed with identical reports.
-        let full = Pipeline::new(base_config()).run_budgeted(packed.replay(&p), u64::MAX).unwrap();
-        let batched = Pipeline::new(base_config())
-            .run_batched_budgeted(packed.replay_batched(&p, &meta), u64::MAX)
-            .unwrap();
-        assert_eq!(full, batched);
-        // Tripped budget: both exhaust with identical partial reports.
-        let iter_err =
-            Pipeline::new(base_config()).run_budgeted(packed.replay(&p), 60).unwrap_err();
-        let batch_err = Pipeline::new(base_config())
-            .run_batched_budgeted(packed.replay_batched(&p, &meta), 60)
-            .unwrap_err();
-        let PipelineError::BudgetExhausted { report: a, .. } = iter_err;
-        let PipelineError::BudgetExhausted { report: b, .. } = batch_err;
-        assert_eq!(a, b, "partial reports at the budget must match");
-    }
-
     /// The model over a recorded trace: the shipped model when `FAST`,
     /// the naive oracle otherwise.
     fn model<const FAST: bool>(
         config: MachineConfig,
         trace: &[DynInstr],
-        max_cycles: u64,
-    ) -> Outcome {
-        Pipeline::new(config)
-            .run_inner::<FAST, _>(IterSource::new(trace.iter().copied()), max_cycles)
+    ) -> (PipelineReport, Work) {
+        Pipeline::new(config).run_inner::<FAST, _>(IterSource::new(trace.iter().copied()))
     }
 
-    /// Asserts the fast model equals the naive one on `trace`, run to
-    /// completion and under a budget of the fraction `cut` of the full
-    /// run's cycles, returning the full run's work.
-    fn assert_matches_naive(config: MachineConfig, trace: &[DynInstr], cut: f64) -> Work {
-        let fast = model::<true>(config, trace, u64::MAX);
-        assert!(!fast.exhausted);
-        // The naive run must drain by the same cycle, so it gets exactly
-        // that many: a slower oracle trips the budget and shows up below.
-        let naive = model::<false>(config, trace, fast.report.cycles);
-        assert_eq!(
-            (naive.report, naive.exhausted),
-            (fast.report, false),
-            "full run diverged for {config:?}"
+    /// Asserts the fast model equals the naive one on `trace` and keeps
+    /// within `W` cycles per committed instruction, returning the fast
+    /// run's work. A naive run that never drains trips the bound too.
+    fn assert_matches_naive(config: MachineConfig, trace: &[DynInstr]) -> Work {
+        let (fast, work) = model::<true>(config, trace);
+        let (naive, _) = model::<false>(config, trace);
+        assert_eq!(naive, fast, "run diverged for {config:?}");
+        let bound = commit_bound(&config);
+        assert!(
+            fast.cycles <= fast.instrs * bound,
+            "{} cycles for {} instructions at W = {bound}",
+            fast.cycles,
+            fast.instrs
         );
-        let budget = (fast.report.cycles as f64 * cut) as u64;
-        let cut_fast = model::<true>(config, trace, budget);
-        let cut_naive = model::<false>(config, trace, budget);
-        assert_eq!(
-            (cut_fast.report, cut_fast.exhausted),
-            (cut_naive.report, cut_naive.exhausted),
-            "run under a {budget}-cycle budget diverged for {config:?}"
-        );
-        fast.work
+        work
     }
 
     /// Clones of the Tiny kernels: profiled once, synthesized per seed.
@@ -1814,15 +1709,14 @@ mod tests {
         /// The stall skip, the completion wheel, the issue queue and issue
         /// sleep change nothing the model reports: the naive
         /// instantiation, which steps every cycle and scans the whole ROB,
-        /// returns the same report, also when a budget trips mid-run.
+        /// returns the same report. Both keep within the commit bound.
         #[test]
         fn fast_model_equals_naive_model(
             kernel in 0usize..64,
             seed in any::<u64>(),
             config in machine(),
-            cut in 0.0f64..1.0,
         ) {
-            assert_matches_naive(config, &clone_trace(kernel, seed), cut);
+            assert_matches_naive(config, &clone_trace(kernel, seed));
         }
     }
 
@@ -1831,18 +1725,36 @@ mod tests {
         let config = MachineConfig { mem_latency: 100_000, ..base_config() };
         assert_eq!(Pipeline::new(config).wheel.heads.len() as u64, WHEEL_CAP);
         let trace: Vec<DynInstr> = Simulator::trace(&mixed_program(), 400).collect();
-        let work = assert_matches_naive(config, &trace, 0.6);
+        let work = assert_matches_naive(config, &trace);
         assert!(work.skipped > 100_000, "misses to memory are skipped, not stepped");
     }
 
     #[test]
-    #[should_panic(expected = "pipeline wedged at cycle 1: 0 instructions committed")]
+    #[should_panic(
+        expected = "no instruction committed in the 114 cycles to cycle 114; 0 committed"
+    )]
     fn a_wedged_pipeline_panics_in_every_build() {
         // Fetch waits on a branch that will never resolve, so no event can
-        // ever move the model again.
+        // ever move the model again: the stall skip jumps to the commit
+        // bound, W = 114 on the base machine, and the bound trips.
         let mut p = Pipeline::new(base_config());
         p.fetch_blocked_on = Some(u64::MAX);
         p.run(Simulator::trace(&alu_loop(10), u64::MAX));
+    }
+
+    /// The bound is tight. From a cold start the first instruction, a
+    /// load that misses to memory, waits on an I-line fill from memory
+    /// (54 cycles on the base machine), then on its own miss (56), and
+    /// commits in exactly `W` cycles.
+    #[test]
+    fn a_cold_first_load_commits_at_the_bound() {
+        let mut b = ProgramBuilder::new("cold");
+        let s = b.stream(perfclone_isa::StreamDesc { base: 0x10_0000, stride: 8, length: 1 });
+        b.ld_stream(r(1), s, perfclone_isa::MemWidth::B8);
+        b.halt();
+        let rep = Pipeline::new(base_config()).run(Simulator::trace(&b.build(), 1));
+        assert_eq!(commit_bound(&base_config()), 114);
+        assert_eq!((rep.instrs, rep.cycles), (1, 114));
     }
 
     /// The work counters of one fixed program, pinned exactly: they are
@@ -1872,8 +1784,7 @@ mod tests {
             },
         ];
         for (config, want) in [base_config(), widest].into_iter().zip(expected) {
-            let run = model::<true>(config, &trace, u64::MAX);
-            let (work, report) = (run.work, run.report);
+            let (report, work) = model::<true>(config, &trace);
             assert_eq!(work, want, "{}", config.name);
             assert_eq!(work.stepped + work.skipped, report.cycles);
             assert!(work.visits >= work.evaluated && work.evaluated >= report.activity.issues);

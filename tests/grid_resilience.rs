@@ -148,6 +148,58 @@ fn permanent_fault_without_keep_going_aborts_typed() {
     let _ = std::fs::remove_dir_all(&journal);
 }
 
+/// A cell deadline fails exactly the cells whose run takes more cycles
+/// than it, as a permanent pipeline `BudgetExhausted`: without
+/// `keep_going` the sweep aborts with that error; with it, exactly those
+/// cells are quarantined and every other row equals the unbounded
+/// sweep's. A deadline at the largest count covers every cell.
+#[test]
+fn cell_deadline_fails_exactly_the_cells_over_it() {
+    let program = tiny_program();
+    let spec = spec_with(12, 4);
+    let journal = temp_journal("deadline");
+    let run = |policy: &GridPolicy| {
+        let _ = std::fs::remove_dir_all(&journal);
+        let outcome = sweep(&program, &spec, &journal, policy, None);
+        let _ = std::fs::remove_dir_all(&journal);
+        outcome
+    };
+    let unbounded = run(&fast_policy(false)).expect("unbounded sweep");
+    assert_eq!(unbounded.rows.len() as u64, spec.cells());
+    let mut counts: Vec<u64> = unbounded.rows.iter().map(|r| r.cycles).collect();
+    counts.sort_unstable();
+    counts.dedup();
+    assert!(counts.len() >= 2, "the cells need two distinct cycle counts: {counts:?}");
+    let k = counts.len() / 2 - 1;
+    let d = counts[k] + (counts[k + 1] - counts[k]) / 2;
+    let over: Vec<u64> = unbounded.rows.iter().filter(|r| r.cycles > d).map(|r| r.cell).collect();
+    assert!(!over.is_empty() && over.len() < unbounded.rows.len());
+    let bounded =
+        |keep_going: bool, d: u64| GridPolicy { cell_deadline: Some(d), ..fast_policy(keep_going) };
+
+    match run(&bounded(false, d)) {
+        Err(err @ Error::BudgetExhausted { stage: "pipeline", budget }) if budget == d => {
+            assert_eq!(err.classify(), ErrorClass::Permanent);
+        }
+        other => panic!("expected a pipeline budget of {d} exhausted, got {other:?}"),
+    }
+
+    let degraded = run(&bounded(true, d)).expect("keep-going completes");
+    let quarantined: Vec<u64> = degraded.quarantined.iter().map(|q| q.cell).collect();
+    assert_eq!(quarantined, over, "exactly the cells over {d} cycles are quarantined");
+    for q in &degraded.quarantined {
+        assert_eq!(q.kind, "budget-exhausted");
+        assert_eq!(q.attempts, 1, "a deadline is permanent, never retried");
+    }
+    let kept: Vec<CellRow> = unbounded.rows.iter().filter(|r| r.cycles <= d).cloned().collect();
+    assert_eq!(degraded.rows, kept, "rows under the deadline are the unbounded rows");
+
+    let largest = counts[counts.len() - 1];
+    let full = run(&bounded(false, largest)).expect("a deadline at the largest count");
+    assert!(full.full_coverage());
+    assert_eq!(full.rows, unbounded.rows);
+}
+
 /// Killing a sweep mid-flight (simulated by deleting a subset of shard
 /// records) and re-running with the same fault schedule reproduces the
 /// uninterrupted outcome bit-for-bit, quarantines included.

@@ -169,7 +169,7 @@ fn hashes(kernel: &perfclone_kernels::Kernel) -> (&'static str, u64, u64, u64) {
         let store = TraceStore::Mem(PackedTrace::capture(p, WINDOW));
         let meta = InstrMetaTable::new(p);
         for config in configs() {
-            let t = run_timing_store(p, &store, &meta, &config, None).expect("replay runs");
+            let t = run_timing_store(p, &store, &meta, &config).expect("replay runs");
             reports.report(&t.report);
             power.power(&t.power);
         }

@@ -217,9 +217,9 @@ fn capped_capture_spills_and_times_bit_identically() {
     let meta = InstrMetaTable::new(&program);
     let direct = run_timing(&program, &config, limit).expect("direct timing");
     let via_mem =
-        run_timing_store(&program, &mem, &meta, &config, None).expect("in-memory replay timing");
+        run_timing_store(&program, &mem, &meta, &config).expect("in-memory replay timing");
     let via_disk =
-        run_timing_store(&program, &spilled, &meta, &config, None).expect("spilled replay timing");
+        run_timing_store(&program, &spilled, &meta, &config).expect("spilled replay timing");
     assert_eq!(direct.report, via_mem.report);
     assert_eq!(direct.report, via_disk.report, "spilled replay must be bit-identical");
     assert_eq!(direct.power, via_mem.power);
@@ -240,8 +240,8 @@ fn faulted_trace_carries_through_spill() {
 
     let config = base_config();
     let meta = InstrMetaTable::new(&p);
-    let mem_err = run_timing_store(&p, &TraceStore::Mem(packed), &meta, &config, None);
-    let disk_err = run_timing_store(&p, &spilled, &meta, &config, None);
+    let mem_err = run_timing_store(&p, &TraceStore::Mem(packed), &meta, &config);
+    let disk_err = run_timing_store(&p, &spilled, &meta, &config);
     match (mem_err, disk_err) {
         (Err(Error::Sim(a)), Err(Error::Sim(b))) => assert_eq!(a, b),
         other => panic!("both stores must surface the fault, got {other:?}"),

@@ -102,9 +102,10 @@ fn every_fault_honours_its_structure_contract() {
     }
 }
 
-/// A non-halting program trips the budget guard at each layer, and the
-/// unified taxonomy folds each layer's variant into
-/// [`Error::BudgetExhausted`] with the stage recorded.
+/// A non-halting program trips the budget guard of each layer that has
+/// one (the timing model bounds its runs itself), and the unified
+/// taxonomy folds each layer's variant into [`Error::BudgetExhausted`]
+/// with the stage recorded.
 #[test]
 fn runaway_programs_exhaust_budgets_with_typed_errors() {
     let mut b = ProgramBuilder::new("spin");
@@ -119,14 +120,6 @@ fn runaway_programs_exhaust_budgets_with_typed_errors() {
     assert!(matches!(
         Error::from(sim_err),
         Error::BudgetExhausted { stage: "sim", budget: 10_000 }
-    ));
-
-    // Timing pipeline (cycle budget).
-    let trace = Simulator::trace(&spin, 1_000_000);
-    let pipe_err = Pipeline::new(base_config()).run_budgeted(trace, 5_000).unwrap_err();
-    assert!(matches!(
-        Error::from(pipe_err),
-        Error::BudgetExhausted { stage: "pipeline", budget: 5_000 }
     ));
 
     // Gate re-profiling: a clone that never halts cannot pass validation.
