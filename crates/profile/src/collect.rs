@@ -1,8 +1,9 @@
 //! The online profile collector.
 //!
-//! Hot-path note: the collector runs once per retired instruction, inlined
-//! into the interpreter loop, so per record it does only what depends on
-//! the record's dynamic values. Register dependences do not, except at a
+//! Hot-path note: the collector takes the run a basic block at a time from
+//! [`Simulator::run_blocks`], inlined into its block loop, so it works once
+//! per block and once per memory record, and nothing for the other
+//! records. Register dependences depend on the records' values only at a
 //! block's live-in uses: when an SFG node is created, [`BlockDeps`]
 //! summarizes its block from the program's [`InstrMetaTable`] (the
 //! dependences inside the block, its live-in uses and each register's last
@@ -28,7 +29,7 @@ use std::cmp::Reverse;
 use rustc_hash::FxHashMap;
 
 use perfclone_isa::{InstrClass, InstrMeta, InstrMetaTable, Program};
-use perfclone_sim::{DynInstr, MemAccess, Observer, Simulator};
+use perfclone_sim::{BlockObserver, DynInstr, MemAccess, Simulator};
 
 use crate::error::ProfileError;
 use crate::hist::DepHistogram;
@@ -122,6 +123,7 @@ struct NodeCollect {
     class_counts: [u32; 10],
     mem_ops: Vec<u32>,
     branch: Option<u32>,
+    /// Until the node's first visit ends, when its composition is known.
     collecting: bool,
     deps: BlockDeps,
     /// The `(pred, context id)` of the node's last entry.
@@ -336,18 +338,19 @@ struct Slot {
     site: u32,
 }
 
-/// An [`Observer`] that builds a [`WorkloadProfile`] from the retired
-/// instruction stream — the paper's "workload profiler" box (Figure 1).
+/// A [`BlockObserver`] that builds a [`WorkloadProfile`] from the retired
+/// instruction stream, a basic block at a time — the paper's "workload
+/// profiler" box (Figure 1).
 ///
 /// A profiler is bound to the [`Program`] it was created for and must be
-/// fed that program's retired records, as the interpreter produces them:
-/// its per-block dependence summaries assume each block's records follow
-/// the block's text.
+/// fed that program's blocks as [`Simulator::run_blocks`] delivers them:
+/// its per-block summaries assume each block's records follow the block's
+/// text. A block cut short ends what it is fed.
 ///
 /// # Panics
 ///
-/// [`on_retire`](Observer::on_retire) panics when a record's pc lies
-/// outside the program, as [`InstrMetaTable::at`] does.
+/// [`enter_block`](BlockObserver::enter_block) panics when the pc lies
+/// outside the program, as indexing its tables does.
 #[derive(Debug)]
 pub struct Profiler {
     name: String,
@@ -358,9 +361,14 @@ pub struct Profiler {
     nodes: Vec<NodeCollect>,
     ctx_ids: FxHashMap<(u32, u32), u32>,
     contexts: Vec<CtxCollect>,
-    cur_node: Option<u32>,
-    /// Position of the current block's first record.
+    /// The current (or last) block: its node, start pc and the position
+    /// of its first record.
+    block_node: u32,
+    block_pc: u32,
     block_pos: u64,
+    /// Whether the last block entered has not ended: the window or a fault
+    /// cut it short.
+    open: bool,
     prev_node: u32,
     cur_ctx: usize,
     /// Position of each register's last writer, as of the last block end
@@ -384,8 +392,10 @@ impl Profiler {
             nodes: Vec::new(),
             ctx_ids: FxHashMap::default(),
             contexts: Vec::new(),
-            cur_node: None,
+            block_node: 0,
+            block_pc: 0,
             block_pos: 0,
+            open: false,
             prev_node: ENTRY,
             cur_ctx: 0,
             reg_writer: [0; 64],
@@ -431,32 +441,19 @@ impl Profiler {
         slot.site
     }
 
-    /// Enters the block starting at `pc`, whose first record sits at `pos`,
-    /// and counts its `(pred, cur)` context, looked up through the node's
-    /// last one.
-    #[inline]
-    fn enter_block(&mut self, pc: u32, pos: u64) -> u32 {
-        let n = self.node_at(pc);
-        self.cur_node = Some(n);
-        self.block_pos = pos;
-        let pred = self.prev_node;
-        let node = &mut self.nodes[n as usize];
-        node.execs += 1;
-        let ctx = match node.last_ctx {
-            Some((p, c)) if p == pred => c,
-            _ => {
-                let contexts = &mut self.contexts;
-                let c = *self.ctx_ids.entry((pred, n)).or_insert_with(|| {
-                    contexts.push(CtxCollect { pred, node: n, ..CtxCollect::default() });
-                    (contexts.len() - 1) as u32
-                });
-                node.last_ctx = Some((pred, c));
-                c
+    /// Records the static composition of `node`'s block from its first
+    /// visit's `len` records: their classes, and the streams of the memory
+    /// ops among them, all interned by then.
+    fn compose(&mut self, node: u32, len: u32) {
+        let n = &mut self.nodes[node as usize];
+        let text = n.start_pc as usize..(n.start_pc + len) as usize;
+        n.size = len;
+        for (meta, slot) in self.meta.as_slice()[text.clone()].iter().zip(&self.slots[text]) {
+            n.class_counts[meta.class.index()] += 1;
+            if meta.has_mem {
+                n.mem_ops.push(slot.site);
             }
-        };
-        self.cur_ctx = ctx as usize;
-        self.contexts[self.cur_ctx].count += 1;
-        n
+        }
     }
 
     /// Ends the current block at its last record `d`: branch statistics,
@@ -480,7 +477,7 @@ impl Profiler {
         }
         n.collecting = false;
         self.prev_node = node;
-        self.cur_node = None;
+        self.open = false;
     }
 
     /// Finalizes collection into a [`WorkloadProfile`].
@@ -489,8 +486,8 @@ impl Profiler {
         // but only the summary of its retired prefix applies to it. The
         // prefix holds no block-ending instruction, so a summary over the
         // text cut where the prefix ends covers all of it.
-        let unfinished = self.cur_node.map(|node| {
-            let start = self.nodes[node as usize].start_pc;
+        let unfinished = self.open.then(|| {
+            let start = self.block_pc;
             let end = start as usize + (self.pos + 1 - self.block_pos) as usize;
             let prefix = BlockDeps::of(&self.meta.as_slice()[..end], start);
             let ctx = &mut self.contexts[self.cur_ctx];
@@ -559,56 +556,72 @@ impl Profiler {
     }
 }
 
-impl Observer for Profiler {
-    // `#[inline]` lets `Gate::report`, which drives a profiler from
-    // another crate, fuse this body into its interpreter loop as
+impl BlockObserver for Profiler {
+    // The three hooks are `#[inline]` so that `Gate::report`, which drives
+    // a profiler from another crate, fuses them into its block loop as
     // `profile_program` does here; without LTO a non-generic method is
-    // otherwise a call per retired record.
+    // otherwise a call per block and per memory record.
+
+    /// Enters the block starting at `pc` and counts its `(pred, cur)`
+    /// context, looked up through the node's last one.
     #[inline]
-    fn on_retire(&mut self, d: &DynInstr) {
-        let meta = *self.meta.at(d.pc);
-        let pos = self.pos + 1;
-        let node = match self.cur_node {
-            Some(n) => n,
-            None => self.enter_block(d.pc, pos),
+    fn enter_block(&mut self, pc: u32) {
+        let n = self.node_at(pc);
+        self.block_node = n;
+        self.block_pc = pc;
+        self.block_pos = self.pos + 1;
+        self.open = true;
+        let pred = self.prev_node;
+        let node = &mut self.nodes[n as usize];
+        node.execs += 1;
+        let ctx = match node.last_ctx {
+            Some((p, c)) if p == pred => c,
+            _ => {
+                let contexts = &mut self.contexts;
+                let c = *self.ctx_ids.entry((pred, n)).or_insert_with(|| {
+                    contexts.push(CtxCollect { pred, node: n, ..CtxCollect::default() });
+                    (contexts.len() - 1) as u32
+                });
+                node.last_ctx = Some((pred, c));
+                c
+            }
         };
-        debug_assert_eq!(
-            u64::from(d.pc),
-            u64::from(self.nodes[node as usize].start_pc) + (pos - self.block_pos),
-            "a record strayed from its block's text"
-        );
+        self.cur_ctx = ctx as usize;
+        self.contexts[self.cur_ctx].count += 1;
+    }
 
-        // Static block composition (first visit only). Interpreter records
-        // carry a memory access exactly for memory instructions.
-        let n = &mut self.nodes[node as usize];
-        let collecting = n.collecting;
-        if collecting {
-            n.size += 1;
-            n.class_counts[meta.class.index()] += 1;
-        }
-
-        if let Some(m) = d.mem {
-            let sid = self.stream_at(d.pc, &m);
-            if collecting {
-                self.nodes[node as usize].mem_ops.push(sid);
+    /// Counts the access of the record at `offset`: its stream, and its
+    /// store writer or load dependence.
+    #[inline]
+    fn on_mem(&mut self, offset: u32, m: MemAccess) {
+        let pos = self.block_pos + u64::from(offset);
+        let sid = self.stream_at(self.block_pc + offset, &m);
+        if m.is_store {
+            // One chunk per 8 bytes touched, wrapping past the top of the
+            // address space as the interpreter's memory does.
+            let first = m.addr >> 3;
+            for i in 0..((m.addr & 7) + u64::from(m.bytes) + 7) >> 3 {
+                self.mem_writer.insert((first + i) & CHUNK_MASK, pos);
             }
-            if m.is_store {
-                // One chunk per 8 bytes touched, wrapping past the top of
-                // the address space as the interpreter's memory does.
-                let first = m.addr >> 3;
-                for i in 0..((m.addr & 7) + u64::from(m.bytes) + 7) >> 3 {
-                    self.mem_writer.insert((first + i) & CHUNK_MASK, pos);
-                }
-            } else if let Some(&w) = self.mem_writer.get(&(m.addr >> 3)) {
-                self.contexts[self.cur_ctx].mem_deps.record(pos - w);
-            }
-            self.streams[sid as usize].access(m.addr);
+        } else if let Some(&w) = self.mem_writer.get(&(m.addr >> 3)) {
+            self.contexts[self.cur_ctx].mem_deps.record(pos - w);
         }
+        self.streams[sid as usize].access(m.addr);
+    }
 
+    /// Retires the block's `len` records: its composition on the node's
+    /// first visit, then, when `last` ends the block, its end.
+    #[inline]
+    fn exit_block(&mut self, len: u32, last: &DynInstr) {
+        let node = self.block_node;
+        if self.nodes[node as usize].collecting {
+            self.compose(node, len);
+        }
+        self.pos += u64::from(len);
+        let meta = *self.meta.at(last.pc);
         if ends_block(&meta) {
-            self.end_block(node, &meta, d);
+            self.end_block(node, &meta, last);
         }
-        self.pos = pos;
     }
 }
 
@@ -626,7 +639,7 @@ pub fn profile_program(program: &Program, limit: u64) -> Result<WorkloadProfile,
     let _span = perfclone_obs::span!("profile.collect");
     let mut profiler = Profiler::new(program);
     let mut sim = Simulator::new(program);
-    sim.run_with(limit, &mut profiler)?;
+    sim.run_blocks(limit, &mut profiler)?;
     let profile = profiler.finish();
     if profile.nodes.is_empty() {
         return Err(ProfileError::Empty { name: profile.name });
@@ -858,7 +871,7 @@ mod tests {
         b.ld(r(2), r(1), 0); // pc 3, then off the end
         let p = b.build();
         let mut profiler = Profiler::new(&p);
-        let err = Simulator::new(&p).run_with(100, &mut profiler).unwrap_err();
+        let err = Simulator::new(&p).run_blocks(100, &mut profiler).unwrap_err();
         assert!(matches!(err, perfclone_sim::SimError::PcOutOfRange { pc: 4, .. }));
         let prof = profiler.finish();
         let node = prof.nodes.iter().find(|n| n.start_pc == 3).expect("block at the last pc");
@@ -907,10 +920,9 @@ mod tests {
         b.li(r(1), 1);
         b.halt();
         let p = b.build();
-        let records: Vec<DynInstr> = Simulator::trace(&p, 10).collect();
         let mut profiler = Profiler::new(&p);
-        for d in records.iter().chain(&records) {
-            profiler.on_retire(d);
+        for _ in 0..2 {
+            Simulator::new(&p).run_blocks(10, &mut profiler).unwrap();
         }
         let prof = profiler.finish();
         assert_eq!(prof.nodes.len(), 1);
@@ -926,13 +938,7 @@ mod tests {
         let mut b = ProgramBuilder::new("short");
         b.halt();
         let mut profiler = Profiler::new(&b.build());
-        profiler.on_retire(&DynInstr {
-            pc: 1,
-            instr: perfclone_isa::Instr::Nop,
-            next_pc: 2,
-            taken: false,
-            mem: None,
-        });
+        profiler.enter_block(1);
     }
 
     #[test]

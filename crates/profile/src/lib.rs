@@ -2,10 +2,11 @@
 //!
 //! Microarchitecture-independent workload profiling (paper §3.1).
 //!
-//! The profiler consumes the retired-instruction stream of a program (via
-//! `perfclone-sim`'s [`Observer`](perfclone_sim::Observer) hook) and builds a
-//! [`WorkloadProfile`] containing exactly the attribute families the paper
-//! measures:
+//! The profiler consumes the retired-instruction stream of a program a basic
+//! block at a time (via `perfclone-sim`'s
+//! [`BlockObserver`](perfclone_sim::BlockObserver) hook, as ATOM's per-block
+//! analysis routines see it) and builds a [`WorkloadProfile`] containing
+//! exactly the attribute families the paper measures:
 //!
 //! * the **statistical flow graph** — dynamic basic blocks, execution
 //!   frequencies and transition counts (§3.1.1),

@@ -3,11 +3,11 @@
 use std::error::Error;
 use std::fmt;
 
-use perfclone_isa::{AluOp, FpOp, Instr, MemRef, MemWidth, Program};
+use perfclone_isa::{AluOp, FpOp, Instr, InstrClass, MemRef, MemWidth, Program};
 
 use crate::mem::Memory;
 use crate::state::ArchState;
-use crate::trace::{DynInstr, MemAccess, Observer, Trace};
+use crate::trace::{BlockObserver, DynInstr, MemAccess, Observer, Trace};
 
 /// Errors surfaced by functional execution.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -57,7 +57,8 @@ pub struct RunOutcome {
 /// The simulator borrows the program and owns the memory image and
 /// architectural state. Use [`step`](Simulator::step) for single-instruction
 /// control, [`run`](Simulator::run)/[`run_with`](Simulator::run_with) for
-/// bounded execution, or [`Program`]-level convenience [`trace`] for an
+/// bounded execution, [`run_blocks`](Simulator::run_blocks) to observe it a
+/// basic block at a time, or [`Program`]-level convenience [`trace`] for an
 /// iterator view.
 ///
 /// [`trace`]: Simulator::trace
@@ -111,12 +112,11 @@ impl<'p> Simulator<'p> {
     ///
     /// Returns [`SimError::PcOutOfRange`] if control flow escapes the
     /// program text.
-    // The consumers of the retired stream (the profiler, the gate's
-    // re-profile, address extraction, trace capture, the live pipeline) run
-    // their loops in other crates. Without LTO a non-generic function is
-    // opaque across crates, so `#[inline]` is what lets each loop fuse with
-    // the interpreter instead of calling out per instruction and returning
-    // the record through memory.
+    // The consumers of the retired stream (address extraction, trace
+    // capture, the live pipeline) run their loops in other crates. Without
+    // LTO a non-generic function is opaque across crates, so `#[inline]` is
+    // what lets each loop fuse with the interpreter instead of calling out
+    // per instruction and returning the record through memory.
     #[inline]
     pub fn step(&mut self) -> Result<Option<DynInstr>, SimError> {
         if self.halted {
@@ -126,6 +126,17 @@ impl<'p> Simulator<'p> {
         if pc as usize >= self.program.len() {
             return Err(SimError::PcOutOfRange { pc, len: self.program.len() });
         }
+        Ok(Some(self.exec(pc)))
+    }
+
+    /// Executes the instruction at `pc`, which lies inside the text, and
+    /// returns its record: the one copy of the instruction semantics,
+    /// shared by [`step`](Simulator::step) and
+    /// [`run_blocks`](Simulator::run_blocks).
+    // `always`, so that `step` compiles to the same loop in each consumer
+    // as when this body was its own, and each block loop gets it inline.
+    #[inline(always)]
+    fn exec(&mut self, pc: u32) -> DynInstr {
         let instr = self.program.fetch(pc);
         let mut next_pc = pc.wrapping_add(1);
         let mut taken = false;
@@ -221,7 +232,7 @@ impl<'p> Simulator<'p> {
         }
 
         self.state.set_pc(next_pc);
-        Ok(Some(DynInstr { pc, instr, next_pc, taken, mem: mem_access }))
+        DynInstr { pc, instr, next_pc, taken, mem: mem_access }
     }
 
     /// Runs until `halt` or until `limit` instructions have retired.
@@ -282,11 +293,68 @@ impl<'p> Simulator<'p> {
         budget: u64,
         observer: &mut O,
     ) -> Result<RunOutcome, SimError> {
-        let out = self.run_with(budget, observer)?;
-        if !out.halted && out.retired >= budget {
-            return Err(SimError::BudgetExhausted { budget });
+        within_budget(self.run_with(budget, observer)?, budget)
+    }
+
+    /// Runs like [`run_with`](Simulator::run_with), but hands `observer`
+    /// whole basic blocks (see [`BlockObserver`]) instead of single
+    /// records. It retires the same records and returns the same outcome
+    /// and the same errors; a block that the limit or a fault cuts short is
+    /// delivered before the run returns.
+    ///
+    /// Halt and the pc range are checked once per block, against a table
+    /// of each pc's block extent built at the start of the run.
+    ///
+    /// # Errors
+    ///
+    /// Propagates [`SimError`] as [`step`](Simulator::step) does.
+    pub fn run_blocks<O: BlockObserver>(
+        &mut self,
+        limit: u64,
+        observer: &mut O,
+    ) -> Result<RunOutcome, SimError> {
+        let extents = block_extents(self.program);
+        let mut retired = 0;
+        while retired < limit && !self.halted {
+            let start = self.state.pc();
+            let Some(&extent) = extents.get(start as usize) else {
+                return Err(SimError::PcOutOfRange { pc: start, len: self.program.len() });
+            };
+            // Every record but a block's last falls through to the next pc,
+            // so the block runs `start..start + len` of the text.
+            let len = u64::from(extent).min(limit - retired) as u32;
+            observer.enter_block(start);
+            let mut offset = 0;
+            let last = loop {
+                let d = self.exec(start + offset);
+                if let Some(m) = d.mem {
+                    observer.on_mem(offset, m);
+                }
+                offset += 1;
+                if offset == len {
+                    break d;
+                }
+            };
+            retired += u64::from(len);
+            observer.exit_block(len, &last);
         }
-        Ok(out)
+        Ok(RunOutcome { retired, halted: self.halted })
+    }
+
+    /// Runs like [`run_blocks`](Simulator::run_blocks) with the budget
+    /// semantics of [`run_budget_with`](Simulator::run_budget_with).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::BudgetExhausted`] when `budget` instructions retire
+    /// without the program halting, in addition to the faults surfaced by
+    /// [`step`](Simulator::step).
+    pub fn run_budget_blocks<O: BlockObserver>(
+        &mut self,
+        budget: u64,
+        observer: &mut O,
+    ) -> Result<RunOutcome, SimError> {
+        within_budget(self.run_blocks(budget, observer)?, budget)
     }
 
     fn effective_address(&mut self, mem: MemRef) -> u64 {
@@ -301,6 +369,31 @@ impl<'p> Simulator<'p> {
             }
         }
     }
+}
+
+/// `out`, from a run whose limit was `budget`, or the exhausted budget when
+/// the run stopped at it without halting.
+fn within_budget(out: RunOutcome, budget: u64) -> Result<RunOutcome, SimError> {
+    if !out.halted && out.retired >= budget {
+        return Err(SimError::BudgetExhausted { budget });
+    }
+    Ok(out)
+}
+
+/// How many instructions run as one block from each pc: through the first
+/// control transfer (class `Branch` or `Jump`, `halt` included), or to the
+/// end of the text.
+fn block_extents(program: &Program) -> Vec<u32> {
+    let mut extents = vec![0; program.len()];
+    let mut next = 0;
+    for (extent, instr) in extents.iter_mut().zip(program.instrs()).rev() {
+        next = match instr.class() {
+            InstrClass::Branch | InstrClass::Jump => 1,
+            _ => next + 1,
+        };
+        *extent = next;
+    }
+    extents
 }
 
 fn alu(op: AluOp, a: i64, b: i64) -> i64 {

@@ -5,10 +5,14 @@
 //!
 //! This crate plays the role SimpleScalar's `sim-safe` plus an ATOM/PIN-style
 //! instrumentation layer play in the original paper: it executes a
-//! [`Program`](perfclone_isa::Program) and surfaces every retired instruction
-//! as a [`DynInstr`] record to an [`Observer`] — the raw material from which
-//! `perfclone-profile` measures the microarchitecture-independent workload
-//! attributes and which `perfclone-uarch` replays through its timing model.
+//! [`Program`](perfclone_isa::Program) and surfaces its retired instructions
+//! as [`DynInstr`] records, the raw material from which `perfclone-profile`
+//! measures the microarchitecture-independent workload attributes and which
+//! `perfclone-uarch` replays through its timing model. It has two hooks. An
+//! [`Observer`] sees every record; trace capture and the tests use it. A
+//! [`BlockObserver`] sees whole basic blocks (the start pc, the length, the
+//! memory records and the last record), as ATOM's per-block analysis
+//! routines do; the profiler uses it.
 //!
 //! # Example
 //!
@@ -46,4 +50,6 @@ pub use mem::Memory;
 pub use packed::{BatchReplay, PackedRecorder, PackedReplay, PackedTrace, ReplayChunk, CHUNK_LEN};
 pub use spill::{reap_stray_spills, SpilledTrace, SpillingRecorder, TraceError, TraceStore};
 pub use state::ArchState;
-pub use trace::{CountingObserver, DynInstr, MemAccess, NullObserver, Observer, Trace};
+pub use trace::{
+    BlockObserver, CountingObserver, DynInstr, MemAccess, NullObserver, Observer, Trace,
+};

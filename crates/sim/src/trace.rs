@@ -43,10 +43,37 @@ impl DynInstr {
 }
 
 /// Instrumentation hook invoked once per retired instruction, in program
-/// order — the ATOM/PIN analysis-routine analogue (paper §3.1).
+/// order — the ATOM/PIN analysis-routine analogue (paper §3.1). Trace
+/// capture and the tests use it; the profiler takes whole blocks through
+/// [`BlockObserver`].
 pub trait Observer {
     /// Called after `d` retires.
     fn on_retire(&mut self, d: &DynInstr);
+}
+
+/// Instrumentation hook invoked once per executed basic block, in program
+/// order — ATOM's per-block analysis routines, which the paper's profiler
+/// keys its statistics by (§3.1.1). [`Simulator::run_blocks`] drives it.
+///
+/// A block runs from its start pc through its first control transfer
+/// (class `Branch` or `Jump`, `halt` included), so its records are the
+/// instructions at `start..start + len` of the text and only the last one
+/// can redirect control. The limit, the budget or a fault can cut the last
+/// block of a run short; it is still delivered, ending in a record that
+/// transfers no control.
+///
+/// [`Simulator::run_blocks`]: crate::Simulator::run_blocks
+pub trait BlockObserver {
+    /// A block starts at `pc`.
+    fn enter_block(&mut self, pc: u32);
+
+    /// The record `offset` places after the block's first accessed memory
+    /// as `m`. Every load and store is reported, in order, and no other
+    /// record.
+    fn on_mem(&mut self, offset: u32, m: MemAccess);
+
+    /// The block's `len` records have retired; `last` is the final one.
+    fn exit_block(&mut self, len: u32, last: &DynInstr);
 }
 
 /// An [`Observer`] that ignores every event.

@@ -114,6 +114,10 @@ pub struct BranchPredictor {
     stats: PredictorStats,
 }
 
+// `#[inline]` like `predict_and_update`, which both instantiations of the
+// pipeline loop inline; without it the iterator one (`Pipeline::run`, in
+// another crate) calls this through the GOT per conditional branch.
+#[inline]
 fn bump(c: &mut u8, taken: bool) {
     *c = if taken { (*c + 1).min(3) } else { c.saturating_sub(1) };
 }

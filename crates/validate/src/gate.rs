@@ -271,7 +271,7 @@ impl Gate {
         let mut sim = Simulator::new(clone);
         let outcome = {
             let _s = perfclone_obs::span!("validate.reprofile");
-            match sim.run_budget_with(self.profile_budget, &mut profiler) {
+            match sim.run_budget_blocks(self.profile_budget, &mut profiler) {
                 Ok(out) => out,
                 Err(SimError::BudgetExhausted { budget }) => {
                     return Err(ValidateError::BudgetExhausted { budget })

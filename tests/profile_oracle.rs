@@ -9,11 +9,14 @@
 //! clone inputs need the synthesizer, and a dev-dependency of the profile
 //! crate on the synthesizer would cycle.
 //!
-//! The proptest runs both collectors over one interpreter run and compares
-//! their serialized profiles on three kinds of input: kernels stopped at a
-//! random window (which often ends inside a block), clones at random seeds
-//! run to `halt`, and small random programs that halt or fall off the end
-//! of their text in the middle of a block.
+//! The proptest runs the same deterministic program twice, once a record
+//! at a time into the reference (`Simulator::run_with`) and once a block at
+//! a time into the profiler (`Simulator::run_blocks`), so a fault in the
+//! block runner shows as a mismatch instead of feeding both collectors
+//! alike. It compares their serialized profiles on three kinds of input:
+//! kernels stopped at a random window (which often ends inside a block),
+//! clones at random seeds run to `halt`, and small random programs that
+//! halt or fall off the end of their text in the middle of a block.
 
 use std::collections::HashMap;
 
@@ -392,24 +395,16 @@ impl Observer for Reference {
     }
 }
 
-/// Feeds one interpreter run to both collectors.
-struct Both(Profiler, Reference);
-
-impl Observer for Both {
-    fn on_retire(&mut self, d: &DynInstr) {
-        self.0.on_retire(d);
-        self.1.on_retire(d);
-    }
-}
-
 /// Runs `program` for up to `limit` records (a fault ends the run as the
-/// window does) and returns the serialized profiles of the profiler and
-/// the reference.
+/// window does), a block at a time into the profiler and a record at a
+/// time into the reference, and returns their serialized profiles.
 fn both_profiles(program: &Program, limit: u64) -> (String, String) {
-    let mut both = Both(Profiler::new(program), Reference::new(program));
-    let _ = Simulator::new(program).run_with(limit, &mut both);
+    let mut profiler = Profiler::new(program);
+    let _ = Simulator::new(program).run_blocks(limit, &mut profiler);
+    let mut reference = Reference::new(program);
+    let _ = Simulator::new(program).run_with(limit, &mut reference);
     let json = |p: &WorkloadProfile| serde_json::to_string(p).expect("profiles serialize");
-    (json(&both.0.finish()), json(&both.1.finish()))
+    (json(&profiler.finish()), json(&reference.finish()))
 }
 
 /// Where two serializations first differ, with some context on each side.
