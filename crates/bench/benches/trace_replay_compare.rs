@@ -2,7 +2,7 @@
 //! 12-configuration design-change timing sweep evaluated by per-config
 //! re-interpretation (`run_timing`: one functional execution *per cell*,
 //! the pre-trace path and correctness oracle) versus record-once/
-//! replay-many (`PackedTrace::capture` once per program +
+//! replay-many (`TraceStore::capture` once per program +
 //! `run_timing_store` per cell). Asserts bit-identical `PipelineReport`
 //! and `PowerReport` values before timing, and prints the wall-clock
 //! speedup replay delivers, plus the trace-supply costs (interpret vs
@@ -14,8 +14,7 @@ use std::path::Path;
 use std::time::Instant;
 
 use perfclone::{
-    run_timing, run_timing_store, InstrMetaTable, MachineConfig, PackedTrace, TimingResult,
-    TraceStore,
+    run_timing, run_timing_store, InstrMetaTable, MachineConfig, TimingResult, TraceStore,
 };
 use perfclone_bench::{
     design_sweep_configs, experiment_params, prepare, scale_from_env, scale_label,
@@ -32,6 +31,11 @@ const KERNEL: &str = "susan";
 /// minimum.
 const ROUNDS: usize = 5;
 
+/// Captures `program` in memory: no cap, so nothing spills.
+fn capture(program: &Program) -> TraceStore {
+    TraceStore::capture(program, u64::MAX, usize::MAX, &std::env::temp_dir()).expect("capture")
+}
+
 /// The oracle: one functional execution per (program × config) cell.
 fn sweep_interpret(programs: &[&Program], configs: &[MachineConfig]) -> Vec<TimingResult> {
     programs
@@ -45,7 +49,7 @@ fn sweep_replay(programs: &[&Program], configs: &[MachineConfig]) -> Vec<TimingR
     programs
         .iter()
         .flat_map(|p| {
-            let trace = TraceStore::Mem(PackedTrace::capture(p, u64::MAX));
+            let trace = capture(p);
             let meta = InstrMetaTable::new(p);
             configs
                 .iter()
@@ -64,7 +68,7 @@ fn supply_interpret(program: &Program, n: usize) -> usize {
 
 /// The replay path's trace supply: capture once, re-decode per config.
 fn supply_replay(program: &Program, n: usize) -> usize {
-    let packed = TraceStore::Mem(PackedTrace::capture(program, u64::MAX));
+    let packed = capture(program);
     (0..n).map(|_| packed.replay(program).count()).sum()
 }
 
@@ -83,8 +87,8 @@ fn main() {
     let configs = design_sweep_configs();
     let n = configs.len();
     let (instrs, packed_bytes) = {
-        let packed = PackedTrace::capture(&bench.program, u64::MAX);
-        (packed.len(), packed.packed_bytes())
+        let packed = capture(&bench.program);
+        (packed.len(), packed.stored_bytes())
     };
 
     // Correctness gate first, which is also the untimed warm-up: every

@@ -21,14 +21,14 @@
 
 use std::collections::HashMap;
 use std::hash::Hash;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use std::path::PathBuf;
 
 use perfclone_isa::{InstrMetaTable, Program};
 use perfclone_profile::{profile_program, WorkloadProfile};
-use perfclone_sim::{Simulator, SpillingRecorder, TraceStore};
+use perfclone_sim::TraceStore;
 use perfclone_synth::{synthesize, MemoryModel, SynthesisParams};
 
 use crate::Error;
@@ -52,16 +52,14 @@ pub fn trace_cap() -> usize {
     })
 }
 
-/// Total packed bytes held by every capture in the process, mirrored into
-/// the `trace.bytes` gauge for run reports.
-static PACKED_BYTES_TOTAL: AtomicUsize = AtomicUsize::new(0);
+/// Bytes of every in-memory capture this process made, mirrored into the
+/// `trace.bytes` gauge for run reports. It only grows: a capture dropped
+/// since is still counted.
+static PACKED_BYTES_TOTAL: AtomicU64 = AtomicU64::new(0);
 
 /// Total bytes of spilled trace files produced by this process, mirrored
 /// into the `trace.spill.bytes` gauge.
 static SPILL_BYTES_TOTAL: AtomicU64 = AtomicU64::new(0);
-
-/// Distinguishes spill stems across captures within one process.
-static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
 
 /// Where over-cap captures spill: `PERFCLONE_SPILL_DIR`, or the system
 /// temp dir when unset. Parsed once per process.
@@ -87,17 +85,6 @@ pub(crate) fn spill_dir() -> &'static PathBuf {
     })
 }
 
-/// A filesystem-safe stem for one capture's spill file, unique within the
-/// process.
-fn spill_stem(program: &Program) -> String {
-    let name: String = program
-        .name()
-        .chars()
-        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
-        .collect();
-    format!("perfclone-{name}-{}-{}", std::process::id(), SPILL_SEQ.fetch_add(1, Ordering::Relaxed))
-}
-
 /// Captures the packed trace of `program` under the `cap_bytes` memory
 /// budget, publishing the `trace.bytes` gauge on success.
 ///
@@ -119,21 +106,7 @@ pub(crate) fn capture_packed(
     cap_bytes: usize,
 ) -> Result<TraceStore, Error> {
     let _span = perfclone_obs::span!("sim.trace.capture");
-    let mut rec = SpillingRecorder::new(cap_bytes, spill_dir(), &spill_stem(program));
-    let mut trace = Simulator::trace(program, limit);
-    let mut result = Ok(());
-    for d in &mut trace {
-        if let Err(e) = rec.push(&d) {
-            result = Err(e);
-            break;
-        }
-    }
-    let store = result.and_then(|()| {
-        let fault = trace.fault().cloned();
-        let halted = trace.into_inner().is_halted();
-        rec.finish(program, halted, fault)
-    });
-    match store {
+    match TraceStore::capture(program, limit, cap_bytes, spill_dir()) {
         Ok(store) => {
             publish_capture(program, &store, cap_bytes);
             Ok(store)
@@ -156,25 +129,23 @@ pub(crate) fn capture_packed(
 fn publish_capture(program: &Program, store: &TraceStore, cap_bytes: usize) {
     perfclone_obs::count!("trace.captures", 1);
     perfclone_obs::count!("trace.capture.instrs", store.len());
-    match store {
-        TraceStore::Mem(packed) => {
-            let total = PACKED_BYTES_TOTAL.fetch_add(packed.packed_bytes(), Ordering::Relaxed)
-                + packed.packed_bytes();
+    let bytes = store.stored_bytes();
+    match store.spill_path() {
+        None => {
+            let total = PACKED_BYTES_TOTAL.fetch_add(bytes, Ordering::Relaxed) + bytes;
             perfclone_obs::gauge!("trace.bytes", total);
         }
-        TraceStore::Spilled(spilled) => {
+        Some(path) => {
             perfclone_obs::count!("trace.spills", 1);
             // The spill file was just sealed (written, synced, renamed).
             perfclone_obs::instant!("trace.spill.seal");
-            let total = SPILL_BYTES_TOTAL.fetch_add(spilled.file_bytes(), Ordering::Relaxed)
-                + spilled.file_bytes();
+            let total = SPILL_BYTES_TOTAL.fetch_add(bytes, Ordering::Relaxed) + bytes;
             perfclone_obs::gauge!("trace.spill.bytes", total);
             eprintln!(
                 "perfclone: packed trace of '{}' exceeded PERFCLONE_TRACE_CAP ({cap_bytes} B); \
-                 spilled {} B to '{}' and replaying via mmap",
+                 spilled {bytes} B to '{}' and replaying via mmap",
                 program.name(),
-                spilled.file_bytes(),
-                spilled.path().display()
+                path.display()
             );
         }
     }
@@ -403,8 +374,8 @@ impl WorkloadCache {
     /// request under the process-wide [`trace_cap`] memory budget and
     /// shared thereafter, so a timing sweep pays one functional execution
     /// per `(workload, limit)` no matter how many machine configurations
-    /// (or rayon workers) consume it. An over-cap capture comes back as
-    /// [`TraceStore::Spilled`]: on disk, replayed via mmap.
+    /// (or rayon workers) consume it. An over-cap capture comes back
+    /// spilled: on disk, replayed via mmap.
     ///
     /// # Errors
     ///
@@ -423,13 +394,8 @@ impl WorkloadCache {
 
     /// [`packed_trace`](WorkloadCache::packed_trace) with an explicit byte
     /// cap instead of the process-wide `PERFCLONE_TRACE_CAP`. The memo is
-    /// keyed by `(workload, limit)` only, so callers must keep the cap
-    /// constant per cache instance (the first capture's outcome wins).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`packed_trace`](WorkloadCache::packed_trace).
-    pub fn packed_trace_capped(
+    /// keyed by `(workload, limit)` only, so the first capture's cap wins.
+    fn packed_trace_capped(
         &self,
         workload: &str,
         program: &Program,
@@ -540,6 +506,28 @@ mod tests {
         // Both clones share one underlying profile.
         assert_eq!(cache.snapshot().profile_computes, 1);
         assert_eq!(cache.snapshot().clone_computes, 2);
+    }
+
+    /// An over-cap workload is captured exactly once: the capture spills to
+    /// disk (it never truncates) and the spilled store is memoized, so every
+    /// later requester shares the same on-disk trace. (When the spill itself
+    /// fails, the memoized outcome is a typed `Error::Spill` and timing falls
+    /// back to live interpretation; `crates/cli/tests/spill_fallback.rs`
+    /// covers that path.)
+    #[test]
+    fn capped_capture_is_memoized_as_spill() {
+        let p = program("susan");
+        let cache = WorkloadCache::new();
+        for _ in 0..3 {
+            let store = cache
+                .packed_trace_capped("susan-tiny", &p, 50_000, 64)
+                .expect("64 bytes cannot hold the trace resident, so it must spill");
+            assert!(store.is_spilled(), "an over-cap capture must be on disk");
+            assert!(store.halted(), "the full stream (not a truncation) must be on disk");
+        }
+        let stats = cache.snapshot();
+        assert_eq!(stats.packed_trace_computes, 1, "over-cap capture must be memoized");
+        assert_eq!(stats.packed_trace_lookups, 3);
     }
 
     #[test]

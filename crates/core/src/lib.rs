@@ -63,8 +63,7 @@ pub use perfclone_metrics::{mean_abs_pct_error, pearson, rank, relative_error, s
 pub use perfclone_power::{estimate_power, PowerReport};
 pub use perfclone_profile::{profile_program, ProfileError, WorkloadProfile};
 pub use perfclone_sim::{
-    reap_stray_spills, PackedRecorder, PackedReplay, PackedTrace, SimError, SpilledTrace,
-    TraceError as SpillTraceError, TraceStore,
+    reap_stray_spills, PackedReplay, SimError, TraceError as SpillTraceError, TraceStore,
 };
 pub use perfclone_synth::{
     emit_c, synthesize, BranchModel, MemoryModel, SynthError, SynthesisParams,

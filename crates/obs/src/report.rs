@@ -305,8 +305,9 @@ pub struct RunReport {
     /// (truncated/corrupt journal records demoted to pending and
     /// re-executed).
     pub counters: Vec<CounterEntry>,
-    /// Raw gauge values. Notable names: `trace.bytes` (total packed-trace
-    /// bytes resident in the process), `trace.spill.bytes` (total bytes of
+    /// Raw gauge values. Notable names: `trace.bytes` (bytes of every
+    /// in-memory capture this process made; it only grows, so a capture
+    /// dropped since still counts), `trace.spill.bytes` (total bytes of
     /// spilled trace files), `grid.cells` (cells the latest grid sweep
     /// enumerates), and `statsim.trace.bytes` (resident footprint of the
     /// latest statistical trace, which cannot be packed).

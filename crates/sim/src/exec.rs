@@ -7,7 +7,7 @@ use perfclone_isa::{AluOp, FpOp, Instr, InstrClass, MemRef, MemWidth, Program};
 
 use crate::mem::Memory;
 use crate::state::ArchState;
-use crate::trace::{BlockObserver, DynInstr, MemAccess, Observer, Trace};
+use crate::trace::{BlockObserver, DynInstr, MemAccess, Trace};
 
 /// Errors surfaced by functional execution.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -56,10 +56,10 @@ pub struct RunOutcome {
 ///
 /// The simulator borrows the program and owns the memory image and
 /// architectural state. Use [`step`](Simulator::step) for single-instruction
-/// control, [`run`](Simulator::run)/[`run_with`](Simulator::run_with) for
-/// bounded execution, [`run_blocks`](Simulator::run_blocks) to observe it a
-/// basic block at a time, or [`Program`]-level convenience [`trace`] for an
-/// iterator view.
+/// control and [`run`](Simulator::run) for bounded execution. The retired
+/// stream leaves the interpreter two ways: a record at a time through the
+/// [`Program`]-level iterator [`trace`], and a basic block at a time
+/// through [`run_blocks`](Simulator::run_blocks).
 ///
 /// [`trace`]: Simulator::trace
 #[derive(Clone, Debug)]
@@ -241,31 +241,7 @@ impl<'p> Simulator<'p> {
     ///
     /// Propagates [`SimError`] from [`step`](Simulator::step).
     pub fn run(&mut self, limit: u64) -> Result<RunOutcome, SimError> {
-        self.run_with(limit, &mut crate::trace::NullObserver)
-    }
-
-    /// Runs like [`run`](Simulator::run), invoking `observer` for every
-    /// retired instruction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`SimError`] from [`step`](Simulator::step).
-    pub fn run_with<O: Observer>(
-        &mut self,
-        limit: u64,
-        observer: &mut O,
-    ) -> Result<RunOutcome, SimError> {
-        let mut retired = 0;
-        while retired < limit {
-            match self.step()? {
-                Some(d) => {
-                    retired += 1;
-                    observer.on_retire(&d);
-                }
-                None => break,
-            }
-        }
-        Ok(RunOutcome { retired, halted: self.halted })
+        self.run_blocks(limit, &mut Unobserved)
     }
 
     /// Runs like [`run`](Simulator::run) but treats an exhausted budget as an
@@ -277,29 +253,13 @@ impl<'p> Simulator<'p> {
     /// without the program halting, in addition to the faults surfaced by
     /// [`step`](Simulator::step).
     pub fn run_budget(&mut self, budget: u64) -> Result<RunOutcome, SimError> {
-        self.run_budget_with(budget, &mut crate::trace::NullObserver)
+        self.run_budget_blocks(budget, &mut Unobserved)
     }
 
-    /// Runs like [`run_budget`](Simulator::run_budget), invoking `observer`
-    /// for every retired instruction.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SimError::BudgetExhausted`] when `budget` instructions retire
-    /// without the program halting, in addition to the faults surfaced by
-    /// [`step`](Simulator::step).
-    pub fn run_budget_with<O: Observer>(
-        &mut self,
-        budget: u64,
-        observer: &mut O,
-    ) -> Result<RunOutcome, SimError> {
-        within_budget(self.run_with(budget, observer)?, budget)
-    }
-
-    /// Runs like [`run_with`](Simulator::run_with), but hands `observer`
-    /// whole basic blocks (see [`BlockObserver`]) instead of single
-    /// records. It retires the same records and returns the same outcome
-    /// and the same errors; a block that the limit or a fault cuts short is
+    /// Runs like [`run`](Simulator::run), handing `observer` whole basic
+    /// blocks (see [`BlockObserver`]). It retires the records
+    /// [`trace`](Simulator::trace) yields under the same limit and stops at
+    /// the same fault; a block that the limit or a fault cuts short is
     /// delivered before the run returns.
     ///
     /// Halt and the pc range are checked once per block, against a table
@@ -342,7 +302,7 @@ impl<'p> Simulator<'p> {
     }
 
     /// Runs like [`run_blocks`](Simulator::run_blocks) with the budget
-    /// semantics of [`run_budget_with`](Simulator::run_budget_with).
+    /// semantics of [`run_budget`](Simulator::run_budget).
     ///
     /// # Errors
     ///
@@ -369,6 +329,21 @@ impl<'p> Simulator<'p> {
             }
         }
     }
+}
+
+/// The [`BlockObserver`] [`run`](Simulator::run) and
+/// [`run_budget`](Simulator::run_budget) run with: it ignores every event.
+struct Unobserved;
+
+impl BlockObserver for Unobserved {
+    #[inline]
+    fn enter_block(&mut self, _pc: u32) {}
+
+    #[inline]
+    fn on_mem(&mut self, _offset: u32, _m: MemAccess) {}
+
+    #[inline]
+    fn exit_block(&mut self, _len: u32, _last: &DynInstr) {}
 }
 
 /// `out`, from a run whose limit was `budget`, or the exhausted budget when
@@ -426,7 +401,6 @@ fn fp(op: FpOp, a: f64, b: f64) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::CountingObserver;
     use perfclone_isa::{MemWidth, ProgramBuilder, Reg, StreamDesc};
 
     fn r(i: u8) -> Reg {
@@ -491,7 +465,7 @@ mod tests {
     }
 
     #[test]
-    fn branch_taken_flag_and_observer_counts() {
+    fn branch_taken_flags_count_in_the_trace() {
         let mut b = ProgramBuilder::new("br");
         let (i, n) = (r(1), r(2));
         b.li(i, 0);
@@ -502,11 +476,12 @@ mod tests {
         b.blt(i, n, top); // taken 9 times, not taken once
         b.halt();
         let p = b.build();
-        let mut sim = Simulator::new(&p);
-        let mut counter = CountingObserver::default();
-        sim.run_with(1_000, &mut counter).unwrap();
-        assert_eq!(counter.branches, 10);
-        assert_eq!(counter.taken_branches, 9);
+        let branches: Vec<bool> = Simulator::trace(&p, 1_000)
+            .filter(|d| d.instr.is_cond_branch())
+            .map(|d| d.taken)
+            .collect();
+        assert_eq!(branches.len(), 10);
+        assert_eq!(branches.iter().filter(|&&taken| taken).count(), 9);
     }
 
     #[test]

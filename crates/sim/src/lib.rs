@@ -8,11 +8,14 @@
 //! [`Program`](perfclone_isa::Program) and surfaces its retired instructions
 //! as [`DynInstr`] records, the raw material from which `perfclone-profile`
 //! measures the microarchitecture-independent workload attributes and which
-//! `perfclone-uarch` replays through its timing model. It has two hooks. An
-//! [`Observer`] sees every record; trace capture and the tests use it. A
-//! [`BlockObserver`] sees whole basic blocks (the start pc, the length, the
-//! memory records and the last record), as ATOM's per-block analysis
-//! routines do; the profiler uses it.
+//! `perfclone-uarch` replays through its timing model. The retired stream
+//! leaves the interpreter two ways. [`Simulator::trace`] yields it a record
+//! at a time; trace capture, address extraction and the live pipeline
+//! iterate it. [`Simulator::run_blocks`] hands a [`BlockObserver`] whole
+//! basic blocks (the start pc, the length, the memory records and the last
+//! record), as ATOM's per-block analysis routines see them; the profiler
+//! uses it. A [`TraceStore`] records the stream once, in memory or spilled
+//! to disk, and replays it for each machine configuration.
 //!
 //! # Example
 //!
@@ -47,9 +50,7 @@ mod trace;
 pub use exec::{RunOutcome, SimError, Simulator};
 pub use faultfs::FaultFsPlan;
 pub use mem::Memory;
-pub use packed::{BatchReplay, PackedRecorder, PackedReplay, PackedTrace, ReplayChunk, CHUNK_LEN};
-pub use spill::{reap_stray_spills, SpilledTrace, SpillingRecorder, TraceError, TraceStore};
+pub use packed::{BatchReplay, PackedReplay, ReplayChunk, CHUNK_LEN};
+pub use spill::{reap_stray_spills, TraceError, TraceStore};
 pub use state::ArchState;
-pub use trace::{
-    BlockObserver, CountingObserver, DynInstr, MemAccess, NullObserver, Observer, Trace,
-};
+pub use trace::{BlockObserver, DynInstr, MemAccess, Trace};

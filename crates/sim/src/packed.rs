@@ -1,13 +1,17 @@
-//! Record-once/replay-many packed dynamic traces.
+//! Record-once/replay-many packed dynamic traces: the encoding, its
+//! recorder and its two decoders.
 //!
 //! A design-space sweep replays the *same* retired-instruction stream
 //! through many timing configurations, yet [`Simulator::trace`] regenerates
-//! it with a full functional execution per run. [`PackedTrace`] records the
-//! stream once, in a compact structure-of-arrays encoding, and
+//! it with a full functional execution per run.
+//! [`TraceStore::capture`](crate::TraceStore::capture) records the stream
+//! once, in a compact structure-of-arrays encoding, and
 //! [`TraceStore::replay`](crate::TraceStore::replay) reconstructs it as
 //! [`DynInstr`] records with a zero-allocation iterator — the
 //! record-once/replay-many discipline of trace-driven simulators
 //! (SimpleScalar's `sim-outorder` trace mode).
+//!
+//! [`Simulator::trace`]: crate::Simulator::trace
 //!
 //! # Encoding
 //!
@@ -35,119 +39,20 @@
 //! A program that faults mid-capture produces a trace holding every record
 //! retired *before* the fault plus the typed [`SimError`]; replay yields
 //! the same truncated stream and surfaces the same fault from
-//! [`PackedTrace::fault`], mirroring [`Trace::fault`](crate::Trace::fault).
-//! [`PackedTrace::halted`] distinguishes a clean `halt` from a capture that
-//! stopped at its instruction limit.
+//! [`TraceStore::fault`](crate::TraceStore::fault), mirroring
+//! [`Trace::fault`](crate::Trace::fault).
+//! [`TraceStore::halted`](crate::TraceStore::halted) distinguishes a clean
+//! `halt` from a capture that stopped at its instruction limit.
 
 use perfclone_isa::{Instr, InstrMeta, InstrMetaTable, Program};
 
-use crate::exec::{SimError, Simulator};
-use crate::trace::{DynInstr, MemAccess, Observer};
+use crate::exec::SimError;
+use crate::trace::{DynInstr, MemAccess};
 
-/// A compact recording of one program's retired-instruction stream,
-/// replayable any number of times without re-running the functional
-/// interpreter. The `packed` module's docs describe the encoding.
-#[derive(Clone, Debug, PartialEq)]
-pub struct PackedTrace {
-    pub(crate) program_name: String,
-    pub(crate) program_len: usize,
-    pub(crate) start_pc: u32,
-    pub(crate) len: u64,
-    /// Bit `i`: record `i` did not fall through (`next_pc != pc + 1`).
-    pub(crate) redirect_bits: Vec<u64>,
-    /// Bit `i`: record `i` is a taken conditional branch.
-    pub(crate) taken_bits: Vec<u64>,
-    /// Zigzag-LEB128 `next_pc − pc` deltas, one per redirected record,
-    /// in stream order.
-    pub(crate) targets: Vec<u8>,
-    /// Effective addresses of memory records, in stream order.
-    pub(crate) mem_addrs: Vec<u64>,
-    /// Access sizes of memory records; bit 7 carries the store flag.
-    pub(crate) mem_sizes: Vec<u8>,
-    pub(crate) halted: bool,
-    pub(crate) fault: Option<SimError>,
-}
-
-impl PackedTrace {
-    /// Captures the dynamic stream of `program` (at most `limit`
-    /// instructions) in one functional execution.
-    ///
-    /// A mid-stream fault is carried through: the returned trace holds the
-    /// records retired before the fault and reports it from
-    /// [`fault`](PackedTrace::fault). Like [`Simulator::trace`], a
-    /// non-halting program with `limit == u64::MAX` does not terminate.
-    pub fn capture(program: &Program, limit: u64) -> PackedTrace {
-        let mut rec = PackedRecorder::new();
-        let mut trace = Simulator::trace(program, limit);
-        for d in &mut trace {
-            rec.push(&d);
-        }
-        let fault = trace.fault().cloned();
-        let halted = trace.into_inner().is_halted();
-        rec.finish(program, halted, fault)
-    }
-
-    /// Number of retired instructions recorded.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// `true` when no instructions were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// `true` when the capture ended with the program executing `halt`
-    /// (as opposed to hitting its instruction limit or faulting) — the
-    /// recorded stream is the program's *complete* execution.
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-
-    /// The fault that ended the capture early, if any. Replay yields the
-    /// records retired before the fault; callers that must distinguish a
-    /// clean stop from a crash check this after exhausting the iterator,
-    /// exactly as with [`Trace::fault`](crate::Trace::fault).
-    pub fn fault(&self) -> Option<&SimError> {
-        self.fault.as_ref()
-    }
-
-    /// Name of the program this trace was captured from.
-    pub fn program_name(&self) -> &str {
-        &self.program_name
-    }
-
-    /// Approximate heap footprint of the packed encoding, in bytes.
-    pub fn packed_bytes(&self) -> usize {
-        std::mem::size_of::<PackedTrace>()
-            + self.program_name.len()
-            + (self.redirect_bits.len() + self.taken_bits.len() + self.mem_addrs.len()) * 8
-            + self.targets.len()
-            + self.mem_sizes.len()
-    }
-
-    /// Borrowed view of the raw encoding, which [`TraceStore`](crate::TraceStore)
-    /// hands to the decoders.
-    pub(crate) fn parts(&self) -> TraceParts<'_> {
-        TraceParts {
-            program_name: &self.program_name,
-            program_len: self.program_len,
-            start_pc: self.start_pc,
-            len: self.len,
-            redirect_bits: &self.redirect_bits,
-            taken_bits: &self.taken_bits,
-            targets: &self.targets,
-            mem_addrs: &self.mem_addrs,
-            mem_sizes: &self.mem_sizes,
-            fault: self.fault.as_ref(),
-        }
-    }
-}
-
-/// Borrowed view of a packed trace's raw encoding — the common currency
-/// between an in-memory [`PackedTrace`] and a memory-mapped spill file
-/// (see [`crate::spill`]); [`TraceStore`](crate::TraceStore) builds both
-/// decoders from it, so the two backings decode identically.
+/// Borrowed view of a stored trace's raw encoding, whether
+/// [`TraceStore`](crate::TraceStore) holds its sections in owned vectors or
+/// in the mapping of its spill file. Both decoders are built from it, so
+/// the two backings decode identically.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct TraceParts<'a> {
     pub program_name: &'a str,
@@ -224,15 +129,16 @@ impl<'a> TraceParts<'a> {
     }
 }
 
-/// Incremental builder for a [`PackedTrace`] — an [`Observer`] that packs
-/// each retired instruction as it streams past, so capture can be fused
-/// with profiling or any other single-pass analysis.
+/// Incremental builder of the packed encoding: it packs each retired
+/// instruction as it streams past. The spilling recorder wraps it, and
+/// drains its completed sections to disk past the capture's cap.
 ///
 /// The pushed records must form one contiguous correct-path stream (each
-/// record's `pc` equal to its predecessor's `next_pc`), which is what any
-/// [`Simulator`]-driven run produces; this is debug-asserted.
+/// record's `pc` equal to its predecessor's `next_pc`), which is what
+/// [`Simulator::trace`](crate::Simulator::trace) yields; this is
+/// debug-asserted.
 #[derive(Clone, Debug, Default)]
-pub struct PackedRecorder {
+pub(crate) struct PackedRecorder {
     pub(crate) start_pc: u32,
     expect_pc: u32,
     pub(crate) len: u64,
@@ -244,33 +150,19 @@ pub struct PackedRecorder {
 }
 
 impl PackedRecorder {
-    /// Creates an empty recorder.
-    pub fn new() -> PackedRecorder {
-        PackedRecorder::default()
-    }
-
-    /// Number of records packed so far.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// `true` when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// Current packed size in bytes (the [`PackedTrace::packed_bytes`] of
-    /// the trace [`finish`](PackedRecorder::finish) would build now,
-    /// excluding the program-name string).
-    pub fn packed_bytes(&self) -> usize {
-        std::mem::size_of::<PackedTrace>()
+    /// Current packed size in bytes: the
+    /// [`stored_bytes`](crate::TraceStore::stored_bytes) of the in-memory
+    /// store the recording would seal into now, less the program-name
+    /// string.
+    pub(crate) fn packed_bytes(&self) -> usize {
+        std::mem::size_of::<crate::TraceStore>()
             + (self.redirect_bits.len() + self.taken_bits.len() + self.mem_addrs.len()) * 8
             + self.targets.len()
             + self.mem_sizes.len()
     }
 
     /// Packs one retired instruction.
-    pub fn push(&mut self, d: &DynInstr) {
+    pub(crate) fn push(&mut self, d: &DynInstr) {
         if self.len == 0 {
             self.start_pc = d.pc;
         } else {
@@ -300,32 +192,6 @@ impl PackedRecorder {
         }
         self.expect_pc = d.next_pc;
         self.len += 1;
-    }
-
-    /// Seals the recording into a [`PackedTrace`] owned by `program`'s
-    /// stream, with the run's end state: whether the program halted and
-    /// the fault (if any) that cut the stream short.
-    pub fn finish(self, program: &Program, halted: bool, fault: Option<SimError>) -> PackedTrace {
-        PackedTrace {
-            program_name: program.name().to_string(),
-            program_len: program.len(),
-            start_pc: self.start_pc,
-            len: self.len,
-            redirect_bits: self.redirect_bits,
-            taken_bits: self.taken_bits,
-            targets: self.targets,
-            mem_addrs: self.mem_addrs,
-            mem_sizes: self.mem_sizes,
-            halted,
-            fault,
-        }
-    }
-}
-
-impl Observer for PackedRecorder {
-    #[inline]
-    fn on_retire(&mut self, d: &DynInstr) {
-        self.push(d);
     }
 }
 
@@ -665,6 +531,7 @@ fn decode_zigzag(bytes: &[u8], cursor: &mut usize) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{Simulator, TraceStore};
     use perfclone_isa::{MemWidth, ProgramBuilder, Reg, StreamDesc};
 
     fn r(i: u8) -> Reg {
@@ -699,10 +566,15 @@ mod tests {
         b.build()
     }
 
+    /// Captures `p` in memory: no cap, so nothing spills.
+    fn capture(p: &perfclone_isa::Program, limit: u64) -> TraceStore {
+        TraceStore::capture(p, limit, usize::MAX, &std::env::temp_dir()).unwrap()
+    }
+
     fn assert_replay_equals_trace(p: &perfclone_isa::Program, limit: u64) {
         let direct: Vec<DynInstr> = Simulator::trace(p, limit).collect();
-        let packed = PackedTrace::capture(p, limit);
-        let replayed: Vec<DynInstr> = packed.parts().replay(p).collect();
+        let packed = capture(p, limit);
+        let replayed: Vec<DynInstr> = packed.replay(p).collect();
         assert_eq!(direct, replayed);
         let mut direct_trace = Simulator::trace(p, limit);
         let n = direct_trace.by_ref().count();
@@ -723,7 +595,7 @@ mod tests {
         let mut b = ProgramBuilder::new("fall");
         b.nop(); // no halt: falls off the end
         let p = b.build();
-        let packed = PackedTrace::capture(&p, 100);
+        let packed = capture(&p, 100);
         assert_eq!(packed.len(), 1);
         assert!(!packed.halted());
         assert!(matches!(packed.fault(), Some(SimError::PcOutOfRange { pc: 1, .. })));
@@ -733,8 +605,8 @@ mod tests {
     #[test]
     fn halted_flag_distinguishes_clean_stop_from_limit() {
         let p = busy_program();
-        assert!(PackedTrace::capture(&p, u64::MAX).halted());
-        let truncated = PackedTrace::capture(&p, 5);
+        assert!(capture(&p, u64::MAX).halted());
+        let truncated = capture(&p, 5);
         assert!(!truncated.halted());
         assert!(truncated.fault().is_none());
         assert_eq!(truncated.len(), 5);
@@ -758,27 +630,14 @@ mod tests {
     }
 
     #[test]
-    fn recorder_is_an_observer() {
-        let p = busy_program();
-        let mut rec = PackedRecorder::new();
-        let mut sim = Simulator::new(&p);
-        let out = sim.run_with(u64::MAX, &mut rec).unwrap();
-        let packed = rec.finish(&p, out.halted, None);
-        let direct: Vec<DynInstr> = Simulator::trace(&p, u64::MAX).collect();
-        let replayed: Vec<DynInstr> = packed.parts().replay(&p).collect();
-        assert_eq!(direct, replayed);
-        assert!(packed.halted());
-    }
-
-    #[test]
     fn packing_is_compact() {
         let p = busy_program();
-        let packed = PackedTrace::capture(&p, u64::MAX);
+        let packed = capture(&p, u64::MAX);
         let materialized = packed.len() as usize * std::mem::size_of::<DynInstr>();
         assert!(
-            packed.packed_bytes() * 4 < materialized,
+            packed.stored_bytes() as usize * 4 < materialized,
             "packed {} B vs materialized {} B over {} instrs",
-            packed.packed_bytes(),
+            packed.stored_bytes(),
             materialized,
             packed.len()
         );
@@ -802,21 +661,21 @@ mod tests {
     #[should_panic(expected = "replayed against")]
     fn replay_against_wrong_program_panics() {
         let p = busy_program();
-        let packed = PackedTrace::capture(&p, 100);
+        let packed = capture(&p, 100);
         let mut b = ProgramBuilder::new("other");
         b.halt();
         let other = b.build();
-        let _ = packed.parts().replay(&other).count();
+        let _ = packed.replay(&other).count();
     }
 
     /// Drains `packed` through the batched decoder, reassembling
     /// [`DynInstr`]s, and checks the stream (and fault) against the
     /// record-at-a-time oracle.
     fn assert_batched_equals_oracle(p: &perfclone_isa::Program, limit: u64) {
-        let packed = PackedTrace::capture(p, limit);
+        let packed = capture(p, limit);
         let meta = InstrMetaTable::new(p);
-        let oracle: Vec<DynInstr> = packed.parts().replay(p).collect();
-        let mut batched = packed.parts().batched(p, &meta);
+        let oracle: Vec<DynInstr> = packed.replay(p).collect();
+        let mut batched = packed.replay_batched(p, &meta);
         let mut chunk = ReplayChunk::new();
         let mut out = Vec::new();
         while batched.fill(&mut chunk) > 0 {
@@ -846,7 +705,7 @@ mod tests {
             b.nop();
         }
         let p = b.build();
-        let packed = PackedTrace::capture(&p, u64::MAX);
+        let packed = capture(&p, u64::MAX);
         assert_eq!(packed.len(), CHUNK_LEN as u64);
         assert!(packed.fault().is_some());
         assert_batched_equals_oracle(&p, u64::MAX);
@@ -856,33 +715,33 @@ mod tests {
     #[should_panic(expected = "replayed against")]
     fn batched_replay_against_wrong_program_panics() {
         let p = busy_program();
-        let packed = PackedTrace::capture(&p, 100);
+        let packed = capture(&p, 100);
         let mut b = ProgramBuilder::new("other");
         b.halt();
         let other = b.build();
         let meta = InstrMetaTable::new(&other);
-        let _ = packed.parts().batched(&other, &meta);
+        let _ = packed.replay_batched(&other, &meta);
     }
 
     #[test]
     #[should_panic(expected = "interned metadata")]
     fn batched_replay_with_mismatched_meta_panics() {
         let p = busy_program();
-        let packed = PackedTrace::capture(&p, 100);
+        let packed = capture(&p, 100);
         let mut b = ProgramBuilder::new("other");
         b.halt();
         let other = b.build();
         let wrong_meta = InstrMetaTable::new(&other);
-        let _ = packed.parts().batched(&p, &wrong_meta);
+        let _ = packed.replay_batched(&p, &wrong_meta);
     }
 
     #[test]
     fn empty_capture_is_well_formed() {
         let p = busy_program();
-        let packed = PackedTrace::capture(&p, 0);
+        let packed = capture(&p, 0);
         assert!(packed.is_empty());
         assert!(!packed.halted());
         assert!(packed.fault().is_none());
-        assert_eq!(packed.parts().replay(&p).count(), 0);
+        assert_eq!(packed.replay(&p).count(), 0);
     }
 }

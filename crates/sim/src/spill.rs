@@ -1,21 +1,25 @@
-//! Disk spill for packed traces: the out-of-core half of the
+//! The stored trace: [`TraceStore`], the one type a captured stream is
+//! held in, and its disk spill, the out-of-core half of the
 //! record-once/replay-many discipline.
 //!
-//! When a capture's packed encoding outgrows its memory budget
-//! (`PERFCLONE_TRACE_CAP`), the recorder streams the encoding's completed
-//! prefix to per-section segment files instead of abandoning the capture,
-//! then seals everything into a single spill file that
-//! [`SpilledTrace::open`] memory-maps back for replay. [`TraceStore`]
-//! replays a spilled trace through the *same* decoders as an in-memory
-//! [`PackedTrace`] — the two backings hand them identical raw slices, so
-//! replay equivalence holds by construction.
+//! [`TraceStore::capture`] packs the retired stream into memory (the
+//! `packed` module describes the encoding). When the encoding outgrows the
+//! capture's cap (`PERFCLONE_TRACE_CAP` in the product), the recorder
+//! streams its completed prefix to per-section segment files instead of
+//! abandoning the capture, then seals everything into a single spill file
+//! that [`TraceStore::open`] maps back read-only. A store holds the
+//! capture's metadata once (program name and length, start pc, record
+//! count, halted and fault) and its five sections either as owned vectors
+//! or in the mapping of its spill file. Both decoders are built from the
+//! same raw slices either way, so replay equivalence holds by
+//! construction.
 //!
 //! # File format (`PCSPILL1`, little-endian throughout)
 //!
 //! ```text
 //! offset size field
 //!      0    8 magic  b"PCSPILL1"
-//!      8    4 version (currently 1)
+//!      8    4 version (currently 2)
 //!     12    4 flags: bit 0 = halted, bit 1 = fault present
 //!     16    4 start_pc
 //!     20    4 name_len        (program-name bytes)
@@ -25,7 +29,8 @@
 //!     48    8 n_targets       (zigzag-LEB128 target-delta bytes)
 //!     56    8 n_mem           (memory records)
 //!     64    8 fault_len       (encoded-fault bytes; 0 when none)
-//!     72    8 checksum        (FNV-1a 64 over every byte after the header)
+//!     72    8 checksum        (FNV-1a 64 over every byte after the header,
+//!                              then over header bytes 0–71)
 //!     80      program name, encoded fault, zero padding to 8 alignment
 //!      …      redirect_bits  n_words × 8
 //!      …      taken_bits     n_words × 8
@@ -38,33 +43,43 @@
 //! an 8-aligned file offset, letting the mapped bytes be reinterpreted as
 //! `&[u64]` directly.
 //!
+//! The checksum covers every byte of the file but its own eight. One
+//! FNV-1a step is a bijection of the hash state, so any single changed
+//! byte changes the hash: a flipped flag, start pc, name length, program
+//! length or record count fails it as surely as a flipped payload byte.
+//!
 //! # Atomicity and cleanup
 //!
 //! Every file is written to a `…tmp-<pid>` sibling and `rename`d into
 //! place only once complete, so a `SIGKILL` at any instant leaves either
 //! no file or a whole file — never a torn one that poisons a resumed
 //! sweep. Segment and unrenamed temp files are removed on `Drop`, and
-//! [`SpilledTrace::open`] verifies magic, version, geometry, and checksum
+//! [`TraceStore::open`] verifies magic, version, geometry, and checksum
 //! before trusting a byte, returning a typed [`TraceError`] (never
 //! panicking) on anything short of a pristine file.
 
 use std::fmt;
 use std::fs::{self, File};
 use std::io::{self, Read, Seek, SeekFrom, Write};
+use std::ops::Range;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use perfclone_isa::{InstrMetaTable, Program};
 
-use crate::exec::SimError;
+use crate::exec::{SimError, Simulator};
 use crate::faultfs;
-use crate::packed::{BatchReplay, PackedRecorder, PackedReplay, PackedTrace, TraceParts};
+use crate::packed::{BatchReplay, PackedRecorder, PackedReplay, TraceParts};
 use crate::trace::DynInstr;
 
 /// Magic bytes opening every spill file.
 pub const SPILL_MAGIC: [u8; 8] = *b"PCSPILL1";
-/// Current spill format version.
-pub const SPILL_VERSION: u32 = 1;
+/// Current spill format version: 2 since the checksum covers the header.
+pub const SPILL_VERSION: u32 = 2;
 const HEADER_LEN: usize = 80;
+/// Offset of the checksum field, the header's last: the checksum covers
+/// the header bytes ahead of it.
+const CHECKSUM_AT: usize = 72;
 const FAULT_ENC_LEN: usize = 17;
 
 /// Typed error for spill-file I/O and validation. Corrupted or truncated
@@ -144,6 +159,12 @@ fn fnv1a(mut acc: u64, bytes: &[u8]) -> u64 {
     acc
 }
 
+/// The checksum of a spill file: FNV-1a over its payload (every byte after
+/// the header), continued over the header fields ahead of the checksum.
+fn checksum(payload: &[u8], header: &[u8; HEADER_LEN]) -> u64 {
+    fnv1a(fnv1a(FNV_OFFSET, payload), &header[..CHECKSUM_AT])
+}
+
 fn align8(n: usize) -> usize {
     n.div_ceil(8) * 8
 }
@@ -188,8 +209,8 @@ fn tmp_sibling(path: &Path) -> PathBuf {
 /// * unrenamed temps — `<anything>.tmp-<pid>` (sink temps and
 ///   `.seg.tmp-<pid>` segment files);
 /// * sealed capture spills — `perfclone-<name>-<pid>-<seq>.spill`, the
-///   stem [`capture`](crate::SpillingRecorder) builds, which are private
-///   to their process (delete-on-drop) and stranded by a `SIGKILL`.
+///   stem [`spill_stem`] builds, which are private to their process
+///   (delete-on-drop) and stranded by a `SIGKILL`.
 fn stray_pid(name: &str) -> Option<u32> {
     if let Some((_, pid)) = name.rsplit_once(".tmp-") {
         return pid.parse().ok();
@@ -223,7 +244,7 @@ fn pid_alive(pid: u32) -> bool {
 /// how many files were removed.
 ///
 /// Segment files and unrenamed sink temps are normally removed on `Drop`,
-/// and sealed capture spills on [`SpilledTrace`] drop — but a `SIGKILL`
+/// and sealed capture spills on [`TraceStore`] drop — but a `SIGKILL`
 /// (the crash/kill harness, an OOM kill, a cancelled CI job) runs no
 /// destructors, stranding `PCSPILL1` files in the spill directory forever.
 /// This sweep mirrors the journal's stray-temp reaping: it removes only
@@ -250,6 +271,20 @@ pub fn reap_stray_spills(dir: &Path) -> u64 {
         }
     }
     reaped
+}
+
+/// Distinguishes spill stems across captures within one process.
+static SPILL_SEQ: AtomicU64 = AtomicU64::new(0);
+
+/// A filesystem-safe stem for one capture's spill file, unique within the
+/// process: `perfclone-<name>-<pid>-<seq>`, the shape [`stray_pid`] parses.
+fn spill_stem(program: &Program) -> String {
+    let name: String = program
+        .name()
+        .chars()
+        .map(|c| if c.is_ascii_alphanumeric() || c == '-' || c == '_' { c } else { '_' })
+        .collect();
+    format!("perfclone-{name}-{}-{}", std::process::id(), SPILL_SEQ.fetch_add(1, Ordering::Relaxed))
 }
 
 /// Fixed-size spill-file header (see the module docs for the layout).
@@ -354,7 +389,8 @@ fn decode_fault(path: &Path, bytes: &[u8]) -> Result<SimError, TraceError> {
 
 /// Streaming writer for a spill file: header placeholder first, every
 /// subsequent byte checksummed on the way through, header patched with the
-/// final checksum, then an atomic rename into place.
+/// checksum continued over its own fields, then an atomic rename into
+/// place.
 struct SpillSink {
     w: io::BufWriter<File>,
     final_path: PathBuf,
@@ -379,7 +415,7 @@ impl SpillSink {
     }
 
     fn finish(mut self, mut header: Header) -> Result<(), TraceError> {
-        header.checksum = self.hash;
+        header.checksum = fnv1a(self.hash, &header.encode()[..CHECKSUM_AT]);
         self.w.flush().map_err(io_at(&self.final_path, "flush"))?;
         let mut file = self.w.into_inner().map_err(|e| TraceError::Io {
             path: self.final_path.clone(),
@@ -414,36 +450,30 @@ fn write_meta(
     sink.write(&[0u8; 8][..pad])
 }
 
-/// A packed trace whose encoding lives in a spill file, replayed through a
-/// read-only memory mapping (with an owned-buffer fallback on platforms
-/// without `mmap`). Opened by [`SpilledTrace::open`] or produced by
-/// [`SpillingRecorder::finish`].
+/// A captured retired-instruction stream, recorded once and replayed any
+/// number of times without re-running the functional interpreter: held in
+/// memory when it fit its capture's cap, or in a spill file replayed
+/// through a read-only mapping when it did not. Both replay identically;
+/// holders never need to care which they got.
 #[derive(Debug)]
-pub struct SpilledTrace {
-    path: PathBuf,
+pub struct TraceStore {
     program_name: String,
     program_len: usize,
     start_pc: u32,
     len: u64,
     halted: bool,
     fault: Option<SimError>,
-    n_words: usize,
-    n_targets: usize,
-    n_mem: usize,
-    /// Byte offset of `redirect_bits` within the file.
-    sections_at: usize,
-    file_bytes: u64,
-    backing: Backing,
-    delete_on_drop: bool,
+    sections: Sections,
+    /// The spill file behind a spilled store. Declared after `sections`,
+    /// so a mapping is dropped before its file is removed.
+    spill: Option<SpillFile>,
 }
 
+/// The five sections of the packed encoding.
 #[derive(Debug)]
-enum Backing {
-    /// The whole file, memory-mapped; section slices borrow the mapping.
-    #[cfg(unix)]
-    Map(map::Mmap),
-    /// Typed copies of the sections (non-unix platforms, or when the
-    /// mapping fails); semantics identical to `Map`.
+enum Sections {
+    /// Owned vectors: a capture that fit its cap, or a spill file read
+    /// where `mmap` failed or does not exist.
     Owned {
         redirect_bits: Vec<u64>,
         taken_bits: Vec<u64>,
@@ -451,34 +481,290 @@ enum Backing {
         targets: Vec<u8>,
         mem_sizes: Vec<u8>,
     },
+    /// The whole spill file, memory-mapped; the sections are slices of it.
+    #[cfg(unix)]
+    Mapped { map: map::Mmap, layout: Layout },
 }
 
-impl SpilledTrace {
+/// Where a spill file's sections lie, from its validated header.
+#[derive(Clone, Copy, Debug)]
+struct Layout {
+    /// Byte offset of `redirect_bits`, the first section.
+    sections_at: usize,
+    n_words: usize,
+    n_targets: usize,
+    n_mem: usize,
+}
+
+impl Layout {
+    /// Byte ranges of the sections within the file, in file order:
+    /// redirect bits, taken bits, memory addresses, targets, memory sizes.
+    fn ranges(&self) -> [Range<usize>; 5] {
+        let lens = [self.n_words * 8, self.n_words * 8, self.n_mem * 8, self.n_targets, self.n_mem];
+        let mut at = self.sections_at;
+        lens.map(|n| {
+            at += n;
+            at - n..at
+        })
+    }
+}
+
+/// The spill file behind a spilled store.
+#[derive(Debug)]
+struct SpillFile {
+    path: PathBuf,
+    bytes: u64,
+    /// Set for a capture's own spill, which is private storage of this
+    /// process; clear for a file [`TraceStore::open`] was handed.
+    delete_on_drop: bool,
+}
+
+impl Drop for SpillFile {
+    fn drop(&mut self) {
+        if self.delete_on_drop {
+            let _ = fs::remove_file(&self.path);
+        }
+    }
+}
+
+impl TraceStore {
+    /// Captures the retired stream of `program` (at most `limit`
+    /// instructions) in one functional execution.
+    ///
+    /// The encoding packs into memory until it outgrows `cap_bytes`,
+    /// counted as [`stored_bytes`](TraceStore::stored_bytes) less the
+    /// program name. From there its completed sections drain to segment
+    /// files in `spill_dir`, which the capture seals into one spill file,
+    /// replays through a read-only mapping and removes when the store
+    /// drops. A cap of 0 spills every non-empty capture; `usize::MAX`
+    /// spills none and leaves `spill_dir` untouched.
+    ///
+    /// A mid-stream fault is carried through: the store holds the records
+    /// retired before the fault and reports it from
+    /// [`fault`](TraceStore::fault). Like [`Simulator::trace`], a
+    /// non-halting program with `limit == u64::MAX` does not terminate.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`TraceError`] when writing, sealing or re-opening the
+    /// spill fails. The capture is then abandoned whole, and every temp
+    /// file is removed.
+    pub fn capture(
+        program: &Program,
+        limit: u64,
+        cap_bytes: usize,
+        spill_dir: &Path,
+    ) -> Result<TraceStore, TraceError> {
+        let mut rec = SpillingRecorder::new(cap_bytes, spill_dir, &spill_stem(program));
+        let mut trace = Simulator::trace(program, limit);
+        for d in &mut trace {
+            rec.push(&d)?;
+        }
+        let fault = trace.fault().cloned();
+        let halted = trace.into_inner().is_halted();
+        rec.finish(program, halted, fault)
+    }
+
     /// Opens and validates a spill file, memory-mapping its sections.
     ///
     /// Validation covers magic, version, section geometry against the file
     /// size, UTF-8 of the program name, the fault record, and the FNV-1a
-    /// checksum of the whole payload — a corrupted or truncated file
+    /// checksum of every byte but its own — a corrupted or truncated file
     /// yields a typed error, never a panic, and a file that passes cannot
-    /// take replay out of bounds.
+    /// take replay out of bounds. The file stays when the store drops.
     ///
     /// # Errors
     ///
     /// [`TraceError::Io`] on filesystem failure, [`TraceError::BadMagic`] /
     /// [`TraceError::BadVersion`] / [`TraceError::Corrupt`] on validation
     /// failure.
-    pub fn open(path: &Path) -> Result<SpilledTrace, TraceError> {
+    pub fn open(path: &Path) -> Result<TraceStore, TraceError> {
+        let opened = Opened::read(path)?;
+        #[cfg(unix)]
+        {
+            if let Some(map) = map::Mmap::map(&opened.file, opened.file_len) {
+                // Word sections sit at 8-aligned offsets from a
+                // page-aligned base; double-check before reinterpreting.
+                let layout = opened.layout;
+                if (map.bytes().as_ptr() as usize + layout.sections_at).is_multiple_of(8) {
+                    opened.verify(path, map.bytes())?;
+                    return Ok(opened.into_store(path, Sections::Mapped { map, layout }));
+                }
+            }
+        }
+        read_sections(path, opened)
+    }
+
+    /// Number of retired instructions recorded.
+    pub fn len(&self) -> u64 {
+        self.len
+    }
+
+    /// `true` when no instructions were recorded.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// `true` when the capture ended with the program executing `halt`
+    /// (as opposed to hitting its instruction limit or faulting) — the
+    /// recorded stream is the program's *complete* execution.
+    pub fn halted(&self) -> bool {
+        self.halted
+    }
+
+    /// The fault that ended the capture early, if any. Replay yields the
+    /// records retired before the fault; callers that must distinguish a
+    /// clean stop from a crash check this after exhausting the iterator,
+    /// exactly as with [`Trace::fault`](crate::Trace::fault).
+    pub fn fault(&self) -> Option<&SimError> {
+        self.fault.as_ref()
+    }
+
+    /// Name of the program the trace was captured from.
+    pub fn program_name(&self) -> &str {
+        &self.program_name
+    }
+
+    /// Bytes the encoding occupies: for a spilled store the spill file's
+    /// length; in memory the sections, the program name and the store
+    /// itself.
+    pub fn stored_bytes(&self) -> u64 {
+        if let Some(file) = &self.spill {
+            return file.bytes;
+        }
+        let p = self.parts();
+        let words = p.redirect_bits.len() + p.taken_bits.len() + p.mem_addrs.len();
+        (std::mem::size_of::<TraceStore>()
+            + self.program_name.len()
+            + words * 8
+            + p.targets.len()
+            + p.mem_sizes.len()) as u64
+    }
+
+    /// `true` when the encoding lives in a spill file.
+    pub fn is_spilled(&self) -> bool {
+        self.spill.is_some()
+    }
+
+    /// The spill file path, when spilled.
+    pub fn spill_path(&self) -> Option<&Path> {
+        self.spill.as_ref().map(|file| file.path.as_path())
+    }
+
+    /// Replays the recorded stream record at a time — the oracle the
+    /// equivalence tests use. Both backings decode through the same
+    /// iterator.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `program` is not the program the trace was captured from
+    /// (checked by name and text length) — replaying against different
+    /// code would silently decode garbage.
+    pub fn replay<'a>(&'a self, program: &'a Program) -> PackedReplay<'a> {
+        self.parts().replay(program)
+    }
+
+    /// A batched decoder over the recorded stream: [`BatchReplay::fill`]
+    /// decodes up to [`CHUNK_LEN`](crate::CHUNK_LEN) records at a time into
+    /// a reusable [`ReplayChunk`](crate::ReplayChunk), resolving per-pc
+    /// static questions from the interned `meta`. Yields the exact record
+    /// stream of [`replay`](TraceStore::replay), chunked, for both backings.
+    ///
+    /// # Panics
+    ///
+    /// As [`replay`](TraceStore::replay), and also if `meta` was not built
+    /// for `program` (checked by length).
+    pub fn replay_batched<'a>(
+        &'a self,
+        program: &'a Program,
+        meta: &'a InstrMetaTable,
+    ) -> BatchReplay<'a> {
+        self.parts().batched(program, meta)
+    }
+
+    /// Borrowed view of the raw encoding, which the decoders are built
+    /// from.
+    fn parts(&self) -> TraceParts<'_> {
+        let (redirect_bits, taken_bits, mem_addrs, targets, mem_sizes) = match &self.sections {
+            Sections::Owned { redirect_bits, taken_bits, mem_addrs, targets, mem_sizes } => (
+                redirect_bits.as_slice(),
+                taken_bits.as_slice(),
+                mem_addrs.as_slice(),
+                targets.as_slice(),
+                mem_sizes.as_slice(),
+            ),
+            #[cfg(unix)]
+            Sections::Mapped { map, layout } => {
+                let bytes = map.bytes();
+                let [redirect, taken, addrs, targets, sizes] = layout.ranges();
+                (
+                    mapped_words(bytes, redirect),
+                    mapped_words(bytes, taken),
+                    mapped_words(bytes, addrs),
+                    &bytes[targets],
+                    &bytes[sizes],
+                )
+            }
+        };
+        TraceParts {
+            program_name: &self.program_name,
+            program_len: self.program_len,
+            start_pc: self.start_pc,
+            len: self.len,
+            redirect_bits,
+            taken_bits,
+            targets,
+            mem_addrs,
+            mem_sizes,
+            fault: self.fault.as_ref(),
+        }
+    }
+}
+
+/// `range` of a mapped spill file as words.
+#[cfg(unix)]
+fn mapped_words(bytes: &[u8], range: Range<usize>) -> &[u64] {
+    let words = &bytes[range];
+    // `open` maps a file only when its word sections are 8-aligned in
+    // memory, so this holds for every section a store hands out.
+    assert!((words.as_ptr() as usize).is_multiple_of(8), "word section is not 8-aligned");
+    // SAFETY: the slice above is in bounds, its start is 8-aligned
+    // (asserted), and `len / 8` words fit inside it; u64 has no invalid
+    // bit patterns, and the mapping is private, read-only and lives as
+    // long as `bytes`.
+    unsafe { std::slice::from_raw_parts(words.as_ptr().cast::<u64>(), words.len() / 8) }
+}
+
+/// A spill file whose header, metadata and geometry passed validation:
+/// everything [`TraceStore::open`] knows before it reads the sections.
+struct Opened {
+    file: File,
+    header: [u8; HEADER_LEN],
+    checksum: u64,
+    halted: bool,
+    start_pc: u32,
+    len: u64,
+    program_name: String,
+    program_len: usize,
+    fault: Option<SimError>,
+    layout: Layout,
+    file_len: usize,
+}
+
+impl Opened {
+    /// Reads and validates the header and the metadata after it.
+    fn read(path: &Path) -> Result<Opened, TraceError> {
         let mut file = File::open(path).map_err(io_at(path, "open"))?;
         let file_bytes = file.metadata().map_err(io_at(path, "stat"))?.len();
-        let mut hdr_bytes = [0u8; HEADER_LEN];
-        file.read_exact(&mut hdr_bytes).map_err(|e| {
+        let mut header = [0u8; HEADER_LEN];
+        file.read_exact(&mut header).map_err(|e| {
             if e.kind() == io::ErrorKind::UnexpectedEof {
                 corrupt(path, format!("file is {file_bytes} bytes, shorter than the header"))
             } else {
                 io_at(path, "read")(e)
             }
         })?;
-        let h = Header::decode(path, &hdr_bytes)?;
+        let h = Header::decode(path, &header)?;
 
         let name_len = usize::try_from(h.name_len).unwrap_or(usize::MAX);
         let fault_len = usize::try_from(h.fault_len).unwrap_or(usize::MAX);
@@ -519,6 +805,8 @@ impl SpilledTrace {
                 format!("file is {file_bytes} bytes, geometry implies {expected}"),
             ));
         }
+        let file_len =
+            usize::try_from(file_bytes).map_err(|_| corrupt(path, "file too large to map"))?;
 
         let mut meta = vec![0u8; name_len + fault_len];
         file.read_exact(&mut meta).map_err(io_at(path, "read"))?;
@@ -530,340 +818,93 @@ impl SpilledTrace {
         let program_len = usize::try_from(h.program_len)
             .map_err(|_| corrupt(path, "program length out of range"))?;
 
-        let file_len =
-            usize::try_from(file_bytes).map_err(|_| corrupt(path, "file too large to map"))?;
-        let backing =
-            Self::map_or_read(path, &mut file, file_len, sections_at, n_words, n_targets, n_mem)?;
-        let payload_hash = match &backing {
-            #[cfg(unix)]
-            Backing::Map(m) => fnv1a(FNV_OFFSET, &m.bytes()[HEADER_LEN..]),
-            Backing::Owned { .. } => {
-                // Owned backing re-reads the payload to hash it exactly as
-                // written (sections were parsed from the same buffer).
-                file.seek(SeekFrom::Start(HEADER_LEN as u64)).map_err(io_at(path, "seek"))?;
-                let mut payload = Vec::new();
-                file.read_to_end(&mut payload).map_err(io_at(path, "read"))?;
-                fnv1a(FNV_OFFSET, &payload)
-            }
-        };
-        if payload_hash != h.checksum {
-            return Err(corrupt(
-                path,
-                format!(
-                    "checksum mismatch: stored {:#018x}, computed {payload_hash:#018x}",
-                    h.checksum
-                ),
-            ));
-        }
-
-        Ok(SpilledTrace {
-            path: path.to_path_buf(),
-            program_name,
-            program_len,
+        Ok(Opened {
+            file,
+            header,
+            checksum: h.checksum,
+            halted: h.flags & FLAG_HALTED != 0,
             start_pc: h.start_pc,
             len: h.len,
-            halted: h.flags & FLAG_HALTED != 0,
+            program_name,
+            program_len,
             fault,
-            n_words,
-            n_targets,
-            n_mem,
-            sections_at,
-            file_bytes,
-            backing,
-            delete_on_drop: false,
+            layout: Layout { sections_at, n_words, n_targets, n_mem },
+            file_len,
         })
     }
 
-    /// Maps the file read-only, falling back to reading typed section
-    /// copies when mapping is unavailable or misaligned.
-    fn map_or_read(
-        path: &Path,
-        file: &mut File,
-        #[cfg_attr(not(unix), allow(unused_variables))] file_len: usize,
-        sections_at: usize,
-        n_words: usize,
-        n_targets: usize,
-        n_mem: usize,
-    ) -> Result<Backing, TraceError> {
-        #[cfg(unix)]
-        {
-            if let Some(m) = map::Mmap::map(file, file_len) {
-                // Word sections sit at 8-aligned offsets from a
-                // page-aligned base; double-check before reinterpreting.
-                if (m.bytes().as_ptr() as usize + sections_at).is_multiple_of(8) {
-                    return Ok(Backing::Map(m));
-                }
-            }
+    /// Checks the stored checksum against `bytes`, the whole file: its
+    /// payload, then the header fields ahead of the checksum as validated.
+    fn verify(&self, path: &Path, bytes: &[u8]) -> Result<(), TraceError> {
+        if bytes.len() != self.file_len {
+            return Err(corrupt(
+                path,
+                format!(
+                    "file is {} bytes, {} when its header was read",
+                    bytes.len(),
+                    self.file_len
+                ),
+            ));
         }
-        file.seek(SeekFrom::Start(sections_at as u64)).map_err(io_at(path, "seek"))?;
-        let mut read_words = |n: usize| -> Result<Vec<u64>, TraceError> {
-            let mut buf = vec![0u8; n * 8];
-            file.read_exact(&mut buf).map_err(io_at(path, "read"))?;
-            Ok(buf
-                .chunks_exact(8)
-                .map(|c| {
-                    let mut w = [0u8; 8];
-                    w.copy_from_slice(c);
-                    u64::from_le_bytes(w)
-                })
-                .collect())
-        };
-        let redirect_bits = read_words(n_words)?;
-        let taken_bits = read_words(n_words)?;
-        let mem_addrs = read_words(n_mem)?;
-        let mut targets = vec![0u8; n_targets];
-        file.read_exact(&mut targets).map_err(io_at(path, "read"))?;
-        let mut mem_sizes = vec![0u8; n_mem];
-        file.read_exact(&mut mem_sizes).map_err(io_at(path, "read"))?;
-        Ok(Backing::Owned { redirect_bits, taken_bits, mem_addrs, targets, mem_sizes })
-    }
-
-    #[cfg(unix)]
-    fn mapped_words(&self, m: &map::Mmap, offset: usize, n: usize) -> &[u64] {
-        // Safety: `open` validated that [offset, offset + n*8) lies inside
-        // the mapping and that the address is 8-aligned; u64 has no
-        // invalid bit patterns, and the mapping is private and read-only.
-        unsafe { std::slice::from_raw_parts(m.bytes().as_ptr().add(offset).cast::<u64>(), n) }
-    }
-
-    fn redirect_bits(&self) -> &[u64] {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Map(m) => self.mapped_words(m, self.sections_at, self.n_words),
-            Backing::Owned { redirect_bits, .. } => redirect_bits,
+        let computed = checksum(&bytes[HEADER_LEN..], &self.header);
+        if computed != self.checksum {
+            return Err(corrupt(
+                path,
+                format!(
+                    "checksum mismatch: stored {:#018x}, computed {computed:#018x}",
+                    self.checksum
+                ),
+            ));
         }
+        Ok(())
     }
 
-    fn taken_bits(&self) -> &[u64] {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Map(m) => {
-                self.mapped_words(m, self.sections_at + self.n_words * 8, self.n_words)
-            }
-            Backing::Owned { taken_bits, .. } => taken_bits,
-        }
-    }
-
-    fn mem_addrs(&self) -> &[u64] {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Map(m) => {
-                self.mapped_words(m, self.sections_at + self.n_words * 16, self.n_mem)
-            }
-            Backing::Owned { mem_addrs, .. } => mem_addrs,
-        }
-    }
-
-    fn targets(&self) -> &[u8] {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Map(m) => {
-                let at = self.sections_at + self.n_words * 16 + self.n_mem * 8;
-                &m.bytes()[at..at + self.n_targets]
-            }
-            Backing::Owned { targets, .. } => targets,
-        }
-    }
-
-    fn mem_sizes(&self) -> &[u8] {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Map(m) => {
-                let at = self.sections_at + self.n_words * 16 + self.n_mem * 8 + self.n_targets;
-                &m.bytes()[at..at + self.n_mem]
-            }
-            Backing::Owned { mem_sizes, .. } => mem_sizes,
-        }
-    }
-
-    /// Number of retired instructions recorded.
-    pub fn len(&self) -> u64 {
-        self.len
-    }
-
-    /// `true` when no instructions were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-
-    /// `true` when the capture ended with the program executing `halt` —
-    /// see [`PackedTrace::halted`].
-    pub fn halted(&self) -> bool {
-        self.halted
-    }
-
-    /// The fault that ended the capture early, if any — see
-    /// [`PackedTrace::fault`].
-    pub fn fault(&self) -> Option<&SimError> {
-        self.fault.as_ref()
-    }
-
-    /// Name of the program this trace was captured from.
-    pub fn program_name(&self) -> &str {
-        &self.program_name
-    }
-
-    /// The spill file backing this trace.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Size of the spill file in bytes.
-    pub fn file_bytes(&self) -> u64 {
-        self.file_bytes
-    }
-
-    /// `true` when the sections are served from a memory mapping (as
-    /// opposed to the owned-buffer fallback).
-    pub fn is_mapped(&self) -> bool {
-        match &self.backing {
-            #[cfg(unix)]
-            Backing::Map(_) => true,
-            Backing::Owned { .. } => false,
-        }
-    }
-
-    /// Arranges for the spill file to be removed when this value drops —
-    /// the lifecycle for capture-produced spills, whose file is an
-    /// implementation detail of one process's cache.
-    pub fn delete_on_drop(&mut self, yes: bool) {
-        self.delete_on_drop = yes;
-    }
-
-    /// Borrowed view of the mapped encoding, which [`TraceStore`] hands to
-    /// the decoders.
-    fn parts(&self) -> TraceParts<'_> {
-        TraceParts {
-            program_name: &self.program_name,
+    fn into_store(self, path: &Path, sections: Sections) -> TraceStore {
+        TraceStore {
+            program_name: self.program_name,
             program_len: self.program_len,
             start_pc: self.start_pc,
             len: self.len,
-            redirect_bits: self.redirect_bits(),
-            taken_bits: self.taken_bits(),
-            targets: self.targets(),
-            mem_addrs: self.mem_addrs(),
-            mem_sizes: self.mem_sizes(),
-            fault: self.fault.as_ref(),
+            halted: self.halted,
+            fault: self.fault,
+            sections,
+            spill: Some(SpillFile {
+                path: path.to_path_buf(),
+                bytes: self.file_len as u64,
+                delete_on_drop: false,
+            }),
         }
     }
 }
 
-impl Drop for SpilledTrace {
-    fn drop(&mut self) {
-        if self.delete_on_drop {
-            let _ = fs::remove_file(&self.path);
-        }
-    }
-}
-
-/// Where a capture's packed trace ended up: in memory when it fit the
-/// budget, or in a spill file replayed via mmap when it did not. Both
-/// variants replay identically; holders never need to care which they got.
-#[derive(Debug)]
-pub enum TraceStore {
-    /// The encoding fit the memory budget.
-    Mem(PackedTrace),
-    /// The encoding was spilled to disk.
-    Spilled(SpilledTrace),
-}
-
-impl TraceStore {
-    /// Number of retired instructions recorded.
-    pub fn len(&self) -> u64 {
-        match self {
-            TraceStore::Mem(t) => t.len(),
-            TraceStore::Spilled(t) => t.len(),
-        }
-    }
-
-    /// `true` when no instructions were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// `true` when the capture ended with the program executing `halt`.
-    pub fn halted(&self) -> bool {
-        match self {
-            TraceStore::Mem(t) => t.halted(),
-            TraceStore::Spilled(t) => t.halted(),
-        }
-    }
-
-    /// The fault that ended the capture early, if any.
-    pub fn fault(&self) -> Option<&SimError> {
-        match self {
-            TraceStore::Mem(t) => t.fault(),
-            TraceStore::Spilled(t) => t.fault(),
-        }
-    }
-
-    /// Name of the program the trace was captured from.
-    pub fn program_name(&self) -> &str {
-        match self {
-            TraceStore::Mem(t) => t.program_name(),
-            TraceStore::Spilled(t) => t.program_name(),
-        }
-    }
-
-    /// Bytes the encoding occupies — heap bytes for the in-memory variant,
-    /// file bytes for the spilled one.
-    pub fn stored_bytes(&self) -> u64 {
-        match self {
-            TraceStore::Mem(t) => t.packed_bytes() as u64,
-            TraceStore::Spilled(t) => t.file_bytes(),
-        }
-    }
-
-    /// `true` for the spilled variant.
-    pub fn is_spilled(&self) -> bool {
-        matches!(self, TraceStore::Spilled(_))
-    }
-
-    /// The spill file path, when spilled.
-    pub fn spill_path(&self) -> Option<&Path> {
-        match self {
-            TraceStore::Mem(_) => None,
-            TraceStore::Spilled(t) => Some(t.path()),
-        }
-    }
-
-    /// Replays the recorded stream record at a time — the oracle the
-    /// fidelity gate and the equivalence tests use. Both backings decode
-    /// through the same iterator.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `program` is not the program the trace was captured from
-    /// (checked by name and text length) — replaying against different
-    /// code would silently decode garbage.
-    pub fn replay<'a>(&'a self, program: &'a Program) -> PackedReplay<'a> {
-        self.parts().replay(program)
-    }
-
-    /// A batched decoder over the recorded stream: [`BatchReplay::fill`]
-    /// decodes up to [`CHUNK_LEN`](crate::CHUNK_LEN) records at a time into
-    /// a reusable [`ReplayChunk`](crate::ReplayChunk), resolving per-pc
-    /// static questions from the interned `meta`. Yields the exact record
-    /// stream of [`replay`](TraceStore::replay), chunked, for both backings.
-    ///
-    /// # Panics
-    ///
-    /// As [`replay`](TraceStore::replay), and also if `meta` was not built
-    /// for `program` (checked by length).
-    pub fn replay_batched<'a>(
-        &'a self,
-        program: &'a Program,
-        meta: &'a InstrMetaTable,
-    ) -> BatchReplay<'a> {
-        self.parts().batched(program, meta)
-    }
-
-    fn parts(&self) -> TraceParts<'_> {
-        match self {
-            TraceStore::Mem(t) => t.parts(),
-            TraceStore::Spilled(t) => t.parts(),
-        }
-    }
+/// Reads a validated spill file's sections into owned vectors: the path
+/// [`TraceStore::open`] takes where `mmap` fails or does not exist. The
+/// whole file is read once, so the checksum covers the very bytes the
+/// sections are copied from.
+fn read_sections(path: &Path, mut opened: Opened) -> Result<TraceStore, TraceError> {
+    let mut bytes = Vec::with_capacity(opened.file_len);
+    opened.file.seek(SeekFrom::Start(0)).map_err(io_at(path, "seek"))?;
+    opened.file.read_to_end(&mut bytes).map_err(io_at(path, "read"))?;
+    opened.verify(path, &bytes)?;
+    let [redirect, taken, addrs, targets, sizes] = opened.layout.ranges();
+    let words = |range: Range<usize>| -> Vec<u64> {
+        bytes[range]
+            .chunks_exact(8)
+            .map(|c| {
+                let mut w = [0u8; 8];
+                w.copy_from_slice(c);
+                u64::from_le_bytes(w)
+            })
+            .collect()
+    };
+    let sections = Sections::Owned {
+        redirect_bits: words(redirect),
+        taken_bits: words(taken),
+        mem_addrs: words(addrs),
+        targets: bytes[targets].to_vec(),
+        mem_sizes: bytes[sizes].to_vec(),
+    };
+    Ok(opened.into_store(path, sections))
 }
 
 /// One append-only section segment of an in-progress spill. Removes its
@@ -938,10 +979,10 @@ impl Segments {
 /// into memory up to `mem_budget` bytes, after which the encoding's
 /// completed prefix drains to segment files in `dir`, keeping resident
 /// memory bounded by the budget regardless of stream length.
-/// [`finish`](SpillingRecorder::finish) returns [`TraceStore::Mem`] when
-/// everything fit, or assembles the segments into a spill file and returns
-/// [`TraceStore::Spilled`].
-pub struct SpillingRecorder {
+/// [`finish`](SpillingRecorder::finish) returns an in-memory store when
+/// everything fit, or assembles the segments into a spill file and opens
+/// it.
+struct SpillingRecorder {
     rec: PackedRecorder,
     mem_budget: usize,
     dir: PathBuf,
@@ -956,9 +997,9 @@ pub struct SpillingRecorder {
 impl SpillingRecorder {
     /// Creates a recorder that spills to `dir/<stem>.spill` when the
     /// packed encoding exceeds `mem_budget` bytes.
-    pub fn new(mem_budget: usize, dir: &Path, stem: &str) -> SpillingRecorder {
+    fn new(mem_budget: usize, dir: &Path, stem: &str) -> SpillingRecorder {
         SpillingRecorder {
-            rec: PackedRecorder::new(),
+            rec: PackedRecorder::default(),
             mem_budget,
             dir: dir.to_path_buf(),
             stem: stem.to_string(),
@@ -970,21 +1011,6 @@ impl SpillingRecorder {
         }
     }
 
-    /// Number of records packed so far.
-    pub fn len(&self) -> u64 {
-        self.rec.len
-    }
-
-    /// `true` when nothing has been recorded yet.
-    pub fn is_empty(&self) -> bool {
-        self.rec.len == 0
-    }
-
-    /// `true` once any part of the encoding has been drained to disk.
-    pub fn spilled(&self) -> bool {
-        self.segs.is_some()
-    }
-
     /// Packs one retired instruction, draining to disk if the in-memory
     /// encoding has outgrown the budget.
     ///
@@ -992,7 +1018,7 @@ impl SpillingRecorder {
     ///
     /// Returns a [`TraceError::Io`] if the drain's filesystem writes fail;
     /// segment files already created are removed when the recorder drops.
-    pub fn push(&mut self, d: &DynInstr) -> Result<(), TraceError> {
+    fn push(&mut self, d: &DynInstr) -> Result<(), TraceError> {
         self.rec.push(d);
         if self.rec.packed_bytes() > self.mem_budget {
             self.drain(false)?;
@@ -1034,16 +1060,15 @@ impl SpillingRecorder {
         Ok(())
     }
 
-    /// Seals the recording: an in-memory [`PackedTrace`] when nothing was
-    /// drained, otherwise the assembled spill file opened back as a
-    /// [`SpilledTrace`] (marked delete-on-drop — the file is this
-    /// capture's private storage).
+    /// Seals the recording: an in-memory store when nothing was drained,
+    /// otherwise the assembled spill file opened back, to be deleted when
+    /// the store drops (the file is this capture's private storage).
     ///
     /// # Errors
     ///
     /// Returns a [`TraceError`] if assembling, renaming, or re-opening the
     /// spill file fails. All temp files are cleaned up on every path.
-    pub fn finish(
+    fn finish(
         mut self,
         program: &Program,
         halted: bool,
@@ -1051,7 +1076,22 @@ impl SpillingRecorder {
     ) -> Result<TraceStore, TraceError> {
         if self.segs.is_none() {
             let rec = std::mem::take(&mut self.rec);
-            return Ok(TraceStore::Mem(rec.finish(program, halted, fault)));
+            return Ok(TraceStore {
+                program_name: program.name().to_string(),
+                program_len: program.len(),
+                start_pc: rec.start_pc,
+                len: rec.len,
+                halted,
+                fault,
+                sections: Sections::Owned {
+                    redirect_bits: rec.redirect_bits,
+                    taken_bits: rec.taken_bits,
+                    mem_addrs: rec.mem_addrs,
+                    targets: rec.targets,
+                    mem_sizes: rec.mem_sizes,
+                },
+                spill: None,
+            });
         }
         self.drain(true)?;
         let mut flags = 0u32;
@@ -1087,9 +1127,11 @@ impl SpillingRecorder {
         segs.sizes.copy_into(&mut sink)?;
         sink.finish(header)?;
         drop(segs);
-        let mut spilled = SpilledTrace::open(&self.final_path)?;
-        spilled.delete_on_drop(true);
-        Ok(TraceStore::Spilled(spilled))
+        let mut store = TraceStore::open(&self.final_path)?;
+        if let Some(file) = &mut store.spill {
+            file.delete_on_drop = true;
+        }
+        Ok(store)
     }
 }
 
@@ -1161,7 +1203,7 @@ mod map {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::Simulator;
+    use crate::ReplayChunk;
     use perfclone_isa::{MemWidth, ProgramBuilder, Reg, StreamDesc};
 
     fn busy_program() -> Program {
@@ -1189,17 +1231,28 @@ mod tests {
         dir
     }
 
-    /// Captures `p` through a [`SpillingRecorder`] with `budget` bytes of
-    /// memory; a zero budget spills every non-empty capture.
-    fn record(p: &Program, limit: u64, budget: usize, dir: &Path, stem: &str) -> TraceStore {
-        let mut rec = SpillingRecorder::new(budget, dir, stem);
-        let mut trace = Simulator::trace(p, limit);
-        for d in &mut trace {
-            rec.push(&d).unwrap();
+    /// Captures `p` with `budget` bytes of memory, spilling into `dir`; a
+    /// zero budget spills every non-empty capture.
+    fn record(p: &Program, limit: u64, budget: usize, dir: &Path) -> TraceStore {
+        TraceStore::capture(p, limit, budget, dir).unwrap()
+    }
+
+    /// Captures `p` in memory: no cap, so nothing spills.
+    fn in_memory(p: &Program, limit: u64) -> TraceStore {
+        record(p, limit, usize::MAX, &std::env::temp_dir())
+    }
+
+    /// Drains `store` through the batched decoder into records.
+    fn batched(store: &TraceStore, p: &Program) -> Vec<DynInstr> {
+        let meta = InstrMetaTable::new(p);
+        let mut batched = store.replay_batched(p, &meta);
+        let mut chunk = ReplayChunk::new();
+        let mut out = Vec::new();
+        while batched.fill(&mut chunk) > 0 {
+            out.extend(chunk.records(p.instrs()));
         }
-        let fault = trace.fault().cloned();
-        let halted = trace.into_inner().is_halted();
-        rec.finish(p, halted, fault).unwrap()
+        assert_eq!(batched.fault(), store.fault());
+        out
     }
 
     #[test]
@@ -1244,17 +1297,19 @@ mod tests {
     #[test]
     fn spill_round_trips_and_maps() {
         let p = busy_program();
-        let packed = PackedTrace::capture(&p, u64::MAX);
+        let packed = in_memory(&p, u64::MAX);
         let dir = tmp_dir("roundtrip");
-        let store = record(&p, u64::MAX, 0, &dir, "busy");
-        let TraceStore::Spilled(spilled) = &store else {
-            panic!("a zero budget must spill");
-        };
-        assert_eq!(spilled.len(), packed.len());
-        assert_eq!(spilled.halted(), packed.halted());
-        assert_eq!(spilled.fault(), packed.fault());
-        assert!(spilled.is_mapped(), "unix CI should serve spills via mmap");
-        let direct: Vec<DynInstr> = packed.parts().replay(&p).collect();
+        let store = record(&p, u64::MAX, 0, &dir);
+        assert!(store.is_spilled(), "a zero budget must spill");
+        assert_eq!(store.len(), packed.len());
+        assert_eq!(store.halted(), packed.halted());
+        assert_eq!(store.fault(), packed.fault());
+        #[cfg(unix)]
+        assert!(
+            matches!(store.sections, Sections::Mapped { .. }),
+            "unix should serve spills via mmap"
+        );
+        let direct: Vec<DynInstr> = packed.replay(&p).collect();
         let mapped: Vec<DynInstr> = store.replay(&p).collect();
         assert_eq!(direct, mapped);
         drop(store);
@@ -1264,20 +1319,13 @@ mod tests {
     #[test]
     fn spilled_batched_decode_matches_in_memory_oracle() {
         let p = busy_program();
-        let meta = InstrMetaTable::new(&p);
-        let packed = PackedTrace::capture(&p, u64::MAX);
+        let packed = in_memory(&p, u64::MAX);
         let dir = tmp_dir("batched");
-        let spilled = record(&p, u64::MAX, 0, &dir, "busy");
+        let spilled = record(&p, u64::MAX, 0, &dir);
         assert!(spilled.is_spilled());
-        let oracle: Vec<DynInstr> = packed.parts().replay(&p).collect();
-        let mut batched = spilled.replay_batched(&p, &meta);
-        let mut chunk = crate::ReplayChunk::new();
-        let mut out = Vec::new();
-        while batched.fill(&mut chunk) > 0 {
-            out.extend(chunk.records(p.instrs()));
-        }
-        assert_eq!(oracle, out, "mmap-backed batched decode must match");
-        assert_eq!(batched.fault(), packed.fault());
+        let oracle: Vec<DynInstr> = packed.replay(&p).collect();
+        assert_eq!(oracle, batched(&spilled, &p), "mmap-backed batched decode must match");
+        assert_eq!(spilled.fault(), packed.fault());
         drop(spilled);
         fs::remove_dir_all(&dir).unwrap();
     }
@@ -1286,10 +1334,10 @@ mod tests {
     fn spilling_recorder_stays_in_memory_under_budget() {
         let p = busy_program();
         let dir = tmp_dir("mem");
-        let store = record(&p, u64::MAX, usize::MAX, &dir, "busy");
+        let store = record(&p, u64::MAX, usize::MAX, &dir);
         assert!(store.fault().is_none());
         assert!(!store.is_spilled());
-        assert_eq!(store.len(), PackedTrace::capture(&p, u64::MAX).len());
+        assert_eq!(store.len(), in_memory(&p, u64::MAX).len());
         fs::remove_dir_all(&dir).unwrap();
     }
 
@@ -1302,22 +1350,23 @@ mod tests {
         // bitset words that drain early only once complete.
         for budget in [0, 160] {
             for limit in [1, 2, 63, 64, 65, 128, u64::MAX] {
-                let store = record(&p, limit, budget, &dir, "busy");
-                let direct = PackedTrace::capture(&p, limit);
-                assert_eq!(store.is_spilled(), budget == 0 || direct.packed_bytes() > budget);
+                let store = record(&p, limit, budget, &dir);
+                let direct = in_memory(&p, limit);
+                assert_eq!(
+                    store.is_spilled(),
+                    budget == 0 || direct.stored_bytes() as usize > budget
+                );
                 let replayed: Vec<DynInstr> = store.replay(&p).collect();
-                assert_eq!(direct.parts().replay(&p).collect::<Vec<_>>(), replayed);
+                assert_eq!(direct.replay(&p).collect::<Vec<_>>(), replayed);
                 assert_eq!(store.halted(), direct.halted());
                 if !store.is_spilled() {
                     continue;
                 }
                 // Only the final spill file remains — segments are gone.
-                let names: Vec<String> = fs::read_dir(&dir)
-                    .unwrap()
-                    .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
-                    .collect();
-                assert_eq!(names, vec!["busy.spill".to_string()], "leftovers: {names:?}");
                 let path = store.spill_path().unwrap().to_path_buf();
+                let names: Vec<PathBuf> =
+                    fs::read_dir(&dir).unwrap().map(|e| e.unwrap().path()).collect();
+                assert_eq!(names, vec![path.clone()], "leftovers: {names:?}");
                 drop(store);
                 assert!(!path.exists(), "capture-produced spill should delete on drop");
             }
@@ -1330,14 +1379,14 @@ mod tests {
         let mut b = ProgramBuilder::new("fall");
         b.nop(); // no halt: falls off the end
         let p = b.build();
-        let packed = PackedTrace::capture(&p, 100);
+        let packed = in_memory(&p, 100);
         assert!(packed.fault().is_some());
         let dir = tmp_dir("fault");
-        let spilled = record(&p, 100, 0, &dir, "fall");
+        let spilled = record(&p, 100, 0, &dir);
         assert!(spilled.is_spilled());
         assert_eq!(spilled.fault(), packed.fault());
         assert!(!spilled.halted());
-        let a: Vec<DynInstr> = packed.parts().replay(&p).collect();
+        let a: Vec<DynInstr> = packed.replay(&p).collect();
         let b2: Vec<DynInstr> = spilled.replay(&p).collect();
         assert_eq!(a, b2);
         drop(spilled);
@@ -1348,7 +1397,7 @@ mod tests {
     fn corrupted_files_yield_typed_errors() {
         let p = busy_program();
         let dir = tmp_dir("corrupt");
-        let store = record(&p, u64::MAX, 0, &dir, "busy");
+        let store = record(&p, u64::MAX, 0, &dir);
         let pristine = fs::read(store.spill_path().unwrap()).unwrap();
         drop(store);
         let path = dir.join("copy.spill");
@@ -1358,31 +1407,75 @@ mod tests {
         let mid = HEADER_LEN + (bad.len() - HEADER_LEN) / 2;
         bad[mid] ^= 0xff;
         fs::write(&path, &bad).unwrap();
-        assert!(matches!(SpilledTrace::open(&path), Err(TraceError::Corrupt { .. })));
+        assert!(matches!(TraceStore::open(&path), Err(TraceError::Corrupt { .. })));
 
         // Truncated file: geometry mismatch.
         fs::write(&path, &pristine[..pristine.len() - 3]).unwrap();
-        assert!(matches!(SpilledTrace::open(&path), Err(TraceError::Corrupt { .. })));
+        assert!(matches!(TraceStore::open(&path), Err(TraceError::Corrupt { .. })));
 
         // Bad magic.
         let mut bad = pristine.clone();
         bad[0] = b'X';
         fs::write(&path, &bad).unwrap();
-        assert!(matches!(SpilledTrace::open(&path), Err(TraceError::BadMagic { .. })));
+        assert!(matches!(TraceStore::open(&path), Err(TraceError::BadMagic { .. })));
 
         // Unsupported version.
         let mut bad = pristine.clone();
         bad[8] = 99;
         fs::write(&path, &bad).unwrap();
-        assert!(matches!(
-            SpilledTrace::open(&path),
-            Err(TraceError::BadVersion { version: 99, .. })
-        ));
+        assert!(matches!(TraceStore::open(&path), Err(TraceError::BadVersion { version: 99, .. })));
 
         // Shorter than a header.
         fs::write(&path, &pristine[..10]).unwrap();
-        assert!(matches!(SpilledTrace::open(&path), Err(TraceError::Corrupt { .. })));
+        assert!(matches!(TraceStore::open(&path), Err(TraceError::Corrupt { .. })));
 
+        fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// The read path `open` takes where `mmap` fails or does not exist
+    /// holds the sections of the mapped open and replays as it does, and
+    /// its re-hash of the file catches a flipped header byte and a flipped
+    /// payload byte.
+    #[test]
+    fn read_fallback_matches_the_mapped_open() {
+        let p = busy_program();
+        let dir = tmp_dir("read");
+        let store = record(&p, u64::MAX, 0, &dir);
+        let path = store.spill_path().unwrap().to_path_buf();
+        let mapped = TraceStore::open(&path).unwrap();
+        let read = read_sections(&path, Opened::read(&path).unwrap()).unwrap();
+        assert!(matches!(read.sections, Sections::Owned { .. }));
+        let (m, r) = (mapped.parts(), read.parts());
+        assert_eq!(m.redirect_bits, r.redirect_bits);
+        assert_eq!(m.taken_bits, r.taken_bits);
+        assert_eq!(m.mem_addrs, r.mem_addrs);
+        assert_eq!(m.targets, r.targets);
+        assert_eq!(m.mem_sizes, r.mem_sizes);
+        assert_eq!(
+            (read.len(), read.halted(), read.fault(), read.program_name(), read.stored_bytes()),
+            (
+                mapped.len(),
+                mapped.halted(),
+                mapped.fault(),
+                mapped.program_name(),
+                mapped.stored_bytes()
+            )
+        );
+        assert_eq!(read.replay(&p).collect::<Vec<_>>(), mapped.replay(&p).collect::<Vec<_>>());
+        assert_eq!(batched(&read, &p), batched(&mapped, &p));
+
+        let pristine = fs::read(&path).unwrap();
+        let copy = dir.join("copy.spill");
+        // Byte 16 is the low byte of `start_pc`, which no geometry check
+        // covers; the second is in the middle of the payload.
+        for at in [16, HEADER_LEN + (pristine.len() - HEADER_LEN) / 2] {
+            let mut bad = pristine.clone();
+            bad[at] ^= 0x01;
+            fs::write(&copy, &bad).unwrap();
+            let result = Opened::read(&copy).and_then(|opened| read_sections(&copy, opened));
+            assert!(matches!(result, Err(TraceError::Corrupt { .. })), "byte {at}: {result:?}");
+        }
+        drop((store, mapped, read));
         fs::remove_dir_all(&dir).unwrap();
     }
 }

@@ -1,4 +1,5 @@
-//! Dynamic-instruction trace records and instrumentation hooks.
+//! Dynamic-instruction trace records, the record iterator and the
+//! per-block instrumentation hook.
 
 use perfclone_isa::Instr;
 
@@ -13,8 +14,8 @@ pub struct MemAccess {
     pub is_store: bool,
 }
 
-/// One retired dynamic instruction, as surfaced to [`Observer`]s and yielded
-/// by [`Trace`](crate::Trace).
+/// One retired dynamic instruction, as yielded by [`Trace`](crate::Trace)
+/// and replayed from a [`TraceStore`](crate::TraceStore).
 ///
 /// This is the interchange record between the functional core, the workload
 /// profiler, and the timing simulator: it carries everything a trace-driven
@@ -42,15 +43,6 @@ impl DynInstr {
     }
 }
 
-/// Instrumentation hook invoked once per retired instruction, in program
-/// order — the ATOM/PIN analysis-routine analogue (paper §3.1). Trace
-/// capture and the tests use it; the profiler takes whole blocks through
-/// [`BlockObserver`].
-pub trait Observer {
-    /// Called after `d` retires.
-    fn on_retire(&mut self, d: &DynInstr);
-}
-
 /// Instrumentation hook invoked once per executed basic block, in program
 /// order — ATOM's per-block analysis routines, which the paper's profiler
 /// keys its statistics by (§3.1.1). [`Simulator::run_blocks`] drives it.
@@ -74,57 +66,6 @@ pub trait BlockObserver {
 
     /// The block's `len` records have retired; `last` is the final one.
     fn exit_block(&mut self, len: u32, last: &DynInstr);
-}
-
-/// An [`Observer`] that ignores every event.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct NullObserver;
-
-impl Observer for NullObserver {
-    #[inline]
-    fn on_retire(&mut self, _d: &DynInstr) {}
-}
-
-/// An [`Observer`] that counts retired instructions by kind — handy in tests
-/// and as a usage example for custom observers.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct CountingObserver {
-    /// Total retired instructions.
-    pub instrs: u64,
-    /// Retired loads.
-    pub loads: u64,
-    /// Retired stores.
-    pub stores: u64,
-    /// Retired conditional branches.
-    pub branches: u64,
-    /// Taken conditional branches.
-    pub taken_branches: u64,
-}
-
-impl Observer for CountingObserver {
-    fn on_retire(&mut self, d: &DynInstr) {
-        self.instrs += 1;
-        if let Some(m) = d.mem {
-            if m.is_store {
-                self.stores += 1;
-            } else {
-                self.loads += 1;
-            }
-        }
-        if d.instr.is_cond_branch() {
-            self.branches += 1;
-            if d.taken {
-                self.taken_branches += 1;
-            }
-        }
-    }
-}
-
-impl<O: Observer + ?Sized> Observer for &mut O {
-    #[inline]
-    fn on_retire(&mut self, d: &DynInstr) {
-        (**self).on_retire(d);
-    }
 }
 
 /// An iterator over the dynamic instruction stream of a program.

@@ -16,13 +16,13 @@
 //!
 //! The generated trace is a stream of [`DynInstr`] records, directly
 //! consumable by `perfclone_uarch::Pipeline::run`. Unlike interpreter
-//! traces, statistical traces **cannot** be stored as a
-//! `perfclone_sim::PackedTrace`: the packed format resolves each record's
+//! traces, statistical traces **cannot** be stored in a
+//! `perfclone_sim::TraceStore`: the packed format resolves each record's
 //! static [`Instr`] from its pc at replay time, but statsim shuffles every
 //! block body per dynamic execution, so the same synthetic pc maps to
-//! different instructions across visits. Sharing across configurations
-//! happens through the `statsim` memo of `perfclone::WorkloadCache`
-//! instead, and the resident footprint is reported by the
+//! different instructions across visits. A caller that times one trace
+//! under several configurations keeps the records and passes them to each
+//! run, and the resident footprint is reported by the
 //! `statsim.trace.bytes` gauge.
 //!
 //! # Example
@@ -264,14 +264,13 @@ pub fn synth_trace(
     // Statistical traces stay as full `DynInstr` records: the block bodies
     // are RNG-shuffled per dynamic execution, so the same pc maps to
     // different instructions across visits and the pc→instr indirection a
-    // `PackedTrace` (and the flat pc-indexed `InstrMetaTable` the batched
+    // `TraceStore` (and the flat pc-indexed `InstrMetaTable` the batched
     // replay interns) relies on does not hold. These records still share
     // the interned static resolution: the pipeline's iterator front end
     // derives the same `InstrMeta::of` per record that the batched path
     // reads from the table, so both feeds are bit-identical currencies.
-    // Memoization (the `statsim` cache memo) is the sharing mechanism
-    // here; this gauge makes the resident cost visible next to
-    // `trace.bytes` in run reports.
+    // Nothing stores them for replay; this gauge makes the resident cost
+    // visible next to `trace.bytes` in run reports.
     perfclone_obs::gauge!(
         "statsim.trace.bytes",
         (out.len() * core::mem::size_of::<DynInstr>()) as u64

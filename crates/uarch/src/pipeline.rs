@@ -1592,9 +1592,9 @@ mod tests {
     #[test]
     fn batched_run_is_bit_identical_to_iterator_run() {
         use perfclone_isa::InstrMetaTable;
-        use perfclone_sim::{PackedTrace, TraceStore};
+        use perfclone_sim::TraceStore;
         let p = mixed_program();
-        let packed = TraceStore::Mem(PackedTrace::capture(&p, u64::MAX));
+        let packed = TraceStore::capture(&p, u64::MAX, usize::MAX, &std::env::temp_dir()).unwrap();
         let meta = InstrMetaTable::new(&p);
         let mut configs = vec![base_config()];
         configs.extend(crate::config::design_changes());

@@ -7,16 +7,18 @@
 //! text, `next_pc = pc + 1` except at the last record, each memory access
 //! at its offset, and the last record as delivered. The rebuilt stream
 //! must equal `Simulator::trace`'s record for record, and the run must
-//! return what `run_with` returns, outcome or fault (a cut-short block is
-//! delivered before the fault), and under a budget what `run_budget_with`
-//! returns. Inputs: catalog kernels stopped at a random limit, clones at
-//! random seeds run to `halt`, and small random programs that halt, jump
-//! out of their text, or fall off its end in the middle of a block.
+//! return the trace's outcome or fault (a cut-short block is delivered
+//! before the fault): the records it yielded and whether the program
+//! halted. Under a budget it must return that outcome, or the exhausted
+//! budget where the trace stopped at the limit without halting. Inputs:
+//! catalog kernels stopped at a random limit, clones at random seeds run
+//! to `halt`, and small random programs that halt, jump out of their text,
+//! or fall off its end in the middle of a block.
 
 use perfclone_isa::{Program, ProgramBuilder, Reg};
 use perfclone_kernels::{catalog, Scale};
 use perfclone_repro::prelude::*;
-use perfclone_sim::{BlockObserver, DynInstr, MemAccess, NullObserver, Simulator};
+use perfclone_sim::{BlockObserver, DynInstr, MemAccess, RunOutcome, Simulator};
 use proptest::prelude::*;
 
 /// One call the block runner made on its observer.
@@ -99,22 +101,33 @@ fn rebuild(program: &Program, events: &[Event]) -> Result<Vec<DynInstr>, String>
 fn check(program: &Program, limit: u64) -> Result<(), TestCaseError> {
     let mut trace = Simulator::trace(program, limit);
     let records: Vec<DynInstr> = trace.by_ref().collect();
-    let fault = trace.fault().cloned();
+    let per_record = match trace.fault() {
+        Some(fault) => Err(fault.clone()),
+        None => {
+            Ok(RunOutcome { retired: records.len() as u64, halted: trace.into_inner().is_halted() })
+        }
+    };
 
     let mut events = Events::default();
     let blocks = Simulator::new(program).run_blocks(limit, &mut events);
-    let per_record = Simulator::new(program).run_with(limit, &mut NullObserver);
     prop_assert_eq!(&blocks, &per_record, "outcome at limit {}", limit);
-    prop_assert_eq!(blocks.as_ref().err(), fault.as_ref(), "fault at limit {}", limit);
     let rebuilt = rebuild(program, &events.0).map_err(TestCaseError::fail)?;
     prop_assert_eq!(rebuilt.len(), records.len(), "records at limit {}", limit);
     for (i, (rebuilt, record)) in rebuilt.iter().zip(&records).enumerate() {
         prop_assert_eq!(rebuilt, record, "record {} at limit {}", i, limit);
     }
 
+    // The budget rule: a run that retires its whole budget without
+    // halting has exhausted it.
+    let per_record = per_record.and_then(|out| {
+        if !out.halted && out.retired >= limit {
+            Err(SimError::BudgetExhausted { budget: limit })
+        } else {
+            Ok(out)
+        }
+    });
     let mut events = Events::default();
     let blocks = Simulator::new(program).run_budget_blocks(limit, &mut events);
-    let per_record = Simulator::new(program).run_budget_with(limit, &mut NullObserver);
     prop_assert_eq!(&blocks, &per_record, "outcome under budget {}", limit);
     let rebuilt = rebuild(program, &events.0).map_err(TestCaseError::fail)?;
     prop_assert!(rebuilt == records, "records under budget {}", limit);

@@ -15,6 +15,11 @@ fn susan_tiny() -> Program {
     by_name("susan").expect("bundled kernel").build(Scale::Tiny).program
 }
 
+/// Captures `p` under `cap_bytes`, spilling past it into the temp dir.
+fn capture(p: &Program, limit: u64, cap_bytes: usize) -> TraceStore {
+    TraceStore::capture(p, limit, cap_bytes, &std::env::temp_dir()).expect("capture")
+}
+
 /// A deterministic program built from a random opcode stream: ALU chains,
 /// multiplies, stream loads, base-register loads/stores, xorshift-driven
 /// conditional branches, and jumps — with an optional missing `halt`, so
@@ -76,7 +81,7 @@ proptest! {
         limit in prop_oneof![Just(u64::MAX), 1u64..400],
     ) {
         let p = random_program(&ops, halt);
-        let packed = TraceStore::Mem(PackedTrace::capture(&p, limit));
+        let packed = capture(&p, limit, usize::MAX);
         let mut itrace = Simulator::trace(&p, limit);
         let mut replay = packed.replay(&p);
         loop {
@@ -107,7 +112,7 @@ proptest! {
         ],
     ) {
         let p = random_program(&ops, halt);
-        let packed = TraceStore::Mem(PackedTrace::capture(&p, limit));
+        let packed = capture(&p, limit, usize::MAX);
         let meta = InstrMetaTable::new(&p);
         let mut oracle = packed.replay(&p);
         let mut batched = packed.replay_batched(&p, &meta);
@@ -142,7 +147,7 @@ fn chunk_boundary_halt_and_fault_match_oracle() {
                 b.halt();
             }
             let p = b.build();
-            let packed = TraceStore::Mem(PackedTrace::capture(&p, u64::MAX));
+            let packed = capture(&p, u64::MAX, usize::MAX);
             let meta = InstrMetaTable::new(&p);
             let mut oracle = packed.replay(&p);
             let mut batched = packed.replay_batched(&p, &meta);
@@ -170,13 +175,10 @@ fn chunk_boundary_halt_and_fault_match_oracle() {
 fn spilled_batched_decode_matches_in_memory_oracle() {
     let program = susan_tiny();
     let limit = 20_000;
-    let cache = WorkloadCache::new();
-    let store = cache
-        .packed_trace_capped("susan-tiny", &program, limit, 1024)
-        .expect("a 1 KiB cap must force a spill, not fail");
+    let store = capture(&program, limit, 1024);
     assert!(store.is_spilled(), "batched decode must be exercised over the mmap");
     let meta = InstrMetaTable::new(&program);
-    let packed = TraceStore::Mem(PackedTrace::capture(&program, limit));
+    let packed = capture(&program, limit, usize::MAX);
     let mut oracle = packed.replay(&program);
     let mut batched = store.replay_batched(&program, &meta);
     let mut chunk = ReplayChunk::new();
@@ -266,28 +268,6 @@ fn faulting_program_replays_as_the_same_error() {
         run_timing_trace("fall", &p, &base_config(), u64::MAX, &cache).expect_err("must fault");
     assert!(matches!(&replay, Error::Sim(SimError::PcOutOfRange { .. })), "got {replay}");
     assert_eq!(direct.to_string(), replay.to_string());
-}
-
-/// An over-cap workload is captured exactly once: the capture spills to
-/// disk (it never truncates) and the spilled store is memoized, so every
-/// later requester shares the same on-disk trace. (When the spill itself
-/// fails, the memoized outcome is a typed `Error::Spill` and timing falls
-/// back to live interpretation; `crates/cli/tests/spill_fallback.rs`
-/// covers that path.)
-#[test]
-fn capped_capture_is_memoized_as_spill() {
-    let program = susan_tiny();
-    let cache = WorkloadCache::new();
-    for _ in 0..3 {
-        let store = cache
-            .packed_trace_capped("susan-tiny", &program, 50_000, 64)
-            .expect("64 bytes cannot hold the trace resident, so it must spill");
-        assert!(store.is_spilled(), "an over-cap capture must be on disk");
-        assert!(store.halted(), "the full stream (not a truncation) must be on disk");
-    }
-    let stats = cache.snapshot();
-    assert_eq!(stats.packed_trace_computes, 1, "over-cap capture must be memoized");
-    assert_eq!(stats.packed_trace_lookups, 3);
 }
 
 /// A zero-cycle (or otherwise degenerate) baseline cannot anchor a

@@ -166,7 +166,8 @@ fn hashes(kernel: &perfclone_kernels::Kernel) -> (&'static str, u64, u64, u64) {
         Cloner::with_params(params).clone_program_from(&profile).expect("clone synthesizes");
     let (mut reports, mut power, mut live) = (Fnv::new(), Fnv::new(), Fnv::new());
     for p in [&program, &clone] {
-        let store = TraceStore::Mem(PackedTrace::capture(p, WINDOW));
+        let store = TraceStore::capture(p, WINDOW, usize::MAX, &std::env::temp_dir())
+            .expect("an uncapped capture stays in memory");
         let meta = InstrMetaTable::new(p);
         for config in configs() {
             let t = run_timing_store(p, &store, &meta, &config).expect("replay runs");

@@ -10,8 +10,8 @@
 //! crate on the synthesizer would cycle.
 //!
 //! The proptest runs the same deterministic program twice, once a record
-//! at a time into the reference (`Simulator::run_with`) and once a block at
-//! a time into the profiler (`Simulator::run_blocks`), so a fault in the
+//! at a time into the reference (`Simulator::trace`) and once a block at a
+//! time into the profiler (`Simulator::run_blocks`), so a fault in the
 //! block runner shows as a mismatch instead of feeding both collectors
 //! alike. It compares their serialized profiles on three kinds of input:
 //! kernels stopped at a random window (which often ends inside a block),
@@ -27,7 +27,7 @@ use perfclone_profile::{
     StreamProfile, WorkloadProfile,
 };
 use perfclone_repro::prelude::*;
-use perfclone_sim::{DynInstr, Observer, Simulator};
+use perfclone_sim::{DynInstr, Simulator};
 use proptest::prelude::*;
 
 /// Cap on distinct strides counted per static memory instruction.
@@ -177,8 +177,9 @@ struct RefBranch {
     history_hits: u64,
 }
 
-/// The record-at-a-time collector: an [`Observer`] producing the same
-/// [`WorkloadProfile`] as [`Profiler`], with nothing summarized per block.
+/// The record-at-a-time collector: fed every retired record, it produces
+/// the same [`WorkloadProfile`] as [`Profiler`], with nothing summarized
+/// per block.
 struct Reference {
     name: String,
     meta: InstrMetaTable,
@@ -274,9 +275,8 @@ impl Reference {
                 .collect(),
         }
     }
-}
 
-impl Observer for Reference {
+    /// Takes the next retired record.
     fn on_retire(&mut self, d: &DynInstr) {
         let meta = *self.meta.at(d.pc);
 
@@ -402,7 +402,9 @@ fn both_profiles(program: &Program, limit: u64) -> (String, String) {
     let mut profiler = Profiler::new(program);
     let _ = Simulator::new(program).run_blocks(limit, &mut profiler);
     let mut reference = Reference::new(program);
-    let _ = Simulator::new(program).run_with(limit, &mut reference);
+    for d in Simulator::trace(program, limit) {
+        reference.on_retire(&d);
+    }
     let json = |p: &WorkloadProfile| serde_json::to_string(p).expect("profiles serialize");
     (json(&profiler.finish()), json(&reference.finish()))
 }

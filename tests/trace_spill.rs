@@ -1,19 +1,18 @@
 //! Acceptance tests for the out-of-core trace spill path: a trace
-//! captured through the shared cache's spilling writer and replayed
-//! through the memory mapping must match the in-memory replay
-//! record-for-record (mid-stream faults and missing halts included),
-//! corrupted or truncated copies of the files that writer produces must
-//! surface typed [`TraceError`]s — never panics — and timing results
-//! driven through a spilled [`TraceStore`] under a tiny byte cap must be
-//! bit-identical to the direct interpreter path.
+//! captured past its byte cap, spilled and replayed through the memory
+//! mapping must match the in-memory replay record-for-record (mid-stream
+//! faults and missing halts included), corrupted or truncated copies of
+//! the files the spilling writer produces must surface typed
+//! [`TraceError`]s — never panics — and timing results driven through a
+//! spilled [`TraceStore`] under a tiny byte cap must be bit-identical to
+//! the direct interpreter path.
 
 use std::path::PathBuf;
-use std::sync::Arc;
 
-use perfclone::{base_config, run_timing, run_timing_store, Error, WorkloadCache};
+use perfclone::{base_config, run_timing, run_timing_store, Error};
 use perfclone_isa::{InstrMetaTable, MemWidth, Program, ProgramBuilder, Reg, StreamDesc};
 use perfclone_kernels::{by_name, Scale};
-use perfclone_sim::{PackedTrace, SpilledTrace, TraceError, TraceStore};
+use perfclone_sim::{TraceError, TraceStore};
 use proptest::prelude::*;
 
 /// A deterministic program built from a random opcode stream — the same
@@ -64,11 +63,15 @@ fn temp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("perfclone-trace-spill-{}-{name}", std::process::id()))
 }
 
-/// Captures `p` through the production spill writer: at a byte cap of 0
-/// the shared cache spills every non-empty capture to disk.
-fn spill(p: &Program, limit: u64) -> Arc<TraceStore> {
-    let store =
-        WorkloadCache::new().packed_trace_capped(p.name(), p, limit, 0).expect("spill to disk");
+/// Captures `p` under `cap_bytes`, spilling past it into the temp dir.
+fn capture(p: &Program, limit: u64, cap_bytes: usize) -> TraceStore {
+    TraceStore::capture(p, limit, cap_bytes, &std::env::temp_dir()).expect("capture")
+}
+
+/// Captures `p` through the production spill writer: a byte cap of 0
+/// spills every non-empty capture to disk.
+fn spill(p: &Program, limit: u64) -> TraceStore {
+    let store = capture(p, limit, 0);
     assert!(store.is_spilled(), "a zero cap must spill");
     store
 }
@@ -87,7 +90,7 @@ proptest! {
         limit in prop_oneof![Just(u64::MAX), 1u64..400],
     ) {
         let p = random_program(&ops, halt);
-        let packed = PackedTrace::capture(&p, limit);
+        let packed = capture(&p, limit, usize::MAX);
         let spilled = spill(&p, limit);
 
         prop_assert_eq!(spilled.len(), packed.len());
@@ -95,7 +98,6 @@ proptest! {
         prop_assert_eq!(spilled.fault(), packed.fault());
         prop_assert_eq!(spilled.program_name(), packed.program_name());
 
-        let packed = TraceStore::Mem(packed);
         let mut mem = packed.replay(&p);
         let mut disk = spilled.replay(&p);
         loop {
@@ -109,11 +111,10 @@ proptest! {
         prop_assert_eq!(mem.fault(), disk.fault());
     }
 
-    /// Flipping any single byte of the payload (or of the stored
-    /// checksum itself) in a valid spill file is caught by the FNV-1a
-    /// validation as a typed error — never a panic, never a silently
-    /// different replay. (Header fields ahead of the checksum are
-    /// guarded by the magic/version/geometry checks instead.)
+    /// Flipping any single byte of a valid spill file, header or payload,
+    /// is caught as a typed error — never a panic, never a silently
+    /// different replay. The FNV-1a checksum covers every byte but its
+    /// own, which the comparison covers.
     #[test]
     fn any_flipped_payload_byte_is_detected(
         ops in proptest::collection::vec(any::<u8>(), 1..64),
@@ -123,13 +124,11 @@ proptest! {
         let spilled = spill(&p, u64::MAX);
         let mut bytes =
             std::fs::read(spilled.spill_path().expect("spilled")).expect("read spill file");
-        // Byte 72 is where the checksum field starts; everything from
-        // there on participates in (or is) the checksum.
-        let at = 72 + (flip as usize % (bytes.len() - 72));
+        let at = flip as usize % bytes.len();
         bytes[at] ^= 0x01;
         let flipped = temp("flipped.spill");
         std::fs::write(&flipped, &bytes).expect("write corrupted copy");
-        let result = SpilledTrace::open(&flipped);
+        let result = TraceStore::open(&flipped);
         let _ = std::fs::remove_file(&flipped);
         match result {
             Err(
@@ -147,7 +146,8 @@ proptest! {
 }
 
 /// Structural corruptions each map to their specific typed error:
-/// wrong magic, unsupported version, truncation, and a missing file.
+/// wrong magic, unsupported version, truncation, and a missing file. And
+/// each of the 80 header bytes flipped in turn gives a typed error.
 #[test]
 fn corruption_errors_are_typed() {
     let p = by_name("crc32").expect("bundled kernel").build(Scale::Tiny).program;
@@ -163,20 +163,20 @@ fn corruption_errors_are_typed() {
     let mut bad_magic = good.clone();
     bad_magic[0] ^= 0xff;
     let f = write("badmagic.spill", &bad_magic);
-    assert!(matches!(SpilledTrace::open(&f), Err(TraceError::BadMagic { .. })));
+    assert!(matches!(TraceStore::open(&f), Err(TraceError::BadMagic { .. })));
     let _ = std::fs::remove_file(&f);
 
     let mut bad_version = good.clone();
     bad_version[8..12].copy_from_slice(&99u32.to_le_bytes());
     let f = write("badversion.spill", &bad_version);
-    assert!(matches!(SpilledTrace::open(&f), Err(TraceError::BadVersion { version: 99, .. })));
+    assert!(matches!(TraceStore::open(&f), Err(TraceError::BadVersion { version: 99, .. })));
     let _ = std::fs::remove_file(&f);
 
     for cut in [0, 7, 40, good.len() - 1] {
         let f = write("truncated.spill", &good[..cut]);
         assert!(
             matches!(
-                SpilledTrace::open(&f),
+                TraceStore::open(&f),
                 Err(TraceError::Corrupt { .. } | TraceError::BadMagic { .. })
             ),
             "truncation to {cut} bytes must be detected"
@@ -184,14 +184,30 @@ fn corruption_errors_are_typed() {
         let _ = std::fs::remove_file(&f);
     }
 
+    for at in 0..80 {
+        let mut flipped = good.clone();
+        flipped[at] ^= 0x01;
+        let f = write("header.spill", &flipped);
+        let result = TraceStore::open(&f);
+        let _ = std::fs::remove_file(&f);
+        assert!(
+            matches!(
+                result,
+                Err(TraceError::Corrupt { .. }
+                    | TraceError::BadVersion { .. }
+                    | TraceError::BadMagic { .. })
+            ),
+            "header byte {at} flipped: {result:?}"
+        );
+    }
+
     let missing = temp("never-written.spill");
-    assert!(matches!(SpilledTrace::open(&missing), Err(TraceError::Io { .. })));
+    assert!(matches!(TraceStore::open(&missing), Err(TraceError::Io { .. })));
 }
 
-/// A capture forced over a tiny byte cap through the shared cache comes
-/// back as `TraceStore::Spilled`, and timing results replayed from it are
-/// bit-identical to both the in-memory store and the direct interpreter
-/// path.
+/// A capture forced over a tiny byte cap comes back spilled, and timing
+/// results replayed from it are bit-identical to both the in-memory store
+/// and the direct interpreter path.
 #[test]
 fn capped_capture_spills_and_times_bit_identically() {
     let built = by_name("crc32").expect("bundled kernel").build(Scale::Tiny);
@@ -199,18 +215,11 @@ fn capped_capture_spills_and_times_bit_identically() {
     let limit = 20_000;
     let config = base_config();
 
-    let mem_cache = WorkloadCache::new();
-    let mem = mem_cache
-        .packed_trace_capped("crc32", &program, limit, usize::MAX)
-        .expect("uncapped capture");
+    let mem = capture(&program, limit, usize::MAX);
     assert!(!mem.is_spilled(), "an uncapped capture must stay in memory");
 
-    let spill_cache = WorkloadCache::new();
-    let spilled = spill_cache
-        .packed_trace_capped("crc32", &program, limit, 1024)
-        .expect("capped capture must spill, not fail");
+    let spilled = capture(&program, limit, 1024);
     assert!(spilled.is_spilled(), "a 1 KiB cap must force a spill");
-    assert!(matches!(*spilled, TraceStore::Spilled(_)));
     assert_eq!(spilled.len(), mem.len());
     assert_eq!(spilled.halted(), mem.halted());
 
@@ -232,7 +241,7 @@ fn capped_capture_spills_and_times_bit_identically() {
 #[test]
 fn faulted_trace_carries_through_spill() {
     let p = random_program(&[0, 1, 3, 4, 6, 7], false); // no halt → PcOutOfRange
-    let packed = PackedTrace::capture(&p, u64::MAX);
+    let packed = capture(&p, u64::MAX, usize::MAX);
     assert!(packed.fault().is_some(), "missing halt must fault");
 
     let spilled = spill(&p, u64::MAX);
@@ -240,7 +249,7 @@ fn faulted_trace_carries_through_spill() {
 
     let config = base_config();
     let meta = InstrMetaTable::new(&p);
-    let mem_err = run_timing_store(&p, &TraceStore::Mem(packed), &meta, &config);
+    let mem_err = run_timing_store(&p, &packed, &meta, &config);
     let disk_err = run_timing_store(&p, &spilled, &meta, &config);
     match (mem_err, disk_err) {
         (Err(Error::Sim(a)), Err(Error::Sim(b))) => assert_eq!(a, b),
