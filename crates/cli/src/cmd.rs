@@ -460,7 +460,7 @@ fn validate(parsed: &Parsed) -> Result<(), String> {
     let params = synth_params(parsed, &profile)?;
     let clone =
         Cloner::with_params(params).clone_program_from(&profile).map_err(|e| e.to_string())?;
-    // Fidelity gate first: re-profile the clone and compare the five
+    // Fidelity gate first: measure the clone and compare the five
     // attribute families before the (microarchitecture-dependent)
     // side-by-side timing run.
     let report = Gate::default().report(&profile, &clone).map_err(|e| e.to_string())?;

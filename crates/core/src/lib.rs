@@ -143,7 +143,7 @@ impl Cloner {
     }
 
     /// [`clone_program`](Cloner::clone_program) followed by the fidelity
-    /// gate: the clone is re-profiled and compared against the source
+    /// gate: the clone is measured and compared against the source
     /// profile attribute by attribute, and only a clone whose report has
     /// no failing attribute is returned.
     ///

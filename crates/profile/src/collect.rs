@@ -45,7 +45,7 @@ const MAX_STRIDES: usize = 128;
 const ENTRY: u32 = u32::MAX;
 
 /// A slot id not interned yet.
-const UNSEEN: u32 = u32::MAX;
+pub(crate) const UNSEEN: u32 = u32::MAX;
 
 /// Store-writer chunk numbers (8-byte chunks) wrap at the top of the
 /// address space, as addresses do.
@@ -58,28 +58,28 @@ const NEXT_COUNTER: [[u8; 4]; 2] = [[0, 0, 1, 2], [1, 2, 3, 3]];
 /// Whether an instruction ends its block: every control transfer, and
 /// `halt` (class `Jump`).
 #[inline]
-fn ends_block(meta: &InstrMeta) -> bool {
+pub(crate) fn ends_block(meta: &InstrMeta) -> bool {
     matches!(meta.class, InstrClass::Branch | InstrClass::Jump)
 }
 
 /// The register dependences of one block, fixed by its text. Offsets count
 /// records from the block's first.
 #[derive(Debug, Default)]
-struct BlockDeps {
+pub(crate) struct BlockDeps {
     /// Dependences whose producer lies earlier in the block: the same in
     /// every complete execution.
-    inner: DepHistogram,
+    pub(crate) inner: DepHistogram,
     /// `(register, offset)` of each use with no producer earlier in the
     /// block.
     live_ins: Vec<(u8, u32)>,
     /// `(register, offset)` of each register's last definition.
-    last_defs: Vec<(u8, u32)>,
+    pub(crate) last_defs: Vec<(u8, u32)>,
 }
 
 impl BlockDeps {
     /// Summarizes the block starting at `start`: up to its first
     /// block-ending instruction, or to the end of the text.
-    fn of(metas: &[InstrMeta], start: u32) -> BlockDeps {
+    pub(crate) fn of(metas: &[InstrMeta], start: u32) -> BlockDeps {
         let mut deps = BlockDeps::default();
         let mut last_def = [None::<u32>; 64];
         for (off, meta) in (0u32..).zip(&metas[start as usize..]) {
@@ -105,7 +105,12 @@ impl BlockDeps {
     /// execution whose first record sits at position `base`, on the
     /// register writers as of its entry.
     #[inline]
-    fn record_live_ins(&self, hist: &mut DepHistogram, reg_writer: &[u64; 64], base: u64) {
+    pub(crate) fn record_live_ins(
+        &self,
+        hist: &mut DepHistogram,
+        reg_writer: &[u64; 64],
+        base: u64,
+    ) {
         for &(u, off) in &self.live_ins {
             let w = reg_writer[usize::from(u)];
             if w != 0 {
@@ -330,12 +335,12 @@ impl BranchCollect {
 /// the profile lists nodes, streams and branches in the order execution
 /// first reached them.
 #[derive(Clone, Copy, Debug)]
-struct Slot {
+pub(crate) struct Slot {
     /// The SFG node of the block starting at this pc.
-    node: u32,
+    pub(crate) node: u32,
     /// The stream of the memory op, or the record of the conditional
     /// branch, at this pc; no instruction is both.
-    site: u32,
+    pub(crate) site: u32,
 }
 
 /// A [`BlockObserver`] that builds a [`WorkloadProfile`] from the retired
@@ -557,10 +562,11 @@ impl Profiler {
 }
 
 impl BlockObserver for Profiler {
-    // The three hooks are `#[inline]` so that `Gate::report`, which drives
-    // a profiler from another crate, fuses them into its block loop as
-    // `profile_program` does here; without LTO a non-generic method is
-    // otherwise a call per block and per memory record.
+    // The three hooks are `#[inline]` so that they fuse into each block
+    // loop that drives a profiler: `profile_program`'s here, and the
+    // oracle test's in another crate; without LTO a non-generic method is
+    // otherwise a call per block and per memory record. `Gate::report`
+    // drives the `TotalsCollector` instead, whose hooks are inline too.
 
     /// Enters the block starting at `pc` and counts its `(pred, cur)`
     /// context, looked up through the node's last one.

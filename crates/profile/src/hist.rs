@@ -9,6 +9,25 @@ pub const DEP_BUCKET_EDGES: [u64; 7] = [1, 2, 4, 6, 8, 16, 32];
 /// Number of dependency-distance buckets (the seven edges plus ">32").
 pub const NUM_DEP_BUCKETS: usize = 8;
 
+/// The last bucket edge: every longer distance falls in the ">32" bucket.
+const LAST_EDGE: u64 = DEP_BUCKET_EDGES[DEP_BUCKET_EDGES.len() - 1];
+
+/// The bucket of every distance up to the last edge, built from the edges:
+/// the first bucket whose edge the distance does not exceed.
+const BUCKET_OF: [u8; LAST_EDGE as usize + 1] = {
+    let mut table = [0; LAST_EDGE as usize + 1];
+    let mut d = 0;
+    while d < table.len() {
+        let mut b = 0;
+        while d as u64 > DEP_BUCKET_EDGES[b] {
+            b += 1;
+        }
+        table[d] = b as u8;
+        d += 1;
+    }
+    table
+};
+
 /// A histogram over producer→consumer dependency distances, bucketed as in
 /// the paper (§3.1.3).
 ///
@@ -42,12 +61,14 @@ impl DepHistogram {
         DepHistogram { counts }
     }
 
-    /// Bucket index for a dependency distance (`distance >= 1`).
+    /// Bucket index for a dependency distance (`distance >= 1`), read from
+    /// a table once per recorded dependence.
     #[inline]
     pub fn bucket(distance: u64) -> usize {
-        match DEP_BUCKET_EDGES.iter().position(|&e| distance <= e) {
-            Some(i) => i,
-            None => NUM_DEP_BUCKETS - 1,
+        if distance <= LAST_EDGE {
+            usize::from(BUCKET_OF[distance as usize])
+        } else {
+            NUM_DEP_BUCKETS - 1
         }
     }
 
@@ -122,6 +143,14 @@ mod tests {
         assert_eq!(DepHistogram::bucket(32), 6);
         assert_eq!(DepHistogram::bucket(33), 7);
         assert_eq!(DepHistogram::bucket(1_000_000), 7);
+        // The table gives what a search of the edges gives, distance 0
+        // (below every edge) included.
+        let search =
+            |d: u64| DEP_BUCKET_EDGES.iter().position(|&e| d <= e).unwrap_or(NUM_DEP_BUCKETS - 1);
+        for d in (0..=64).chain([u64::MAX]) {
+            assert_eq!(DepHistogram::bucket(d), search(d), "distance {d}");
+        }
+        assert_eq!(DepHistogram::bucket(0), 0);
     }
 
     #[test]

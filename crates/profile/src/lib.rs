@@ -17,6 +17,11 @@
 //!   length, coverage (§3.1.4),
 //! * **per-static-branch taken rate and transition rate** (§3.1.5).
 //!
+//! The fidelity gate judges a clone on whole-run totals of these families
+//! only ([`ProfileTotals`]): read off a profile with
+//! [`WorkloadProfile::totals`], or gathered from a run by the
+//! [`TotalsCollector`], which builds nothing else.
+//!
 //! Everything in the profile is a function of the program's architectural
 //! execution only; no cache, predictor, or pipeline state is consulted. The
 //! profile is serializable — it is the artifact a vendor would disseminate
@@ -52,6 +57,7 @@ mod error;
 mod hist;
 mod model;
 mod report;
+mod totals;
 
 pub use collect::{profile_program, Profiler};
 pub use error::ProfileError;
@@ -60,3 +66,4 @@ pub use model::{
     BlockProfile, BranchProfile, ContextProfile, EdgeProfile, StreamProfile, WorkloadProfile,
 };
 pub use report::render_report;
+pub use totals::{ProfileTotals, TotalsCollector};

@@ -183,20 +183,19 @@ pub struct WorkloadProfile {
 impl WorkloadProfile {
     /// Global dynamic instruction mix over the whole run.
     pub fn global_mix(&self) -> [f64; 10] {
+        mix_of(&self.class_counts())
+    }
+
+    /// Dynamic instructions per class over the whole run: each node's
+    /// class counts times its executions.
+    pub(crate) fn class_counts(&self) -> [u64; 10] {
         let mut counts = [0u64; 10];
         for node in &self.nodes {
             for (i, c) in node.class_counts.iter().enumerate() {
                 counts[i] += u64::from(*c) * node.execs;
             }
         }
-        let total: u64 = counts.iter().sum();
-        let mut out = [0.0; 10];
-        if total > 0 {
-            for (o, c) in out.iter_mut().zip(counts.iter()) {
-                *o = *c as f64 / total as f64;
-            }
-        }
-        out
+        counts
     }
 
     /// Fraction of dynamic memory references covered by approximating each
@@ -343,6 +342,19 @@ impl WorkloadProfile {
             .map(|e| (e.to, e.count as f64 / total as f64))
             .collect()
     }
+}
+
+/// Each class's share of the dynamic class counts `counts`, all zero
+/// when they sum to zero.
+pub(crate) fn mix_of(counts: &[u64; 10]) -> [f64; 10] {
+    let total: u64 = counts.iter().sum();
+    let mut out = [0.0; 10];
+    if total > 0 {
+        for (o, c) in out.iter_mut().zip(counts.iter()) {
+            *o = *c as f64 / total as f64;
+        }
+    }
+    out
 }
 
 #[cfg(test)]

@@ -161,7 +161,9 @@ impl PackedRecorder {
             + self.mem_sizes.len()
     }
 
-    /// Packs one retired instruction.
+    /// Packs one retired instruction. `#[inline]` so that it fuses into
+    /// the capture loop, which calls it once per record.
+    #[inline]
     pub(crate) fn push(&mut self, d: &DynInstr) {
         if self.len == 0 {
             self.start_pc = d.pc;

@@ -543,7 +543,7 @@ pub fn synthesize(
     patch_bound(&mut program, bound_patch_at, iterations as i64);
     perfclone_obs::count!("synth.clones", 1);
     perfclone_obs::count!("synth.instances", instances.len() as u64);
-    perfclone_obs::gauge!("synth.target_dynamic", params.target_dynamic);
+    perfclone_obs::record!("synth.target_dynamic", params.target_dynamic);
     perfclone_obs::record!("synth.static_instrs", program.instrs().len() as u64);
     Ok(program)
 }

@@ -112,7 +112,7 @@ pub(crate) fn walk_sfg(
     perfclone_obs::count!("synth.walk.steps", out.len() as u64);
     perfclone_obs::count!("synth.walk.reseeds", reseeds);
     perfclone_obs::count!("synth.walk.body_instrs", u64::from(body));
-    perfclone_obs::gauge!("synth.walk.instance_budget", instance_budget as u64);
+    perfclone_obs::record!("synth.walk.instance_budget", instance_budget as u64);
     Ok(out)
 }
 

@@ -15,10 +15,10 @@ pub enum ValidateError {
     /// The source profile itself is structurally invalid; nothing can be
     /// compared against it.
     Source(ProfileError),
-    /// The clone faulted (escaped its text section) while being re-profiled.
+    /// The clone faulted (escaped its text section) while being measured.
     CloneFaulted(SimError),
-    /// The clone did not halt within the gate's re-profiling instruction
-    /// budget — the runaway guard for pathological synthetic programs.
+    /// The clone did not halt within the gate's instruction budget for
+    /// measuring it — the runaway guard for pathological synthetic programs.
     BudgetExhausted {
         /// The instruction budget that was exhausted.
         budget: u64,

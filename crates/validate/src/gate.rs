@@ -1,8 +1,10 @@
 //! The clone fidelity gate.
 //!
-//! After synthesis, the clone is re-profiled with the same collector that
-//! measured the source application, and the five §3.1 attribute families
-//! are compared under per-attribute tolerances. The result is a
+//! After synthesis, the clone is run under a [`TotalsCollector`], which
+//! gathers the whole-run totals of the five §3.1 attribute families and
+//! nothing else, and they are compared with the same totals of the source
+//! application's profile ([`WorkloadProfile::totals`]) under
+//! per-attribute tolerances. The result is a
 //! [`ValidationReport`]: one [`AttributeCheck`] per family with the
 //! observed delta, the thresholds it was judged against, and a
 //! pass/warn/fail [`Verdict`]. Suites and the CLI consult the report
@@ -12,7 +14,7 @@ use std::fmt;
 use std::fmt::Write as _;
 
 use perfclone_isa::{InstrClass, Program};
-use perfclone_profile::{DepHistogram, Profiler, WorkloadProfile};
+use perfclone_profile::{ProfileTotals, TotalsCollector, WorkloadProfile};
 use perfclone_sim::{SimError, Simulator};
 
 use crate::error::ValidateError;
@@ -145,7 +147,7 @@ pub struct AttributeCheck {
 pub struct ValidationReport {
     /// Name of the source workload.
     pub name: String,
-    /// Instructions retired while re-profiling the clone.
+    /// Instructions the clone retired while it was measured.
     pub clone_instrs: u64,
     /// One check per §3.1 attribute family.
     pub attributes: Vec<AttributeCheck>,
@@ -229,12 +231,13 @@ impl fmt::Display for ValidationReport {
     }
 }
 
-/// The fidelity gate: tolerances plus the re-profiling instruction budget.
+/// The fidelity gate: tolerances plus the instruction budget for measuring
+/// the clone.
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct Gate {
     /// Per-attribute tolerances.
     pub tolerances: Tolerances,
-    /// Instruction budget for re-profiling the clone. A clone that does not
+    /// Instruction budget for measuring the clone. A clone that does not
     /// halt within this budget is rejected with
     /// [`ValidateError::BudgetExhausted`].
     pub profile_budget: u64,
@@ -250,14 +253,14 @@ impl Default for Gate {
 }
 
 impl Gate {
-    /// Re-profiles `clone` and compares it against `source`, returning the
-    /// report regardless of verdict.
+    /// Runs `clone` under a [`TotalsCollector`] and compares its totals
+    /// against `source`'s, returning the report regardless of verdict.
     ///
     /// # Errors
     ///
     /// * [`ValidateError::Source`] — `source` is structurally invalid;
     /// * [`ValidateError::CloneFaulted`] — the clone escaped its text
-    ///   section while being re-profiled;
+    ///   section while being measured;
     /// * [`ValidateError::BudgetExhausted`] — the clone did not halt within
     ///   [`profile_budget`](Gate::profile_budget) instructions.
     pub fn report(
@@ -267,11 +270,11 @@ impl Gate {
     ) -> Result<ValidationReport, ValidateError> {
         let _gate_span = perfclone_obs::span!("validate.gate");
         source.check().map_err(ValidateError::Source)?;
-        let mut profiler = Profiler::new(clone);
+        let mut collector = TotalsCollector::new(clone);
         let mut sim = Simulator::new(clone);
         let outcome = {
             let _s = perfclone_obs::span!("validate.reprofile");
-            match sim.run_budget_blocks(self.profile_budget, &mut profiler) {
+            match sim.run_budget_blocks(self.profile_budget, &mut collector) {
                 Ok(out) => out,
                 Err(SimError::BudgetExhausted { budget }) => {
                     return Err(ValidateError::BudgetExhausted { budget })
@@ -279,21 +282,18 @@ impl Gate {
                 Err(e) => return Err(ValidateError::CloneFaulted(e)),
             }
         };
-        let cp = &profiler.finish();
+        let (sp, cp) = (&source.totals(), &collector.finish());
         let t = &self.tolerances;
         // Each family judged under its own span, so reports break out
         // per-attribute judge time next to the verdict counters.
         let attributes = vec![
-            judged(perfclone_obs::span!("validate.attr.mix"), check_mix(source, cp, t.mix)),
-            judged(perfclone_obs::span!("validate.attr.deps"), check_deps(source, cp, t.deps)),
-            judged(
-                perfclone_obs::span!("validate.attr.streams"),
-                check_streams(source, cp, t.streams),
-            ),
-            judged(perfclone_obs::span!("validate.attr.taken"), check_taken(source, cp, t.taken)),
+            judged(perfclone_obs::span!("validate.attr.mix"), check_mix(sp, cp, t.mix)),
+            judged(perfclone_obs::span!("validate.attr.deps"), check_deps(sp, cp, t.deps)),
+            judged(perfclone_obs::span!("validate.attr.streams"), check_streams(sp, cp, t.streams)),
+            judged(perfclone_obs::span!("validate.attr.taken"), check_taken(sp, cp, t.taken)),
             judged(
                 perfclone_obs::span!("validate.attr.transition"),
-                check_transition(source, cp, t.transition),
+                check_transition(sp, cp, t.transition),
             ),
         ];
         perfclone_obs::count!("validate.gates", 1);
@@ -350,8 +350,8 @@ fn tv_distance(a: &[f64], b: &[f64]) -> f64 {
     0.5 * a.iter().zip(b.iter()).map(|(x, y)| (x - y).abs()).sum::<f64>()
 }
 
-fn check_mix(source: &WorkloadProfile, clone: &WorkloadProfile, tol: Tolerance) -> AttributeCheck {
-    let (sm, cm) = (source.global_mix(), clone.global_mix());
+fn check_mix(source: &ProfileTotals, clone: &ProfileTotals, tol: Tolerance) -> AttributeCheck {
+    let (sm, cm) = (source.mix(), clone.mix());
     let delta = tv_distance(&sm, &cm);
     // Name the class with the largest share drift in the detail column.
     let worst = InstrClass::ALL
@@ -371,16 +371,8 @@ fn check_mix(source: &WorkloadProfile, clone: &WorkloadProfile, tol: Tolerance) 
     check(Attribute::InstructionMix, delta, tol, detail)
 }
 
-fn merged_reg_deps(p: &WorkloadProfile) -> DepHistogram {
-    let mut merged = DepHistogram::new();
-    for c in &p.contexts {
-        merged.merge(&c.reg_deps);
-    }
-    merged
-}
-
-fn check_deps(source: &WorkloadProfile, clone: &WorkloadProfile, tol: Tolerance) -> AttributeCheck {
-    let (sh, ch) = (merged_reg_deps(source), merged_reg_deps(clone));
+fn check_deps(source: &ProfileTotals, clone: &ProfileTotals, tol: Tolerance) -> AttributeCheck {
+    let (sh, ch) = (&source.reg_deps, &clone.reg_deps);
     if sh.total() == 0 {
         // No register dependencies in the source: nothing to reproduce.
         return check(
@@ -395,19 +387,8 @@ fn check_deps(source: &WorkloadProfile, clone: &WorkloadProfile, tol: Tolerance)
     check(Attribute::DependencyDistances, delta, tol, detail)
 }
 
-/// Total stream footprint: sum of per-stream address spans, in bytes.
-fn footprint(p: &WorkloadProfile) -> u64 {
-    p.streams.iter().filter(|s| s.execs > 0).fold(0u64, |acc, s| {
-        acc.saturating_add(s.max_addr.saturating_sub(s.min_addr).saturating_add(u64::from(s.width)))
-    })
-}
-
-fn check_streams(
-    source: &WorkloadProfile,
-    clone: &WorkloadProfile,
-    tol: Tolerance,
-) -> AttributeCheck {
-    if source.streams.is_empty() {
+fn check_streams(source: &ProfileTotals, clone: &ProfileTotals, tol: Tolerance) -> AttributeCheck {
+    if source.streams == 0 {
         return check(Attribute::StrideStreams, 0.0, tol, "no memory streams in source".into());
     }
     // Footprints scale with dynamic length (the clone's pacing loop rarely
@@ -415,29 +396,23 @@ fn check_streams(
     // *rates* — bytes touched per dynamic instruction. Shrinkage is the
     // pathological direction (the clone stopped touching new memory), so it
     // counts double; growth is bounded by the streaming-walk cap.
-    let (sf, cf) = (footprint(source), footprint(clone));
-    let (si, ci) = (source.total_instrs.max(1), clone.total_instrs.max(1));
+    let (sf, cf) = (source.footprint, clone.footprint);
+    let (si, ci) = (source.instrs.max(1), clone.instrs.max(1));
     let norm = (((cf + 1) as f64 / ci as f64) / ((sf + 1) as f64 / si as f64)).log2();
     let delta = if norm >= 0.0 { norm } else { -2.0 * norm };
     let detail = format!("footprint {sf} B / {si} instrs vs {cf} B / {ci} instrs");
     check(Attribute::StrideStreams, delta, tol, detail)
 }
 
-fn weighted_rates(p: &WorkloadProfile) -> Option<(f64, f64)> {
-    let execs: u64 = p.branches.iter().map(|b| b.execs).sum();
+fn weighted_rates(p: &ProfileTotals) -> Option<(f64, f64)> {
+    let execs = p.branch_execs;
     if execs == 0 {
         return None;
     }
-    let taken: u64 = p.branches.iter().map(|b| b.taken).sum();
-    let transitions: u64 = p.branches.iter().map(|b| b.transitions).sum();
-    Some((taken as f64 / execs as f64, transitions as f64 / execs as f64))
+    Some((p.branch_taken as f64 / execs as f64, p.branch_transitions as f64 / execs as f64))
 }
 
-fn check_taken(
-    source: &WorkloadProfile,
-    clone: &WorkloadProfile,
-    tol: Tolerance,
-) -> AttributeCheck {
+fn check_taken(source: &ProfileTotals, clone: &ProfileTotals, tol: Tolerance) -> AttributeCheck {
     match (weighted_rates(source), weighted_rates(clone)) {
         (Some((st, _)), Some((ct, _))) => {
             let detail = format!("{st:.3} vs {ct:.3}");
@@ -455,8 +430,8 @@ fn check_taken(
 }
 
 fn check_transition(
-    source: &WorkloadProfile,
-    clone: &WorkloadProfile,
+    source: &ProfileTotals,
+    clone: &ProfileTotals,
     tol: Tolerance,
 ) -> AttributeCheck {
     match (weighted_rates(source), weighted_rates(clone)) {

@@ -9,12 +9,12 @@
 //! survived synthesis. This crate provides the three pieces that make the
 //! pipeline trustworthy:
 //!
-//! * a **fidelity gate** ([`gate`]) — re-profiles an emitted clone with the
-//!   `perfclone-profile` collector and compares all five §3.1 attribute
-//!   families (instruction mix, dependency distances, stride streams,
-//!   branch taken rate, branch transition rate) against the source profile
-//!   under configurable per-attribute tolerances, producing a structured
-//!   [`ValidationReport`];
+//! * a **fidelity gate** ([`gate`]) — measures an emitted clone with the
+//!   `perfclone-profile` totals collector and compares all five §3.1
+//!   attribute families (instruction mix, dependency distances, stride
+//!   streams, branch taken rate, branch transition rate) against the
+//!   source profile under configurable per-attribute tolerances, producing
+//!   a structured [`ValidationReport`];
 //! * a **deterministic fault injector** ([`fault`]) — a seeded [`FaultPlan`]
 //!   that perturbs workload profiles at defined points (truncated traces,
 //!   un-normalized SFG transition probabilities, zeroed stride streams,

@@ -16,6 +16,7 @@ use perfclone_kernels::{by_name, Scale};
 use perfclone_obs::{RunReport, TelemetrySnapshot};
 use perfclone_uarch::sweep_dcache;
 use proptest::prelude::*;
+use rayon::prelude::*;
 
 /// The registry is process-global and these tests reset it, so they
 /// serialize on one lock.
@@ -27,20 +28,33 @@ fn registry_lock() -> MutexGuard<'static, ()> {
     }
 }
 
-/// Runs the full pipeline — profile, synthesize, gate, 28-config cache
-/// sweep of the program and its clone — on a `jobs`-thread pool and
-/// returns the schedule-independent telemetry view.
-fn pipeline_snapshot(jobs: usize, seed: u64, target_dynamic: u64) -> TelemetrySnapshot {
+/// Runs the full pipeline on a `jobs`-thread pool — profile, then per
+/// `(target_dynamic, target_blocks)` pair of `targets`, through
+/// `par_iter` in that order, synthesize, gate and 28-config cache sweep of
+/// the program and the clone — and returns the schedule-independent
+/// telemetry view.
+fn pipeline_snapshot(jobs: usize, seed: u64, targets: [(u64, u32); 2]) -> TelemetrySnapshot {
     perfclone_obs::reset();
     let pool = rayon::ThreadPoolBuilder::new().num_threads(jobs).build().expect("pool");
     pool.install(|| {
         let program = by_name("crc32").expect("kernel").build(Scale::Tiny).program;
         let cache = WorkloadCache::new();
         let profile = cache.profile("crc32", &program, 200_000).expect("profile");
-        let params = SynthesisParams { seed, target_dynamic, ..SynthesisParams::default() };
-        let clone = cache.clone_program("crc32", &program, 200_000, &params).expect("clone");
-        let _report = Gate::default().report(&profile, &clone).expect("gate");
-        let _sweep = cache_sweep_pair(&program, &clone, &cache_sweep(), 200_000);
+        let _: Vec<()> = targets
+            .par_iter()
+            .map(|&(target_dynamic, target_blocks)| {
+                let params = SynthesisParams {
+                    seed,
+                    target_dynamic,
+                    target_blocks,
+                    ..SynthesisParams::default()
+                };
+                let clone =
+                    cache.clone_program("crc32", &program, 200_000, &params).expect("clone");
+                let _report = Gate::default().report(&profile, &clone).expect("gate");
+                let _sweep = cache_sweep_pair(&program, &clone, &cache_sweep(), 200_000);
+            })
+            .collect();
     });
     perfclone_obs::snapshot().deterministic()
 }
@@ -52,18 +66,29 @@ proptest! {
     /// gauge value, and non-wall-time histogram bucket is identical
     /// whether the pipeline ran on one thread or eight. Only span wall
     /// times (excluded by `deterministic()`) may differ.
+    ///
+    /// The two clones differ in both synthesis targets, so a value that
+    /// each synthesis sets has two writers. A one-thread run synthesizes
+    /// them in the order given, so a second one-thread run, in the reverse
+    /// order, shows a value kept from its last writer changing however
+    /// the pool's threads are timed.
     #[test]
     fn telemetry_is_schedule_independent(
         seed in 0u64..1000,
         target_dynamic in 20_000u64..60_000,
     ) {
         let _g = registry_lock();
-        let serial = pipeline_snapshot(1, seed, target_dynamic);
-        let parallel = pipeline_snapshot(8, seed, target_dynamic);
-        prop_assert_eq!(&serial.counters, &parallel.counters);
-        prop_assert_eq!(&serial.gauges, &parallel.gauges);
-        prop_assert_eq!(&serial.histograms, &parallel.histograms);
-        prop_assert!(serial.spans.is_empty() && parallel.spans.is_empty());
+        let targets = [(target_dynamic, 0), (target_dynamic + 20_000, 40)];
+        let serial = pipeline_snapshot(1, seed, targets);
+        let reversed = pipeline_snapshot(1, seed, [targets[1], targets[0]]);
+        let parallel = pipeline_snapshot(8, seed, targets);
+        for other in [&reversed, &parallel] {
+            prop_assert_eq!(&serial.counters, &other.counters);
+            prop_assert_eq!(&serial.gauges, &other.gauges);
+            prop_assert_eq!(&serial.histograms, &other.histograms);
+            prop_assert!(other.spans.is_empty());
+        }
+        prop_assert!(serial.spans.is_empty());
     }
 }
 

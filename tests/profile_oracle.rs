@@ -17,14 +17,19 @@
 //! kernels stopped at a random window (which often ends inside a block),
 //! clones at random seeds run to `halt`, and small random programs that
 //! halt or fall off the end of their text in the middle of a block.
+//!
+//! A third run, a block at a time into the fidelity gate's
+//! [`TotalsCollector`], must give the [`ProfileTotals`] that
+//! [`WorkloadProfile::totals`] reads off the reference profile: the same
+//! whole-run totals gathered without building the profile.
 
 use std::collections::HashMap;
 
 use perfclone_isa::{InstrClass, InstrMetaTable, Program, ProgramBuilder, Reg};
 use perfclone_kernels::{catalog, Scale};
 use perfclone_profile::{
-    BlockProfile, BranchProfile, ContextProfile, DepHistogram, EdgeProfile, Profiler,
-    StreamProfile, WorkloadProfile,
+    BlockProfile, BranchProfile, ContextProfile, DepHistogram, EdgeProfile, ProfileTotals,
+    Profiler, StreamProfile, TotalsCollector, WorkloadProfile,
 };
 use perfclone_repro::prelude::*;
 use perfclone_sim::{DynInstr, Simulator};
@@ -395,18 +400,55 @@ impl Reference {
     }
 }
 
+/// What the three collectors made of one run.
+struct Collected {
+    /// The profiler's serialized profile.
+    profile: String,
+    /// The reference's serialized profile.
+    reference: String,
+    /// The totals collector's totals.
+    totals: ProfileTotals,
+    /// The totals of the reference's profile.
+    reference_totals: ProfileTotals,
+}
+
 /// Runs `program` for up to `limit` records (a fault ends the run as the
-/// window does), a block at a time into the profiler and a record at a
-/// time into the reference, and returns their serialized profiles.
-fn both_profiles(program: &Program, limit: u64) -> (String, String) {
+/// window does), a block at a time into the profiler and into the totals
+/// collector, and a record at a time into the reference.
+fn collect_all(program: &Program, limit: u64) -> Collected {
     let mut profiler = Profiler::new(program);
     let _ = Simulator::new(program).run_blocks(limit, &mut profiler);
+    let mut collector = TotalsCollector::new(program);
+    let _ = Simulator::new(program).run_blocks(limit, &mut collector);
     let mut reference = Reference::new(program);
     for d in Simulator::trace(program, limit) {
         reference.on_retire(&d);
     }
+    let reference = reference.finish();
     let json = |p: &WorkloadProfile| serde_json::to_string(p).expect("profiles serialize");
-    (json(&profiler.finish()), json(&reference.finish()))
+    Collected {
+        profile: json(&profiler.finish()),
+        reference: json(&reference),
+        totals: collector.finish(),
+        reference_totals: reference.totals(),
+    }
+}
+
+/// Fails the case, naming `input`, unless the profiler's profile equals the
+/// reference's and the collector's totals equal the reference's.
+fn check(c: &Collected, input: &str) -> Result<(), TestCaseError> {
+    prop_assert!(
+        c.profile == c.reference,
+        "{input}: {}",
+        first_difference(&c.profile, &c.reference)
+    );
+    prop_assert!(
+        c.totals == c.reference_totals,
+        "{input}: totals\n  collector: {:?}\n  reference: {:?}",
+        c.totals,
+        c.reference_totals
+    );
+    Ok(())
 }
 
 /// Where two serializations first differ, with some context on each side.
@@ -551,13 +593,8 @@ proptest! {
         let len = kernel_lengths()[k];
         let limit = 1 + (frac * len as f64) as u64;
         let program = kernel.build(Scale::Tiny).program;
-        let (actual, expected) = both_profiles(&program, limit);
-        prop_assert!(
-            actual == expected,
-            "kernel {} (Tiny, {len} records) at limit {limit}: {}",
-            kernel.name(),
-            first_difference(&actual, &expected)
-        );
+        let input = format!("kernel {} (Tiny, {len} records) at limit {limit}", kernel.name());
+        check(&collect_all(&program, limit), &input)?;
     }
 
     /// A clone at a random synthesis seed, run to `halt`.
@@ -568,13 +605,8 @@ proptest! {
             .expect("kernel profiles");
         let params = SynthesisParams { seed, target_dynamic: 20_000, ..SynthesisParams::default() };
         let clone = Cloner::with_params(params).clone_program_from(&profile).expect("clone synthesizes");
-        let (actual, expected) = both_profiles(&clone, u64::MAX);
-        prop_assert!(
-            actual == expected,
-            "clone of {} at seed {seed:#x}, no limit: {}",
-            kernel.name(),
-            first_difference(&actual, &expected)
-        );
+        let input = format!("clone of {} at seed {seed:#x}, no limit", kernel.name());
+        check(&collect_all(&clone, u64::MAX), &input)?;
     }
 
 }
@@ -591,12 +623,10 @@ proptest! {
     ) {
         let base = if top { -40 } else { 0x4000 };
         let program = random_program(&body, &tail, trips, step, base, halt);
-        let (actual, expected) = both_profiles(&program, limit);
-        prop_assert!(
-            actual == expected,
+        let input = format!(
             "random program (body {body:?}, tail {tail:?}, {trips} trips, step {step}, \
-             base {base:#x}, halt {halt}) at limit {limit}: {}",
-            first_difference(&actual, &expected)
+             base {base:#x}, halt {halt}) at limit {limit}"
         );
+        check(&collect_all(&program, limit), &input)?;
     }
 }
