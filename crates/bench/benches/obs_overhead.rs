@@ -1,8 +1,8 @@
 //! Telemetry overhead gate: the susan 28-config L1 D-cache sweep (the
 //! hottest instrumented path — trace extraction plus the single-pass
 //! stack-distance engine) timed with the registry enabled versus disabled
-//! at runtime, and with event tracing (per-thread rings) on top. The
-//! instrumentation batches its publishes once per stage, so the
+//! at runtime, and with event tracing (the registry's event log) on top.
+//! The instrumentation batches its publishes once per stage, so the
 //! acceptance bound is < 3 % overhead — for metrics alone and for
 //! metrics + tracing; the measured numbers are recorded in
 //! EXPERIMENTS.md ("Telemetry overhead"). That telemetry leaves the

@@ -75,20 +75,16 @@ OPTIONS:
                           quarantine-*.json records in the journal) and
                           complete the sweep with degraded coverage
                           instead of aborting on the first failure
-  --trace-out FILE        record span begin/end and instant events in
-                          per-thread ring buffers and write them as Chrome
-                          Trace Format JSON (open in Perfetto via
-                          https://ui.perfetto.dev) when the command ends;
-                          works with every verb
+  --trace-out FILE        record every span and instant event of the run
+                          and write them as Chrome Trace Format JSON (open
+                          in Perfetto via https://ui.perfetto.dev) when the
+                          command ends; works with every verb
   --heartbeat MS          grid only: cadence of the live JSONL heartbeat
                           records the sampler thread emits on stderr
                           (cells/s, ETA, retries, RSS; default 1000,
                           0 disables); stdout is never touched
 
 ENVIRONMENT:
-  PERFCLONE_TRACE_RING    per-thread event-ring capacity for --trace-out
-                          (default 16384; the oldest events are dropped,
-                          and counted, when a ring wraps)
   PERFCLONE_TRACE_CAP     byte budget for in-memory packed dynamic traces
                           (default 1 GiB); over-cap captures spill to disk
                           and replay via mmap with identical results
@@ -231,11 +227,8 @@ fn write_report(cmd: &str, dest: &str) -> Result<(), String> {
     report.timeline = extras.timeline;
     if perfclone_obs::trace_enabled() {
         let stats = perfclone_obs::trace_stats();
-        report.trace = Some(TraceSummary {
-            events: stats.events,
-            dropped: stats.dropped,
-            threads: stats.threads,
-        });
+        report.trace =
+            Some(TraceSummary { events: stats.events, dropped: 0, threads: stats.threads });
     }
     let json = report.to_json().map_err(|e| format!("serializing report: {e}"))?;
     if dest == "-" {
@@ -254,11 +247,10 @@ fn write_trace(dest: &str) -> Result<(), String> {
     std::fs::write(dest, &json).map_err(|e| format!("writing {dest}: {e}"))?;
     let stats = perfclone_obs::trace_stats();
     say!(
-        "event trace -> {dest} ({} events across {} thread(s), {} dropped to ring wrap); \
+        "event trace -> {dest} ({} events across {} thread(s)); \
          open in Perfetto: https://ui.perfetto.dev",
         stats.events,
-        stats.threads,
-        stats.dropped
+        stats.threads
     );
     Ok(())
 }
@@ -278,7 +270,7 @@ pub fn dispatch(argv: &[String]) -> Result<(), String> {
     let report_dest = rest.report_dest().map(str::to_string);
     let trace_dest = rest.trace_out().map(str::to_string);
     if report_dest.is_some() || trace_dest.is_some() {
-        // Start from a clean registry (and rewound event rings) so the
+        // Start from a clean registry (and an empty event log) so the
         // report and trace cover exactly this command.
         perfclone_obs::reset();
     }
@@ -344,15 +336,14 @@ fn kernel_program(parsed: &Parsed, pos: usize) -> Result<(String, Program), Stri
 }
 
 /// Renders the per-stage wall-time footer `validate`, `dsweep`, `grid`
-/// and `clone` print: every duration comes from the span registry, so a
-/// `--jobs N` run reports the same stages (with pool fan-out folded into
-/// the driving span) at any thread count.
+/// and `clone` print: every duration comes from the registry's stage
+/// rows, so a `--jobs N` run reports the same stages (with pool fan-out
+/// folded into the driving span) at any thread count.
 fn stage_footer() -> Option<String> {
-    let snap = perfclone_obs::snapshot();
-    if snap.spans.is_empty() {
+    let stages = perfclone_obs::snapshot().stages;
+    if stages.is_empty() {
         return None;
     }
-    let stages = RunReport::from_snapshot("", "", snap).stages;
     let parts: Vec<String> = stages
         .iter()
         .map(|s| {

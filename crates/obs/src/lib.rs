@@ -3,8 +3,9 @@
 //! Zero-dependency pipeline telemetry for the performance-cloning
 //! toolchain: a global registry of named [`Counter`]s, [`Gauge`]s, and
 //! log2-bucketed [`Histogram`]s, lightweight RAII [`Span`]s that record
-//! wall time per pipeline stage, and a versioned, machine-readable
-//! [`RunReport`] serialized through the vendored serde shims.
+//! wall time per pipeline stage into a `span.<stage>.ns` histogram, and
+//! a versioned, machine-readable [`RunReport`] serialized through the
+//! vendored serde shims.
 //!
 //! Every pipeline stage — profile collection, SFG walk and clone
 //! emission, stack-distance cache sweeps, statistical simulation, the
@@ -22,10 +23,14 @@
 //! once per name (the [`count!`]/[`record!`]/[`gauge!`] macros cache the
 //! handle in a local `OnceLock`, so the name→handle map is consulted once
 //! per call *site*, not per call), and every update is one `Relaxed`
-//! atomic RMW behind one `Relaxed` enabled-flag load. Instrumented code
+//! atomic RMW (two for a histogram sample: its bucket and its total)
+//! behind one `Relaxed` enabled-flag load. Instrumented code
 //! batches: hot loops accumulate locally and publish once per stage, so
 //! enabling telemetry costs well under 1 % on the sweep benches (see
-//! EXPERIMENTS.md "Telemetry overhead").
+//! EXPERIMENTS.md "Telemetry overhead"). A span's one always-on record
+//! is its histogram: the sample count and running total are the stage's
+//! calls and wall time, so the telemetry a run keeps does not grow with
+//! the number of spans it closes.
 //!
 //! Telemetry is on by default; `PERFCLONE_OBS=0` (or `off`/`false`) or
 //! [`set_enabled`]`(false)` turns every update into a near-free branch.
@@ -35,8 +40,9 @@
 //! Counter totals, gauge values, and the bucket totals of histograms not
 //! derived from wall time are functions of the work performed, never of
 //! the thread schedule — the same seed yields the same snapshot at any
-//! `PERFCLONE_JOBS`. Wall-clock data (span durations and the `span.*.ns`
-//! histograms they feed) is the explicit exception; filter it with
+//! `PERFCLONE_JOBS`. Wall-clock data (span durations, the `span.*.ns`
+//! histograms they feed and the stage rows read from those) is the
+//! explicit exception; filter it with
 //! [`TelemetrySnapshot::deterministic`]. `tests/observability.rs` holds
 //! the pipeline to this contract by property test.
 //!
@@ -58,11 +64,12 @@
 //!
 //! ## Event tracing and live telemetry
 //!
-//! Beyond aggregates, the crate records individual events: span
-//! begin/end pairs and [`instant!`] markers land in per-thread lock-free
-//! ring buffers (see the `trace` module docs) and export as Chrome Trace
-//! Format JSON via [`chrome_trace`], loadable in Perfetto. Tracing is off
-//! by default; the CLI's `--trace-out FILE` flag enables it for one run.
+//! Beyond aggregates, the crate records individual events while tracing
+//! is on: each span that closes and each [`instant!`] marker is appended,
+//! with its thread, to the registry's event log (see the `trace` module
+//! docs), which exports as Chrome Trace Format JSON via [`chrome_trace`],
+//! loadable in Perfetto. Tracing is off by default; the CLI's
+//! `--trace-out FILE` flag enables it for one run.
 //! A [`Sampler`] thread turns the same registry into live JSONL
 //! heartbeats on stderr and a down-sampled [`Timeline`] for the
 //! [`RunReport`] v2 `timeline` section, with RSS self-sampled through
@@ -88,8 +95,7 @@ pub use report::{
 pub use sample::{Sampler, SamplerConfig};
 pub use span::{current, Span, SpanId};
 pub use trace::{
-    chrome_trace, set_trace_enabled, set_trace_ring_capacity, trace_enabled, trace_instant,
-    trace_stats, TraceStats,
+    chrome_trace, set_trace_enabled, trace_enabled, trace_instant, trace_stats, TraceStats,
 };
 
 /// Opens an RAII span: `let _s = span!("synth.gen");`. The span closes
@@ -127,7 +133,7 @@ macro_rules! gauge {
     }};
 }
 
-/// Records a thread-scoped instant event into the trace ring:
+/// Records a thread-scoped instant event into the trace log:
 /// `instant!("grid.cell.finish")`. Near-free while tracing is off (the
 /// default); see [`set_trace_enabled`] and the `--trace-out` CLI flag.
 #[macro_export]
@@ -196,12 +202,14 @@ mod tests {
         assert!(snap.counters.iter().all(|c| c.name != "test.disabled.counter" || c.value == 0));
         assert!(snap.histograms.iter().all(|h| h.name != "test.disabled.hist" || h.count == 0));
         assert!(snap.spans.iter().all(|s| s.name != "test.disabled.span"));
+        assert!(snap.stages.iter().all(|s| s.name != "test.disabled.span"));
     }
 
     #[test]
     fn spans_nest_and_carry_explicit_parents() {
         let _g = registry_lock();
         reset();
+        set_trace_enabled(true);
         let outer = Span::enter("test.outer");
         let outer_id = outer.id().map(SpanId::get).unwrap_or(0);
         {
@@ -216,6 +224,7 @@ mod tests {
             });
         });
         drop(outer);
+        set_trace_enabled(false);
         let snap = snapshot();
         let find = |name: &str| snap.spans.iter().find(|s| s.name == name).unwrap();
         assert_eq!(find("test.inner").parent, outer_id);
@@ -236,8 +245,31 @@ mod tests {
         }
         let det = snapshot().deterministic();
         assert!(det.spans.is_empty());
+        assert!(det.stages.is_empty());
         assert!(det.histograms.iter().all(|h| !h.name.starts_with("span.")));
         assert!(det.counters.iter().any(|c| c.name == "test.det.counter"));
         assert!(det.histograms.iter().any(|h| h.name == "test.det.hist"));
+    }
+
+    #[test]
+    fn reset_clears_stage_totals_and_the_event_log() {
+        let _g = registry_lock();
+        reset();
+        set_trace_enabled(true);
+        {
+            let _s = span!("test.reset.span");
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        reset();
+        {
+            let _s = span!("test.reset.span");
+        }
+        set_trace_enabled(false);
+        let snap = snapshot();
+        let spans: Vec<&SpanEntry> =
+            snap.spans.iter().filter(|s| s.name == "test.reset.span").collect();
+        assert_eq!(spans.len(), 1, "the span before the reset is gone");
+        let stage = snap.stages.iter().find(|s| s.name == "test.reset.span").unwrap();
+        assert_eq!((stage.calls, stage.total_ns), (1, spans[0].duration_ns));
     }
 }

@@ -1,5 +1,5 @@
-//! The global telemetry registry: named atomic instruments plus the span
-//! log, interned once and updated lock-free.
+//! The global telemetry registry: named atomic instruments, interned once
+//! and updated lock-free, plus the event log that tracing appends to.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -7,7 +7,8 @@ use std::sync::{Mutex, MutexGuard, OnceLock};
 use std::time::Instant;
 
 use crate::report::{
-    CounterEntry, GaugeEntry, HistogramBucket, HistogramEntry, SpanEntry, TelemetrySnapshot,
+    CounterEntry, GaugeEntry, HistogramBucket, HistogramEntry, SpanEntry, StageSummary,
+    TelemetrySnapshot,
 };
 
 /// `HIST_BUCKETS` log2 buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
@@ -62,17 +63,19 @@ impl Gauge {
 }
 
 /// A log2-bucketed histogram of `u64` samples (latencies in nanoseconds,
-/// sizes in bytes or instructions). Bucket totals of histograms fed by
-/// deterministic quantities are thread-schedule independent; the
-/// `span.*.ns` latency histograms are not.
+/// sizes in bytes or instructions), with the running total of its
+/// samples. Bucket totals of histograms fed by deterministic quantities
+/// are thread-schedule independent; the `span.*.ns` latency histograms
+/// are not.
 #[derive(Debug)]
 pub struct Histogram {
     buckets: [AtomicU64; HIST_BUCKETS],
+    total: AtomicU64,
 }
 
 impl Default for Histogram {
     fn default() -> Histogram {
-        Histogram { buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS] }
+        Histogram { buckets: [const { AtomicU64::new(0) }; HIST_BUCKETS], total: AtomicU64::new(0) }
     }
 }
 
@@ -102,6 +105,7 @@ impl Histogram {
     pub fn record(&self, v: u64) {
         if enabled() {
             self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+            self.total.fetch_add(v, Ordering::Relaxed);
         }
     }
 
@@ -123,9 +127,20 @@ impl Histogram {
         }
         HistogramEntry { name: name.to_string(), count, buckets }
     }
+
+    /// The stage row of a `span.<stage>.ns` histogram that has samples.
+    fn stage(&self, name: &str) -> Option<StageSummary> {
+        let stage = name.strip_prefix("span.")?.strip_suffix(".ns")?;
+        let calls = self.count();
+        (calls > 0).then(|| StageSummary {
+            name: stage.to_string(),
+            calls,
+            total_ns: self.total.load(Ordering::Relaxed),
+        })
+    }
 }
 
-/// One finished span, recorded at guard drop.
+/// One finished span, as the event log keeps it.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SpanRecord {
     pub id: u64,
@@ -135,11 +150,30 @@ pub(crate) struct SpanRecord {
     pub duration_ns: u64,
 }
 
+/// One entry of the event log, appended only while tracing is on.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Event {
+    /// The thread it happened on, numbered from 1 in the order threads
+    /// first log an event.
+    pub tid: u64,
+    pub kind: EventKind,
+}
+
+#[derive(Clone, Copy, Debug)]
+pub(crate) enum EventKind {
+    /// A span that closed.
+    Span(SpanRecord),
+    /// An `instant!`. `next_id` is the span-id counter at the instant:
+    /// the spans with smaller ids opened before it, so it lies inside each
+    /// of those on its thread that closes after it.
+    Instant { name: &'static str, ts_ns: u64, next_id: u64 },
+}
+
 pub(crate) struct Registry {
     counters: Mutex<BTreeMap<&'static str, &'static Counter>>,
     gauges: Mutex<BTreeMap<&'static str, &'static Gauge>>,
     histograms: Mutex<BTreeMap<&'static str, &'static Histogram>>,
-    spans: Mutex<Vec<SpanRecord>>,
+    events: Mutex<Vec<Event>>,
     next_span_id: AtomicU64,
     epoch: Instant,
 }
@@ -159,7 +193,7 @@ pub(crate) fn registry() -> &'static Registry {
         counters: Mutex::new(BTreeMap::new()),
         gauges: Mutex::new(BTreeMap::new()),
         histograms: Mutex::new(BTreeMap::new()),
-        spans: Mutex::new(Vec::new()),
+        events: Mutex::new(Vec::new()),
         next_span_id: AtomicU64::new(1),
         epoch: Instant::now(),
     })
@@ -170,12 +204,22 @@ impl Registry {
         self.next_span_id.fetch_add(1, Ordering::Relaxed)
     }
 
+    /// The id [`next_span_id`](Registry::next_span_id) hands out next.
+    pub(crate) fn peek_span_id(&self) -> u64 {
+        self.next_span_id.load(Ordering::Relaxed)
+    }
+
     pub(crate) fn elapsed_ns(&self) -> u64 {
         u64::try_from(self.epoch.elapsed().as_nanos()).unwrap_or(u64::MAX)
     }
 
-    pub(crate) fn push_span(&self, record: SpanRecord) {
-        lock(&self.spans).push(record);
+    pub(crate) fn log(&self, event: Event) {
+        lock(&self.events).push(event);
+    }
+
+    /// Runs `f` on the event log, oldest entry first.
+    pub(crate) fn with_events<R>(&self, f: impl FnOnce(&[Event]) -> R) -> R {
+        f(&lock(&self.events))
     }
 }
 
@@ -230,7 +274,8 @@ pub fn set_enabled(on: bool) {
 }
 
 /// Takes a full snapshot of the registry: every instrument, sorted by
-/// name, plus the recorded spans in completion order.
+/// name, the stage rows read from the `span.<stage>.ns` histograms, and
+/// the traced spans in completion order.
 ///
 /// Torn-read semantics: each atomic is read once with `Relaxed` ordering
 /// and no global lock is held across instruments, so a snapshot taken
@@ -258,26 +303,35 @@ pub fn snapshot() -> TelemetrySnapshot {
         .iter()
         .map(|(name, g)| GaugeEntry { name: (*name).to_string(), value: g.get() })
         .collect();
-    let histograms = lock(&r.histograms).iter().map(|(name, h)| h.entry(name)).collect();
-    let spans = lock(&r.spans)
-        .iter()
-        .map(|s| SpanEntry {
-            id: s.id,
-            parent: s.parent,
-            name: s.name.to_string(),
-            start_ns: s.start_ns,
-            duration_ns: s.duration_ns,
-        })
-        .collect();
-    TelemetrySnapshot { counters, gauges, histograms, spans }
+    let (histograms, stages) = {
+        let histograms = lock(&r.histograms);
+        (
+            histograms.iter().map(|(name, h)| h.entry(name)).collect(),
+            histograms.iter().filter_map(|(name, h)| h.stage(name)).collect(),
+        )
+    };
+    let spans = r.with_events(|log| {
+        log.iter()
+            .filter_map(|e| match e.kind {
+                EventKind::Span(s) => Some(SpanEntry {
+                    id: s.id,
+                    parent: s.parent,
+                    name: s.name.to_string(),
+                    start_ns: s.start_ns,
+                    duration_ns: s.duration_ns,
+                }),
+                EventKind::Instant { .. } => None,
+            })
+            .collect()
+    });
+    TelemetrySnapshot { counters, gauges, histograms, stages, spans }
 }
 
-/// Zeroes every instrument, clears the span log, and rewinds the trace
-/// event rings. Registrations (and cached handles) stay valid. Intended
+/// Zeroes every instrument, histogram totals included, and clears the
+/// event log. Registrations (and cached handles) stay valid. Intended
 /// for tests and for the CLI, which resets before a `--report` run so
 /// the report covers exactly one command.
 pub fn reset() {
-    crate::trace::trace_reset();
     let r = registry();
     for c in lock(&r.counters).values() {
         c.0.store(0, Ordering::Relaxed);
@@ -289,8 +343,9 @@ pub fn reset() {
         for b in &h.buckets {
             b.store(0, Ordering::Relaxed);
         }
+        h.total.store(0, Ordering::Relaxed);
     }
-    lock(&r.spans).clear();
+    lock(&r.events).clear();
 }
 
 #[cfg(test)]

@@ -80,24 +80,31 @@ pub struct TelemetrySnapshot {
     pub gauges: Vec<GaugeEntry>,
     /// All histograms, sorted by name.
     pub histograms: Vec<HistogramEntry>,
-    /// All completed spans, in completion order.
+    /// One row per stage, read from each `span.<stage>.ns` histogram with
+    /// samples, sorted by name.
+    pub stages: Vec<StageSummary>,
+    /// The spans that closed while tracing was on, in completion order;
+    /// empty when nothing was traced.
     pub spans: Vec<SpanEntry>,
 }
 
 impl TelemetrySnapshot {
-    /// The schedule-independent view: drops spans and the `span.*.ns`
-    /// latency histograms they feed. What remains is a pure function of
-    /// the work performed — identical across `PERFCLONE_JOBS` settings
-    /// for the same seed (the contract `tests/observability.rs` checks).
+    /// The schedule-independent view: drops spans, stage rows and the
+    /// `span.*.ns` latency histograms they are read from. What remains is
+    /// a pure function of the work performed — identical across
+    /// `PERFCLONE_JOBS` settings for the same seed (the contract
+    /// `tests/observability.rs` checks).
     #[must_use]
     pub fn deterministic(mut self) -> TelemetrySnapshot {
         self.spans.clear();
+        self.stages.clear();
         self.histograms.retain(|h| !h.name.starts_with("span."));
         self
     }
 }
 
-/// Aggregate wall time of one pipeline stage (all spans sharing a name).
+/// Aggregate wall time of one pipeline stage (all spans sharing a name),
+/// read from the stage's `span.<name>.ns` histogram.
 #[derive(Clone, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StageSummary {
     /// Span name, e.g. `profile.collect`.
@@ -235,10 +242,10 @@ impl Timeline {
 /// the run recorded events for a `--trace-out` export.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TraceSummary {
-    /// Events written over the run (retained + dropped).
+    /// Events the exported trace holds.
     pub events: u64,
-    /// Events lost to per-thread ring wrap; 0 means the exported trace is
-    /// complete.
+    /// Events left out of the export. Always 0, since a traced run keeps
+    /// every event; kept so that the v2 section keeps its shape.
     pub dropped: u64,
     /// Threads that recorded at least one event.
     pub threads: u64,
@@ -255,8 +262,8 @@ pub struct Metric {
 
 /// The versioned, machine-readable record of one pipeline run: what the
 /// CLI writes for `--report out.json` and the bench binaries emit so both
-/// share one schema. Derived summaries (stages, cache rates) ride next to
-/// the raw snapshot so consumers can recompute anything.
+/// share one schema. The stage and cache-rate summaries ride next to the
+/// raw counters, gauges and histograms they are read from.
 /// `Deserialize` is hand-written (not derived) so the v2-only optional
 /// fields parse as absent from v1 documents instead of erroring.
 #[derive(Clone, Debug, PartialEq, Serialize)]
@@ -314,7 +321,9 @@ pub struct RunReport {
     pub gauges: Vec<GaugeEntry>,
     /// Raw histograms.
     pub histograms: Vec<HistogramEntry>,
-    /// Raw span log.
+    /// The spans that closed while tracing was on, in completion order;
+    /// empty for an untraced run, whose stage wall times are in
+    /// [`RunReport::stages`] and the `span.*.ns` histograms.
     pub spans: Vec<SpanEntry>,
 }
 
@@ -339,19 +348,6 @@ impl serde::Deserialize for RunReport {
             spans: serde::get_field(v, "spans")?,
         })
     }
-}
-
-/// Derives [`StageSummary`] rows by aggregating spans that share a name.
-fn stages_from(spans: &[SpanEntry]) -> Vec<StageSummary> {
-    let mut agg: BTreeMap<&str, (u64, u64)> = BTreeMap::new();
-    for s in spans {
-        let e = agg.entry(s.name.as_str()).or_insert((0, 0));
-        e.0 += 1;
-        e.1 += s.duration_ns;
-    }
-    agg.into_iter()
-        .map(|(name, (calls, total_ns))| StageSummary { name: name.to_string(), calls, total_ns })
-        .collect()
 }
 
 /// Derives [`CacheRates`] rows from `cache.<name>.lookups` /
@@ -380,15 +376,15 @@ fn caches_from(counters: &[CounterEntry]) -> Vec<CacheRates> {
 }
 
 impl RunReport {
-    /// Builds a report from a snapshot, deriving the stage and cache-rate
-    /// summaries. Gate, sweep, and metric rows start empty; the caller
-    /// fills them from stage results it holds.
+    /// Builds a report from a snapshot, taking its stage rows and
+    /// deriving the cache-rate summary. Gate, sweep, and metric rows start
+    /// empty; the caller fills them from stage results it holds.
     pub fn from_snapshot(command: &str, workload: &str, snap: TelemetrySnapshot) -> RunReport {
         RunReport {
             report_version: REPORT_VERSION,
             command: command.to_string(),
             workload: workload.to_string(),
-            stages: stages_from(&snap.spans),
+            stages: snap.stages,
             caches: caches_from(&snap.counters),
             gate: Vec::new(),
             sweep: None,
@@ -555,11 +551,8 @@ impl RunReport {
             );
         }
         if let Some(tr) = &self.trace {
-            let _ = writeln!(
-                out,
-                "\ntrace:\n  {} events across {} thread(s) · {} dropped to ring wrap",
-                tr.events, tr.threads, tr.dropped,
-            );
+            let _ =
+                writeln!(out, "\ntrace:\n  {} events across {} thread(s)", tr.events, tr.threads);
         }
         let _ = writeln!(
             out,
@@ -609,6 +602,10 @@ mod tests {
                     count: 1,
                     buckets: vec![HistogramBucket { lo: 1024, hi: 2047, count: 1 }],
                 },
+            ],
+            stages: vec![
+                StageSummary { name: "profile.collect".into(), calls: 1, total_ns: 1500 },
+                StageSummary { name: "synth.gen".into(), calls: 2, total_ns: 1000 },
             ],
             spans: vec![
                 SpanEntry {

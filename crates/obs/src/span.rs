@@ -39,8 +39,10 @@ pub fn current() -> Option<SpanId> {
 
 /// An open span. Created by [`Span::enter`] (or the
 /// [`span!`](crate::span) macro); the elapsed wall time is recorded when
-/// the guard drops, both as a `SpanEntry` in the snapshot's span log and
-/// as a sample in the `span.<name>.ns` histogram.
+/// the guard drops as a sample in the `span.<name>.ns` histogram, whose
+/// count and total are the snapshot's stage row. While tracing is on
+/// ([`trace_enabled()`](crate::trace_enabled)), the closed span is also
+/// appended to the event log, and so to the snapshot's `spans`.
 ///
 /// While telemetry is disabled ([`enabled()`](crate::enabled) is false)
 /// spans are inert: nothing is allocated or recorded and [`Span::id`]
@@ -84,7 +86,6 @@ impl Span {
         let id = r.next_span_id();
         let prev_current = CURRENT.with(|c| c.replace(id));
         let start_ns = r.elapsed_ns();
-        crate::trace::span_begin(name, id, parent, start_ns);
         Span { id, parent, name, start_ns, prev_current }
     }
 
@@ -110,20 +111,18 @@ impl Drop for Span {
             return;
         }
         CURRENT.with(|c| c.set(self.prev_current));
-        crate::trace::span_end(self.name, self.id, self.parent);
-        let r = registry();
-        let duration_ns = r.elapsed_ns().saturating_sub(self.start_ns);
-        r.push_span(SpanRecord {
-            id: self.id,
-            parent: self.parent,
-            name: self.name,
-            start_ns: self.start_ns,
-            duration_ns,
-        });
-        // Feed the latency histogram so per-stage distributions survive
-        // even if a consumer only keeps aggregate instruments.
+        let duration_ns = registry().elapsed_ns().saturating_sub(self.start_ns);
         let hist_name = format!("span.{}.ns", self.name);
         crate::histogram(&hist_name).record(duration_ns);
+        if crate::trace_enabled() {
+            crate::trace::log_span(SpanRecord {
+                id: self.id,
+                parent: self.parent,
+                name: self.name,
+                start_ns: self.start_ns,
+                duration_ns,
+            });
+        }
     }
 }
 
@@ -136,6 +135,7 @@ mod tests {
     fn sibling_spans_share_a_parent() {
         let _g = registry_lock();
         crate::reset();
+        crate::set_trace_enabled(true);
         let outer = Span::enter("test.span.outer");
         let outer_id = outer.id().map(SpanId::get).unwrap_or(0);
         {
@@ -145,6 +145,7 @@ mod tests {
             let _b = Span::enter("test.span.b");
         }
         drop(outer);
+        crate::set_trace_enabled(false);
         let snap = crate::snapshot();
         for name in ["test.span.a", "test.span.b"] {
             let s = snap.spans.iter().find(|s| s.name == name);

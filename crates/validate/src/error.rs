@@ -32,7 +32,7 @@ impl fmt::Display for ValidateError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
             ValidateError::Source(e) => write!(f, "source profile invalid: {e}"),
-            ValidateError::CloneFaulted(e) => write!(f, "clone faulted during re-profiling: {e}"),
+            ValidateError::CloneFaulted(e) => write!(f, "clone faulted while being measured: {e}"),
             ValidateError::BudgetExhausted { budget } => {
                 write!(f, "clone did not halt within the {budget}-instruction gate budget")
             }

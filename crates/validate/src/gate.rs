@@ -185,7 +185,7 @@ impl ValidationReport {
         let mut out = String::new();
         let _ = writeln!(
             out,
-            "fidelity gate: {} (clone re-profiled over {} instructions)",
+            "fidelity gate: {} (clone measured over {} instructions)",
             self.name, self.clone_instrs
         );
         let _ = writeln!(
@@ -273,7 +273,7 @@ impl Gate {
         let mut collector = TotalsCollector::new(clone);
         let mut sim = Simulator::new(clone);
         let outcome = {
-            let _s = perfclone_obs::span!("validate.reprofile");
+            let _s = perfclone_obs::span!("validate.measure");
             match sim.run_budget_blocks(self.profile_budget, &mut collector) {
                 Ok(out) => out,
                 Err(SimError::BudgetExhausted { budget }) => {

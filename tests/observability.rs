@@ -1,10 +1,12 @@
 //! Integration tests of the telemetry subsystem's cross-crate contracts:
 //! counter and histogram totals are a pure function of the work performed
-//! (identical at any thread count for the same seed), spans recorded
-//! across rayon pools nest under the driving stage, a live snapshot
-//! round-trips through the [`RunReport`] JSON schema, and switching
-//! telemetry off changes no result.
+//! (identical at any thread count for the same seed), spans traced across
+//! rayon pools nest under the driving stage, stage rows count every span
+//! while only traced spans are logged, a live snapshot round-trips
+//! through the [`RunReport`] JSON schema, and switching telemetry off
+//! changes no result.
 
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
 use perfclone::experiments::cache_sweep_pair;
@@ -100,6 +102,7 @@ proptest! {
 fn sweep_spans_nest_across_the_pool() {
     let _g = registry_lock();
     perfclone_obs::reset();
+    perfclone_obs::set_trace_enabled(true);
     let program = by_name("crc32").expect("kernel").build(Scale::Tiny).program;
     let spec = GridSpec {
         workload: "crc32".into(),
@@ -118,6 +121,7 @@ fn sweep_spans_nest_across_the_pool() {
     let _ = std::fs::remove_dir_all(&journal);
     let trace = AddressTrace::extract(&program, 100_000);
     let _ = sweep_trace(&trace, &cache_sweep());
+    perfclone_obs::set_trace_enabled(false);
 
     let snap = perfclone_obs::snapshot();
     let named = |name: &'static str| snap.spans.iter().filter(move |s| s.name == name);
@@ -151,12 +155,46 @@ fn telemetry_does_not_change_sweep_results() {
     assert_eq!(on, off, "telemetry must not change sweep results");
 }
 
+/// Every span counts in its stage row, traced or not. Traced, the rows
+/// equal, name for name, the calls and summed durations of the logged
+/// spans; untraced, nothing is logged and the rows count the same calls.
+/// The untraced run comes first, so totals a reset failed to clear would
+/// show in the traced run's rows.
+#[test]
+fn stage_rows_count_every_span_and_only_traced_spans_are_logged() {
+    let _g = registry_lock();
+    let untraced = live_pipeline_snapshot();
+    perfclone_obs::set_trace_enabled(true);
+    let traced = live_pipeline_snapshot();
+    perfclone_obs::set_trace_enabled(false);
+
+    let rows = |snap: &TelemetrySnapshot| -> BTreeMap<String, (u64, u64)> {
+        snap.stages.iter().map(|s| (s.name.clone(), (s.calls, s.total_ns))).collect()
+    };
+    let mut from_spans: BTreeMap<String, (u64, u64)> = BTreeMap::new();
+    for s in &traced.spans {
+        let row = from_spans.entry(s.name.clone()).or_default();
+        row.0 += 1;
+        row.1 += s.duration_ns;
+    }
+    assert_eq!(rows(&traced), from_spans);
+    for stage in ["profile.collect", "synth.gen", "validate.gate", "validate.measure"] {
+        assert!(from_spans.contains_key(stage), "no traced {stage} span: {from_spans:?}");
+    }
+
+    assert!(untraced.spans.is_empty(), "untraced spans were logged: {:?}", untraced.spans);
+    let calls = |snap: &TelemetrySnapshot| -> Vec<(String, u64)> {
+        snap.stages.iter().map(|s| (s.name.clone(), s.calls)).collect()
+    };
+    assert_eq!(calls(&untraced), calls(&traced));
+}
+
 /// A report built from a live pipeline snapshot survives the JSON round
-/// trip bit-for-bit and derives non-empty stage and cache summaries.
+/// trip bit-for-bit and carries non-empty stage and cache summaries.
 #[test]
 fn live_snapshot_round_trips_through_run_report() {
     let _g = registry_lock();
-    let snap = pipeline_snapshot_with_spans();
+    let snap = live_pipeline_snapshot();
     let report = RunReport::from_snapshot("test", "crc32", snap);
     assert!(report.stages.iter().any(|s| s.name == "profile.collect"), "{:?}", report.stages);
     assert!(report.stages.iter().any(|s| s.name == "synth.gen"));
@@ -167,8 +205,10 @@ fn live_snapshot_round_trips_through_run_report() {
     assert_eq!(back, report);
 }
 
-/// Like [`pipeline_snapshot`] but keeps the spans (no `deterministic()`).
-fn pipeline_snapshot_with_spans() -> TelemetrySnapshot {
+/// Profiles, synthesizes and gates one clone on the calling thread and
+/// returns the whole snapshot, wall-time data included (no
+/// `deterministic()`).
+fn live_pipeline_snapshot() -> TelemetrySnapshot {
     perfclone_obs::reset();
     let program = by_name("crc32").expect("kernel").build(Scale::Tiny).program;
     let cache = WorkloadCache::new();

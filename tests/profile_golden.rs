@@ -1,4 +1,5 @@
-//! Standing bit-identity guard for the profiler and the gate's re-profile.
+//! Standing bit-identity guard for the profiler and the gate's measurement
+//! of a clone.
 //!
 //! Every catalog kernel at `Scale::Tiny` is profiled, cloned at a fixed
 //! seed, its clone profiled, and the clone gated against the kernel's

@@ -4,8 +4,7 @@
 //! exported JSON must be valid, balanced (`B`/`E` pairs match per tid),
 //! and per-thread monotonic — the properties Perfetto's importer needs to
 //! render spans instead of rejecting the file — with parent edges intact
-//! across the pool hop. A separate test checks that ring wrap reports an
-//! exact dropped-event count rather than silently truncating.
+//! across the pool hop.
 
 use std::sync::{Mutex, MutexGuard, OnceLock};
 
@@ -14,7 +13,7 @@ use perfclone_kernels::{by_name, Scale};
 use proptest::prelude::*;
 use serde::Value;
 
-/// Tracing state (rings, enable switch, ring capacity) is process-global,
+/// Tracing state (the event log and the enable switch) is process-global,
 /// so tests in this binary serialize on one lock.
 fn registry_lock() -> MutexGuard<'static, ()> {
     static LOCK: OnceLock<Mutex<()>> = OnceLock::new();
@@ -91,8 +90,8 @@ proptest! {
     /// Across pool widths, the export is valid JSON whose per-tid streams
     /// are balanced (every `E` has a preceding `B`, every `B` is closed)
     /// and per-tid timestamps never run backwards. The non-meta event
-    /// count also reconciles exactly with [`perfclone_obs::trace_stats`]
-    /// when nothing wrapped. Every `grid.shard` span names `grid.sweep` as
+    /// count also reconciles exactly with [`perfclone_obs::trace_stats`].
+    /// Every `grid.shard` span names `grid.sweep` as
     /// its parent, and at width ≥ 2 at least one runs on another thread,
     /// so the parent edge is checked across a real pool hop.
     #[test]
@@ -169,43 +168,7 @@ proptest! {
             prop_assert_eq!(tid, pass_tid);
         }
 
-        // Nothing wrapped at the default ring size, so the export holds
-        // exactly the events the rings accounted for.
-        prop_assert_eq!(stats.dropped, 0);
+        // The export holds exactly the events the log accounted for.
         prop_assert_eq!(recorded, stats.events);
     }
-}
-
-/// Overflowing a deliberately tiny ring drops the *oldest* events and
-/// reports exactly how many: 20 written at capacity 8 ⇒ 12 dropped, and
-/// the export retains the newest 8.
-#[test]
-fn ring_wrap_reports_an_accurate_dropped_count() {
-    let _g = registry_lock();
-    perfclone_obs::reset();
-    perfclone_obs::set_trace_ring_capacity(8);
-    perfclone_obs::set_trace_enabled(true);
-    // A fresh thread gets a fresh ring at the shrunken capacity (existing
-    // rings keep their size).
-    std::thread::spawn(|| {
-        for _ in 0..20 {
-            perfclone_obs::trace_instant("test.wrap.instant");
-        }
-    })
-    .join()
-    .expect("writer thread");
-    perfclone_obs::set_trace_enabled(false);
-    perfclone_obs::set_trace_ring_capacity(1 << 14);
-
-    let stats = perfclone_obs::trace_stats();
-    assert_eq!(stats.events, 20, "every write counted, retained or not");
-    assert_eq!(stats.dropped, 12, "20 written into 8 slots drops exactly 12");
-    assert_eq!(stats.threads, 1);
-
-    let instants = parse_events(&perfclone_obs::chrome_trace())
-        .iter()
-        .filter(|ev| str_field(ev, "ph") == Some("i"))
-        .filter(|ev| str_field(ev, "name") == Some("test.wrap.instant"))
-        .count();
-    assert_eq!(instants, 8, "export retains exactly the ring capacity");
 }

@@ -122,7 +122,7 @@ fn runaway_programs_exhaust_budgets_with_typed_errors() {
         Error::BudgetExhausted { stage: "sim", budget: 10_000 }
     ));
 
-    // Gate re-profiling: a clone that never halts cannot pass validation.
+    // Gate measurement: a clone that never halts cannot pass validation.
     let profile = profile_program(&spin, 100_000).expect("bounded profile");
     let gate = Gate { profile_budget: 50_000, ..Gate::default() };
     let gate_err = gate.report(&profile, &spin).unwrap_err();
@@ -132,8 +132,8 @@ fn runaway_programs_exhaust_budgets_with_typed_errors() {
     ));
 }
 
-/// A clone that runs off the end of its text while the gate re-profiles
-/// it is rejected as `CloneFaulted`, carrying the simulator's own fault,
+/// A clone that runs off the end of its text while the gate measures it
+/// is rejected as `CloneFaulted`, carrying the simulator's own fault,
 /// rather than judged or reported as budget exhaustion.
 #[test]
 fn clone_running_off_its_text_is_rejected_as_faulted() {
